@@ -43,8 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "piecewise_linear {knots}, restricted {base, interval}, "
             "tilted {base, beta}, point_density_of {base, alpha, r}. "
             "Defaults: moment_slack 1.0, n_grid 4..4096 in powers of two, "
-            "refine_codepoints false. Set RENYI_QUANT_THREADS to parallelize "
-            "rate points within a sweep."
+            "refine_codepoints false."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -235,8 +234,7 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
                 # tilting a uniform is a no-op, so slope the density instead
                 perturbed = PiecewiseLinear([(d.a, 0.5), (d.b, 1.5)])
             else:
-                beta2 = (1.0 - alpha + r) / (1.0 - alpha)
-                perturbed = d.tilt(1.0 / beta2 * 0.8)
+                perturbed = d.tilt(1.0 / theory.rate_params(alpha, r).beta2 * 0.8)
             if not theory.compander_performance(d, perturbed, alpha, r) > q_coeff:
                 ok = False
                 detail.append(f"{type(d).__name__} perturbed not worse")

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .density import Density, TAIL_MASS
 from .errors import DegenerateCellError, DomainError
-from .intervals import Interval
-from .quantizer import Quantizer, cell_probabilities
+from .quantizer import Quantizer, _piece_distortion, cell_probabilities
 from . import quadrature
 
 
@@ -23,21 +24,18 @@ def optimal_point_density(d: Density, alpha: float, r: float) -> Density:
     At alpha = 0 this reduces to the classical fixed-rate point density
     proportional to pdf**(1/(1+r)).
     """
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    if r <= 1.0:
-        raise DomainError(f"r must exceed 1, got {r}")
-    beta2 = (1.0 - alpha + r) / (1.0 - alpha)
-    return d.tilt(1.0 / beta2)
+    from .theory import rate_params  # theory imports this module
+
+    return d.tilt(1.0 / rate_params(alpha, r).beta2)
 
 
 def build_compander(h: Density, n: int) -> Quantizer:
     """Quantizer with n cells of equal h-probability and midpoint codepoints."""
     if n < 2:
         raise DomainError(f"compander needs n >= 2 cells, got {n}")
-    breakpoints = tuple(h.quantile(k / n) for k in range(1, n))
-    codepoints = tuple(h.quantile((2 * k - 1) / (2 * n)) for k in range(1, n + 1))
-    return Quantizer(breakpoints, codepoints)
+    # the j/(2n) quantiles: even j are the breakpoints k/n, odd j the codepoints
+    x = h.quantile_array(np.arange(1, 2 * n) / (2 * n))
+    return Quantizer(tuple(x[1::2].tolist()), tuple(x[0::2].tolist()))
 
 
 def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
@@ -65,25 +63,14 @@ def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
             c = d.interval_first_moment(bounded) / mass
         else:
             c = _golden_section(
-                lambda c_: _cell_cost(d, r, bounded, c_), bounded.lo, bounded.hi
+                lambda c_: _piece_distortion(d, r, bounded.lo, bounded.hi, c_),
+                bounded.lo,
+                bounded.hi,
             )
         # keep strictly inside the open cell interior
         c = min(max(c, math.nextafter(cell.lo, cell.hi)), math.nextafter(cell.hi, cell.lo))
         new_codepoints.append(c)
     return Quantizer(q.breakpoints, tuple(new_codepoints))
-
-
-def _cell_cost(d: Density, r: float, cell: Interval, c: float) -> float:
-    def f(x: float) -> float:
-        return abs(x - c) ** r * d.pdf(x)
-
-    total = 0.0
-    if cell.lo < c < cell.hi:
-        total += quadrature.integrate(f, Interval(cell.lo, c), abs_tol=1e-16).value
-        total += quadrature.integrate(f, Interval(c, cell.hi), abs_tol=1e-16).value
-    else:
-        total += quadrature.integrate(f, cell, abs_tol=1e-16).value
-    return total
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

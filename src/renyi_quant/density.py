@@ -32,6 +32,29 @@ _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
+def _elementwise(fn, x) -> np.ndarray:
+    """fn applied to every entry of x, keeping the shape of x."""
+    arr = np.asarray(x, dtype=float)
+    flat = np.fromiter(map(fn, arr.ravel().tolist()), dtype=float, count=arr.size)
+    return flat.reshape(arr.shape)
+
+
+def _finite_or(fn, x: np.ndarray, fill: float) -> np.ndarray:
+    """fn at the finite entries of x and fill at the infinite ones."""
+    out = np.full(x.shape, fill)
+    finite = np.isfinite(x)
+    out[finite] = fn(x[finite])
+    return out
+
+
+def _check_probabilities(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    outside = ~((p > 0.0) & (p < 1.0))
+    if np.any(outside):
+        raise DomainError(f"quantile requires p in (0,1), got {p[outside].flat[0]}")
+    return p
+
+
 class Density:
     """Common surface for all density families.
 
@@ -104,6 +127,38 @@ class Density:
                 step *= 2.0
                 hi += step
         return lo, hi
+
+    # --- array surface -----------------------------------------------------
+    #
+    # Elementwise versions of pdf/cdf/sf/quantile. The defaults loop the
+    # scalar method, so every family works; closed-form families override
+    # them with numpy/scipy expressions that repeat the scalar arithmetic.
+
+    def pdf_array(self, x) -> np.ndarray:
+        return _elementwise(self.pdf, x)
+
+    def cdf_array(self, x) -> np.ndarray:
+        return _elementwise(self.cdf, x)
+
+    def sf_array(self, x) -> np.ndarray:
+        return _elementwise(self.sf, x)
+
+    def quantile_array(self, p) -> np.ndarray:
+        return _elementwise(self.quantile, p)
+
+    def interval_mass_array(self, lo, hi) -> np.ndarray:
+        """interval_mass of every (lo[i], hi[i]], with the same cdf/sf branches."""
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        c_lo = _finite_or(self.cdf_array, lo, 0.0)
+        left = c_lo <= 0.5
+        right = ~left
+        masses = np.empty(lo.shape)
+        masses[left] = _finite_or(self.cdf_array, hi[left], 1.0) - c_lo[left]
+        masses[right] = _finite_or(self.sf_array, lo[right], 1.0) - _finite_or(
+            self.sf_array, hi[right], 0.0
+        )
+        return np.maximum(masses, 0.0)
 
     def interval_mass(self, interval: Interval) -> float:
         """Probability of a half-open interval via cdf/sf differences."""
@@ -284,6 +339,20 @@ class Uniform(Density):
             raise DomainError(f"quantile requires p in (0,1), got {p}")
         return self.a + p * (self.b - self.a)
 
+    def pdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.where((self.a < x) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
+
+    def cdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
+
+    def sf_array(self, x) -> np.ndarray:
+        return 1.0 - self.cdf_array(x)
+
+    def quantile_array(self, p) -> np.ndarray:
+        return self.a + _check_probabilities(p) * (self.b - self.a)
+
     def isf(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise DomainError(f"isf requires p in (0,1), got {p}")
@@ -348,6 +417,23 @@ class Gaussian(Density):
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires p in (0,1), got {p}")
         return self.mean + self.sigma * float(_special.ndtri(p))
+
+    def pdf_array(self, x) -> np.ndarray:
+        z = (np.asarray(x, dtype=float) - self.mean) / self.sigma
+        return np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
+
+    # math.erfc stays within ~2 ulp deep into the tails, where scipy's erfc
+    # drifts by hundreds of ulp, so cdf and sf call it per element
+    def cdf_array(self, x) -> np.ndarray:
+        w = -(np.asarray(x, dtype=float) - self.mean) / (self.sigma * _SQRT_2)
+        return 0.5 * _elementwise(math.erfc, w)
+
+    def sf_array(self, x) -> np.ndarray:
+        w = (np.asarray(x, dtype=float) - self.mean) / (self.sigma * _SQRT_2)
+        return 0.5 * _elementwise(math.erfc, w)
+
+    def quantile_array(self, p) -> np.ndarray:
+        return self.mean + self.sigma * _special.ndtri(_check_probabilities(p))
 
     def isf(self, p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -421,6 +507,26 @@ class Laplacian(Density):
             return self.mean + self.scale * math.log(2.0 * p)
         return self.mean - self.scale * math.log(2.0 * (1.0 - p))
 
+    def pdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.exp(-np.abs(x - self.mean) / self.scale) / (2.0 * self.scale)
+
+    def cdf_array(self, x) -> np.ndarray:
+        z = (np.asarray(x, dtype=float) - self.mean) / self.scale
+        tail = 0.5 * np.exp(-np.abs(z))
+        return np.where(z < 0.0, tail, 1.0 - tail)
+
+    def sf_array(self, x) -> np.ndarray:
+        z = (np.asarray(x, dtype=float) - self.mean) / self.scale
+        tail = 0.5 * np.exp(-np.abs(z))
+        return np.where(z < 0.0, 1.0 - tail, tail)
+
+    def quantile_array(self, p) -> np.ndarray:
+        p = _check_probabilities(p)
+        below = p < 0.5
+        offset = self.scale * np.log(2.0 * np.where(below, p, 1.0 - p))
+        return np.where(below, self.mean + offset, self.mean - offset)
+
     def isf(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise DomainError(f"isf requires p in (0,1), got {p}")
@@ -487,6 +593,25 @@ class Exponential(Density):
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires p in (0,1), got {p}")
         return self.shift - math.log1p(-p) / self.rate
+
+    # the maximum keeps exp finite left of the support, where np.where discards it
+    def pdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        t = -self.rate * (np.maximum(x, self.shift) - self.shift)
+        return np.where(x > self.shift, self.rate * np.exp(t), 0.0)
+
+    def cdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        t = -self.rate * (np.maximum(x, self.shift) - self.shift)
+        return np.where(x > self.shift, -np.expm1(t), 0.0)
+
+    def sf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        t = -self.rate * (np.maximum(x, self.shift) - self.shift)
+        return np.where(x > self.shift, np.exp(t), 1.0)
+
+    def quantile_array(self, p) -> np.ndarray:
+        return self.shift - np.log1p(-_check_probabilities(p)) / self.rate
 
     def isf(self, p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -793,7 +918,7 @@ def check_weak_unimodality(
         raise DomainError("level_grid_size must be positive")
     window = quadrature.truncate_support(d, 1e-9)
     xs = np.linspace(window.lo, window.hi, x_grid_size + 2)[1:-1]
-    vals = np.array([d.pdf(float(x)) for x in xs])
+    vals = d.pdf_array(xs)
     vmax = float(vals.max())
     if vmax <= 0.0:
         return UnimodalityReport(False, None, 0)
@@ -846,8 +971,9 @@ def density_from_spec(spec: dict) -> Density:
                     f"point_density_of requires alpha in [0,1) and r > 1, "
                     f"got alpha={alpha}, r={r}"
                 )
-            beta2 = (1.0 - alpha + r) / (1.0 - alpha)
-            return density_from_spec(spec["base"]).tilt(1.0 / beta2)
+            from .compander import optimal_point_density  # compander imports this module
+
+            return optimal_point_density(density_from_spec(spec["base"]), alpha, r)
     except KeyError as exc:
         raise ConfigError(
             f"density family '{family}' is missing required field {exc.args[0]!r}"

@@ -14,9 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -40,7 +37,6 @@ from . import theory
 DEFAULT_N_GRID = tuple(2**k for k in range(2, 13))
 TREND_WINDOW = 4           # rate points over which deviations must not increase
 TREND_FLOOR = 1e-9         # deviations below this count as converged noise
-THREADS_ENV_VAR = "RENYI_QUANT_THREADS"
 
 EXPERIMENTS = ("asymptotics", "entropy-density", "distortion-density", "mismatch", "sanity")
 
@@ -210,25 +206,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(f"ignoring malformed {THREADS_ENV_VAR}={raw!r}", stacklevel=2)
-        return 1
-
-
-def _map_rate_points(fn: Callable[[int], dict], n_grid: Sequence[int]) -> list[dict]:
-    workers = _thread_budget()
-    if workers <= 1:
-        return [fn(n) for n in n_grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, n_grid))
-
-
 def _deviations_nonincreasing(values: Sequence[float], target: float = 1.0) -> bool:
     """True when |value - target| is nonincreasing over the trailing window."""
     devs = [max(abs(v - target), TREND_FLOOR) for v in values]
@@ -323,7 +300,7 @@ def run_asymptotics(cfg: ExperimentConfig) -> ConvergenceReport:
             "ratio": normalized / q_coeff,
         }
 
-    rows = _map_rate_points(point, cfg.n_grid)
+    rows = [point(n) for n in cfg.n_grid]
     ratios = [row["ratio"] for row in rows]
     tol = cfg.tolerance("ratio", 0.05)
     flags = {
@@ -389,7 +366,7 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
             "partition_identity_gap": partition_gap,
         }
 
-    rows = _map_rate_points(point, cfg.n_grid)
+    rows = [point(n) for n in cfg.n_grid]
     last = rows[-1]
     tol_ratio = cfg.tolerance("ratio", 0.02)
     tol_norm = cfg.tolerance("normalization", 0.02)
@@ -483,7 +460,7 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
             "partition_identity_gap": partition_gap,
         }
 
-    rows = _map_rate_points(point, cfg.n_grid)
+    rows = [point(n) for n in cfg.n_grid]
     last = rows[-1]
     tol_share = cfg.tolerance("share", 0.02)
     tol_coincidence = cfg.tolerance("coincidence", 0.05)
@@ -557,7 +534,7 @@ def run_mismatch(cfg: ExperimentConfig) -> ConvergenceReport:
             "loss_ratio": (normalized / q_f) / loss_limit,
         }
 
-    rows = _map_rate_points(point, cfg.n_grid)
+    rows = [point(n) for n in cfg.n_grid]
     last = rows[-1]
     if "shift_abs" in cfg.tolerances:
         shift_ok = abs(
@@ -636,7 +613,7 @@ def run_sanity(cfg: ExperimentConfig) -> ConvergenceReport:
             row[point_cols[i]] = (mass_p**alpha / total_power) if mass_p > 0.0 else 0.0
         return row
 
-    rows = _map_rate_points(point, cfg.n_grid)
+    rows = [point(n) for n in cfg.n_grid]
     threshold = cfg.tolerance("single_cell", 0.05)
     entropy_floor = cfg.tolerance("restricted_entropy_min", 3.0)
     flags = {

@@ -63,6 +63,49 @@ def test_quantile_inverts_cdf(d):
         assert d.quantile(d.cdf(x)) == pytest.approx(x, abs=1e-9)
 
 
+# --- array surface ------------------------------------------------------------
+
+ARRAY_FAMILIES = ALL_FAMILIES + [
+    PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6),
+    Gaussian(0.0, 1.0).restrict(Interval(-1.0, 2.0)),
+]
+# |z| up to 38 standard deviations reaches the subnormal Gaussian tail
+DEEP_Z = np.linspace(-38.0, 38.0, 761)
+DEEP_P = np.concatenate((np.geomspace(1e-300, 0.5, 301), 1.0 - np.geomspace(1e-16, 0.5, 60)))
+
+
+def _probe_points(d):
+    support = d.support
+    if support.bounded:
+        inner = support.lo + (support.hi - support.lo) * np.linspace(0.0, 1.0, 401)
+        return np.concatenate((inner, [support.lo - 1.0, support.hi + 1.0]))
+    sigma = (d.quantile(0.75) - d.quantile(0.25)) / 1.3489795003921634  # Gaussian IQR / sigma
+    return d.quantile(0.5) + sigma * DEEP_Z
+
+
+@pytest.mark.parametrize("d", ARRAY_FAMILIES, ids=lambda d: repr(d))
+def test_array_surface_matches_scalar(d):
+    xs = _probe_points(d)
+    for method in ("pdf", "cdf", "sf"):
+        got = getattr(d, method + "_array")(xs)
+        want = np.array([getattr(d, method)(float(x)) for x in xs])
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    ps = DEEP_P if isinstance(d, (Gaussian, Laplacian, Exponential, Uniform)) else DEEP_P[::10]
+    got = d.quantile_array(ps)
+    want = np.array([d.quantile(float(p)) for p in ps])
+    np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+
+@pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: repr(d))
+def test_array_surface_keeps_shape_and_checks_domain(d):
+    grid = d.quantile_array(np.array([[0.1, 0.2], [0.7, 0.9]]))
+    assert grid.shape == (2, 2)
+    assert d.cdf_array(grid).shape == (2, 2)
+    for p in (0.0, 1.0, -0.3, 1.7):
+        with pytest.raises(DomainError):
+            d.quantile_array(np.array([0.5, p]))
+
+
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: repr(d))
 def test_cdf_monotone_and_normalized(d):
     window = truncate_support(d, 1e-9)

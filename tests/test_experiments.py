@@ -279,14 +279,6 @@ def test_csv_identical_regardless_of_tolerance_outcome(tmp_path):
     assert rep_loose.to_csv_text() == rep_strict.to_csv_text()
 
 
-def test_threads_env_var_preserves_results(monkeypatch):
-    cfg = ExperimentConfig(source=GAUSSIAN, alpha=0.5, r=2.0, n_grid=SMALL_GRID)
-    sequential = run_asymptotics(cfg)
-    monkeypatch.setenv("RENYI_QUANT_THREADS", "4")
-    parallel = run_asymptotics(cfg)
-    assert parallel.to_csv_text() == sequential.to_csv_text()
-
-
 def test_summary_json_serializable(tmp_path):
     cfg = ExperimentConfig(
         source=GAUSSIAN, alpha=0.5, r=2.0, interval=Interval(0.0, 1.0), n_grid=(4, 8, 16, 32)

@@ -1,10 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from renyi_quant import Gaussian, Exponential, Uniform, Interval
 from renyi_quant.errors import DomainError, NonConvergenceError
-from renyi_quant.quadrature import integrate, integrate_with_tails, truncate_support
+from renyi_quant.quadrature import (
+    _kronrod_panel,
+    integrate,
+    integrate_with_tails,
+    kronrod_panels,
+    truncate_support,
+)
 
 
 def test_constant_on_unit_interval():
@@ -90,3 +97,21 @@ def test_truncate_support_exponential():
 def test_truncate_support_rejects_large_tol():
     with pytest.raises(DomainError):
         truncate_support(Uniform(0.0, 1.0), 0.5)
+
+
+def test_kronrod_panels_repeat_the_scalar_panel():
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-6.0, 6.0, size=200)
+    b = a + rng.uniform(1e-6, 8.0, size=200)
+    c = 0.3
+
+    def f(x):
+        # only correctly rounded operations, so arrays and scalars agree bit for bit
+        return (x - c) * (x - c) / (1.0 + x * x)
+
+    values, errors = kronrod_panels(f, a, b)
+    for i in range(a.size):
+        value, err = _kronrod_panel(f, float(a[i]), float(b[i]))
+        assert values[i] == value
+        # numpy's power may differ from the C library's in the last bit
+        np.testing.assert_array_max_ulp(errors[i], err, maxulp=4)

@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from renyi_quant import (
+    Exponential,
     Gaussian,
     Interval,
     Laplacian,
+    PiecewiseLinear,
     Quantizer,
     Uniform,
+    build_compander,
     cell_probabilities,
     distortion,
+    optimal_point_density,
     quantizer_entropy,
     renyi_entropy_vec,
     restricted_metrics,
 )
+from renyi_quant import quadrature
+from renyi_quant.density import TAIL_MASS
 from renyi_quant.errors import DomainError, EmptyConditioningError
-from renyi_quant.quantizer import power_sum, region_metrics
+from renyi_quant.quantizer import cell_distortions, power_sum, region_metrics
 
 
 def uniform_quantizer(n, lo=0.0, hi=1.0):
@@ -101,6 +107,38 @@ def test_cell_probabilities_sum_to_one():
     g = Gaussian(0.3, 1.7)
     q = uniform_quantizer(64, -8.0, 8.0)
     assert cell_probabilities(q, g).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+ORACLE_SOURCES = [
+    Gaussian(0.3, 1.7),
+    Laplacian(-0.5, 0.8),
+    Exponential(1.5, 0.25),
+    Uniform(-1.0, 2.0),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)]),
+    PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6),
+]
+
+
+def _compander_for(d, n, r=2.0):
+    if d.support.bounded:
+        # equal-width cells; a numerically tilted point density is slow to invert
+        return build_compander(Uniform(d.support.lo, d.support.hi), n)
+    return build_compander(optimal_point_density(d, 0.5, r), n)
+
+
+@pytest.mark.parametrize("d", ORACLE_SOURCES, ids=lambda d: repr(d))
+def test_cell_probabilities_match_interval_mass(d):
+    q = _compander_for(d, 64)
+    want = np.array([d.interval_mass(q.cell(k)) for k in range(q.size)])
+    got = cell_probabilities(q, d)
+    # both branches of interval_mass: cdf differences left of the median, sf right of it
+    lows = [q.cell(k).lo for k in range(q.size)]
+    assert any(d.cdf(lo) > 0.5 for lo in lows[1:]) and d.cdf(lows[1]) <= 0.5
+    if isinstance(d, (Laplacian, Exponential)):
+        # np.exp/np.expm1 may differ from math's by an ulp of the cdf
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=4e-16)
+    else:
+        np.testing.assert_array_equal(got, want)
 
 
 # --- Renyi entropy of vectors ------------------------------------------------------
@@ -264,3 +302,95 @@ def test_partition_distortion_identity(d):
 def test_power_sum_zero_convention():
     assert power_sum((0.5, 0.5, 0.0), 0.0) == 2.0
     assert power_sum((0.25, 0.75), 0.5) == pytest.approx(0.5 + math.sqrt(0.75), abs=1e-15)
+
+
+# --- batched cell distortion against the per-cell adaptive rule ----------------------
+
+
+def _half_cells(q, d, region):
+    """(cell, lo, hi) of every cell piece inside the window, split at its codepoint."""
+    window = quadrature.truncate_support(d, TAIL_MASS)
+    parts = [window] if region is None else [
+        p for p in (window.intersect(iv) for iv in region) if p is not None
+    ]
+    for k in range(q.size):
+        c = q.codepoints[k]
+        for part in parts:
+            piece = q.cell(k).intersect(part)
+            if piece is None:
+                continue
+            if piece.lo < c < piece.hi:
+                yield k, piece.lo, c
+                yield k, c, piece.hi
+            else:
+                yield k, piece.lo, piece.hi
+
+
+def _integrate_half_cell(d, r, c, lo, hi):
+    return quadrature.integrate(
+        lambda x: abs(x - c) ** r * d.pdf(x), Interval(lo, hi), abs_tol=1e-16
+    )
+
+
+def _oracle_cell_distortions(q, d, r, region):
+    """The per-cell quadrature.integrate loop, one call per half-cell."""
+    out = np.zeros(q.size)
+    for k, lo, hi in _half_cells(q, d, region):
+        out[k] += _integrate_half_cell(d, r, q.codepoints[k], lo, hi).value
+    return out
+
+
+def _regions(d):
+    interval = Interval(d.quantile(0.3), d.quantile(0.8))
+    return {"none": None, "interval": [interval], "complement": list(interval.complement())}
+
+
+@pytest.mark.parametrize("region", ["none", "interval", "complement"])
+@pytest.mark.parametrize("n", [4, 64, 1024])
+@pytest.mark.parametrize("r", [2.0, 3.0])
+@pytest.mark.parametrize("d", ORACLE_SOURCES, ids=lambda d: repr(d))
+def test_cell_distortions_match_per_cell_quadrature(d, r, n, region):
+    q = _compander_for(d, n, r)
+    regions = _regions(d)[region]
+    got = cell_distortions(q, d, r, region=regions)
+    want = _oracle_cell_distortions(q, d, r, regions)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _count_integrate_calls(monkeypatch):
+    calls = []
+    original = quadrature.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    return calls
+
+
+def test_cell_distortions_batch_settles_almost_every_cell(monkeypatch):
+    g = Gaussian(0.0, 1.0)
+    n = 16384
+    q = _compander_for(g, n)
+    calls = _count_integrate_calls(monkeypatch)
+    cell_distortions(q, g, 2.0)
+    assert len(calls) < 0.01 * n
+
+
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("r", [2.0, 3.0])
+@pytest.mark.parametrize("d", ORACLE_SOURCES[:4], ids=lambda d: repr(d))
+def test_cell_distortions_fall_back_where_one_panel_does_not_settle(monkeypatch, d, r, n):
+    q = _compander_for(d, n, r)
+    unsettled = {
+        (lo, hi)
+        for k, lo, hi in _half_cells(q, d, None)
+        if _integrate_half_cell(d, r, q.codepoints[k], lo, hi).subdivisions > 1
+    }
+    calls = _count_integrate_calls(monkeypatch)
+    cell_distortions(q, d, r)
+    assert {(iv.lo, iv.hi) for iv in calls} == unsettled
+    if n == 4 and not d.support.bounded:
+        # the unbounded outer cells are too wide for one panel
+        assert unsettled
