@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import (
     ConfigError,
@@ -45,6 +44,79 @@ def _finite_or(fn, x: np.ndarray, fill: float) -> np.ndarray:
     finite = np.isfinite(x)
     out[finite] = fn(x[finite])
     return out
+
+
+# Wichura's AS241 ("The Percentage Points of the Normal Distribution",
+# Applied Statistics 37, 1988), the rational approximations behind
+# statistics.NormalDist.inv_cdf: numerator and denominator coefficients,
+# highest degree first, for |p - 0.5| <= 0.425, then r = sqrt(-log(min(p, 1-p)))
+# up to 5, then beyond
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632045605e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0),
+)
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _horner(coeffs, x):
+    acc = 0.0
+    for c in coeffs:
+        acc *= x  # in place once acc is an array
+        acc += c
+    return acc
+
+
+def _rational(coeffs, x):
+    return _horner(coeffs[0], x) / _horner(coeffs[1], x)
+
+
+def _ndtri_scalar(p: float) -> float:
+    """Standard normal quantile of p in (0, 1) by AS241."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        return _horner(_AS241_CENTRAL[0], r) * q / _horner(_AS241_CENTRAL[1], r)
+    r = math.sqrt(-math.log(p if q < 0.0 else 1.0 - p))
+    x = _rational(_AS241_NEAR, r - 1.6) if r <= 5.0 else _rational(_AS241_FAR, r - 5.0)
+    return -x if q < 0.0 else x
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """_ndtri_scalar of every entry of p, each branch on its own entries."""
+    q = p - 0.5
+    x = np.empty(p.shape)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    x[central] = _horner(_AS241_CENTRAL[0], r) * qc / _horner(_AS241_CENTRAL[1], r)
+    tail = ~central
+    qt = q[tail]
+    r = np.sqrt(-np.log(np.where(qt < 0.0, p[tail], 1.0 - p[tail])))
+    near = r <= 5.0
+    xt = np.empty(r.shape)
+    xt[near] = _rational(_AS241_NEAR, r[near] - 1.6)
+    xt[~near] = _rational(_AS241_FAR, r[~near] - 5.0)
+    x[tail] = np.copysign(xt, qt)
+    return x
 
 
 def _check_probabilities(p) -> np.ndarray:
@@ -132,7 +204,7 @@ class Density:
     #
     # Elementwise versions of pdf/cdf/sf/quantile. The defaults loop the
     # scalar method, so every family works; closed-form families override
-    # them with numpy/scipy expressions that repeat the scalar arithmetic.
+    # them with numpy expressions that repeat the scalar arithmetic.
 
     def pdf_array(self, x) -> np.ndarray:
         return _elementwise(self.pdf, x)
@@ -416,7 +488,7 @@ class Gaussian(Density):
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires p in (0,1), got {p}")
-        return self.mean + self.sigma * float(_special.ndtri(p))
+        return self.mean + self.sigma * _ndtri_scalar(p)
 
     def pdf_array(self, x) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - self.mean) / self.sigma
@@ -433,12 +505,12 @@ class Gaussian(Density):
         return 0.5 * _elementwise(math.erfc, w)
 
     def quantile_array(self, p) -> np.ndarray:
-        return self.mean + self.sigma * _special.ndtri(_check_probabilities(p))
+        return self.mean + self.sigma * _ndtri(_check_probabilities(p))
 
     def isf(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise DomainError(f"isf requires p in (0,1), got {p}")
-        return self.mean - self.sigma * float(_special.ndtri(p))
+        return self.mean - self.sigma * _ndtri_scalar(p)
 
     def power_integral(self, beta: float) -> float:
         if beta <= 0.0:
@@ -664,18 +736,19 @@ class PiecewiseLinear(Density):
         seg = 0.5 * (self._ys[1:] + self._ys[:-1]) * np.diff(xs)
         self._cum = np.concatenate(([0.0], np.cumsum(seg)))
         self._cum[-1] = 1.0
+        self._support = Interval(float(xs[0]), float(xs[-1]))
         self._check_normalization()
 
     @property
     def support(self) -> Interval:
-        return Interval(float(self._xs[0]), float(self._xs[-1]))
+        return self._support
 
     @property
     def knots(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self._xs.tolist(), self._ys.tolist()))
 
     def pdf(self, x: float) -> float:
-        if not self.support.contains(x):
+        if not self._support.contains(x):
             return 0.0
         return float(np.interp(x, self._xs, self._ys))
 

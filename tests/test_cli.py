@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from renyi_quant.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -174,3 +177,14 @@ def test_checked_in_predict_config(capsys):
     code = main(["predict", "--config", str(CONFIG_DIR / "uniform_predict.json")])
     assert code == 0
     assert "Q = 0.0833333333" in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh isolated interpreter, so no other test's imports count
+    script = (
+        f"import sys; sys.path.insert(0, {str(SRC_DIR)!r}); import renyi_quant.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    child = subprocess.run([sys.executable, "-I", "-c", script],
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "[]"

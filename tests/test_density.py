@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -104,6 +105,35 @@ def test_array_surface_keeps_shape_and_checks_domain(d):
     for p in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(DomainError):
             d.quantile_array(np.array([0.5, p]))
+
+
+@pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Gaussian(1.5, 0.7), Gaussian(-3.0, 2e-3)],
+                         ids=lambda d: repr(d))
+def test_gaussian_quantile_matches_stdlib_as241(d):
+    # statistics.NormalDist.inv_cdf is Wichura's AS241 as well; isf(p) is the
+    # p quantile mirrored about the mean, which keeps p tiny on both sides
+    want = np.array([NormalDist(d.mean, d.sigma).inv_cdf(float(p)) for p in DEEP_P])
+    want_isf = np.array([-NormalDist(-d.mean, d.sigma).inv_cdf(float(p)) for p in DEEP_P])
+    np.testing.assert_array_max_ulp(np.array([d.quantile(float(p)) for p in DEEP_P]), want, maxulp=4)
+    np.testing.assert_array_max_ulp(d.quantile_array(DEEP_P), want, maxulp=4)
+    np.testing.assert_array_max_ulp(np.array([d.isf(float(p)) for p in DEEP_P]), want_isf, maxulp=4)
+
+
+def test_gaussian_quantile_matches_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    d = Gaussian(0.0, 1.0)
+    with mpmath.workdps(50):
+        oracle = []
+        for p in DEEP_P:
+            target = mpmath.mpf(float(p))
+            z = mpmath.mpf(d.quantile(float(p)))
+            for _ in range(4):  # Newton on ncdf(z) = p from a start a few ulp off
+                z -= (mpmath.ncdf(z) - target) / mpmath.npdf(z)
+            oracle.append(float(z))
+    oracle = np.array(oracle)
+    np.testing.assert_array_max_ulp(np.array([d.quantile(float(p)) for p in DEEP_P]), oracle, maxulp=8)
+    np.testing.assert_array_max_ulp(d.quantile_array(DEEP_P), oracle, maxulp=8)
+    np.testing.assert_array_max_ulp(np.array([d.isf(float(p)) for p in DEEP_P]), -oracle, maxulp=8)
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: repr(d))

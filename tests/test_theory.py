@@ -7,6 +7,7 @@ from renyi_quant import (
     Gaussian,
     Interval,
     Laplacian,
+    PiecewiseLinear,
     Uniform,
     compander_performance,
     entropy_density_limit,
@@ -24,7 +25,9 @@ from renyi_quant import (
     tilted_measure,
 )
 from renyi_quant.errors import DomainError
-from renyi_quant.theory import check_density_ratio_bound
+from renyi_quant.density import TAIL_MASS
+from renyi_quant.quadrature import truncate_support
+from renyi_quant.theory import RATIO_CAP, check_density_ratio_bound
 
 # frozen oracle values (high-precision evaluation of the closed forms)
 GAUSS_POWER_06 = 1.8644912453132446          # integral of phi^0.6
@@ -389,6 +392,49 @@ def test_ratio_bound_report():
     assert ok.max_ratio == pytest.approx(1.1 * 2.0, rel=1e-3)  # ratio peaks at 2 at x=0
     bad = check_density_ratio_bound(Gaussian(0.0, 2.0), Gaussian(0.0, 1.0))
     assert not bad.bounded
+
+
+def _ratio_bound_loop(f, g, grid_size=10_000):
+    """The grid check one scalar pdf pair at a time, as the reference."""
+    window = truncate_support(f, TAIL_MASS)
+    xs = np.linspace(window.lo, window.hi, grid_size + 2)[1:-1]
+    worst, worst_x, bounded = 0.0, float(xs[0]), True
+    for x in xs:
+        fx = f.pdf(float(x))
+        if fx <= 0.0:
+            continue
+        gx = g.pdf(float(x))
+        ratio = fx / gx if gx > 0.0 else math.inf
+        if ratio > worst:
+            worst, worst_x = ratio, float(x)
+        if ratio > RATIO_CAP:
+            bounded = False
+    return bounded, 1.1 * worst, worst_x, grid_size
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (Gaussian(0.0, 1.0), Gaussian(0.0, 2.0)),
+        (Gaussian(0.0, 2.0), Gaussian(0.0, 1.0)),
+        (Gaussian(0.3, 1.5), Gaussian(0.0, 2.0)),
+        (Uniform(0.0, 0.5), Uniform(0.0, 1.0)),
+        (Uniform(0.0, 1.0), Uniform(0.0, 0.5)),  # g vanishes on half of f's support
+        (Gaussian(0.0, 1.0), Uniform(-1.0, 1.0)),  # g vanishes in both tails
+        (Uniform(-3.0, 3.0), Gaussian(0.0, 1.0)),
+        (Laplacian(0.0, 1.0), Laplacian(0.5, 2.0)),
+        (Laplacian(0.0, 1.0), Gaussian(0.0, 1.0)),
+        (Gaussian(0.0, 1.0), Laplacian(0.0, 2.0)),
+        # f vanishes on the left third of its grid, and g with it
+        (PiecewiseLinear([(-2.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]), Uniform(-1.0, 1.0)),
+    ],
+    ids=repr,
+)
+def test_ratio_bound_matches_scalar_loop(f, g):
+    got = check_density_ratio_bound(f, g)
+    bounded, max_ratio, argmax, grid_size = _ratio_bound_loop(f, g)
+    assert (got.bounded, got.argmax, got.grid_size) == (bounded, argmax, grid_size)
+    assert got.max_ratio == pytest.approx(max_ratio, rel=1e-15)
 
 
 # --- split bound --------------------------------------------------------------------------------------
