@@ -752,6 +752,11 @@ class PiecewiseLinear(Density):
             return 0.0
         return float(np.interp(x, self._xs, self._ys))
 
+    def pdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        inside = (self._xs[0] < x) & (x <= self._xs[-1])
+        return np.where(inside, np.interp(x, self._xs, self._ys), 0.0)
+
     def cdf(self, x: float) -> float:
         if x <= self._xs[0]:
             return 0.0
@@ -773,10 +778,10 @@ class PiecewiseLinear(Density):
             raise DomainError(f"partial_power_integral requires beta > 0, got {beta}")
         total = 0.0
         for i in range(len(self._xs) - 1):
-            seg = Interval(float(self._xs[i]), float(self._xs[i + 1])).intersect(interval)
-            if seg is None:
-                continue
-            total += self._segment_power(i, seg.lo, seg.hi, beta)
+            lo = max(float(self._xs[i]), interval.lo)
+            hi = min(float(self._xs[i + 1]), interval.hi)
+            if lo < hi:
+                total += self._segment_power(i, lo, hi, beta)
         return total
 
     def _segment_power(self, i: int, a: float, b: float, beta: float) -> float:

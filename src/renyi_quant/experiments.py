@@ -23,14 +23,12 @@ from .density import Density, check_weak_unimodality, density_from_spec
 from .errors import ConfigError, HypothesisError, InfiniteIntegralError, RenyiQuantError
 from .intervals import Interval
 from .quantizer import (
+    CellTable,
     Quantizer,
-    cell_distortions,
-    cell_probabilities,
+    cell_table,
     power_sum,
     quantizer_entropy,
-    region_metrics,
     renyi_entropy_vec,
-    restricted_metrics,
 )
 from . import theory
 
@@ -277,6 +275,24 @@ def _theorem_interval(cfg: ExperimentConfig, d: Density) -> Interval:
     return cfg.interval
 
 
+def _rate_point(n: int, table: CellTable, alpha: float, r: float, limit: float) -> dict:
+    """The columns every sweep starts with: the entropy and distortion of the
+    table, the normalized distortion e^{rH} D and its ratio to the limit."""
+    entropy = renyi_entropy_vec(table.masses, alpha)
+    dist = float(math.fsum(table.distortions))
+    normalized = math.exp(r * entropy) * dist
+    return {"n": n, "H_alpha": entropy, "D": dist, "eRH_D": normalized, "ratio": normalized / limit}
+
+
+def _report(cfg: ExperimentConfig, experiment: str, rows: list[dict], limits: dict,
+            flags: dict, diagnostics: dict) -> ConvergenceReport:
+    """A sweep's report: its CSV columns are the keys of its rows, in order,
+    and it passes when every flag holds."""
+    return ConvergenceReport(
+        experiment, cfg.name, tuple(rows[0]), rows, limits, flags, diagnostics, all(flags.values())
+    )
+
+
 # --- runners -----------------------------------------------------------------
 
 
@@ -286,37 +302,22 @@ def run_asymptotics(cfg: ExperimentConfig) -> ConvergenceReport:
     d = cfg.source_density()
     q_coeff = theory.quantization_coefficient(d, cfg.alpha, cfg.r)
     params = theory.rate_params(cfg.alpha, cfg.r)
-
-    def point(n: int) -> dict:
-        q = _quantizer_for(cfg, d, n)
-        entropy = quantizer_entropy(q, d, cfg.alpha)
-        dist = float(math.fsum(cell_distortions(q, d, cfg.r)))
-        normalized = math.exp(cfg.r * entropy) * dist
-        return {
-            "n": n,
-            "H_alpha": entropy,
-            "D": dist,
-            "eRH_D": normalized,
-            "ratio": normalized / q_coeff,
-        }
-
-    rows = [point(n) for n in cfg.n_grid]
+    rows = [
+        _rate_point(n, cell_table(_quantizer_for(cfg, d, n), d, cfg.r), cfg.alpha, cfg.r, q_coeff)
+        for n in cfg.n_grid
+    ]
     ratios = [row["ratio"] for row in rows]
     tol = cfg.tolerance("ratio", 0.05)
     flags = {
         "final_ratio_within_tolerance": abs(ratios[-1] - 1.0) <= tol,
         "deviation_nonincreasing": _deviations_nonincreasing(ratios),
     }
-    return ConvergenceReport(
-        experiment="asymptotics",
-        name=cfg.name,
-        columns=("n", "H_alpha", "D", "eRH_D", "ratio"),
-        rows=rows,
+    return _report(
+        cfg, "asymptotics", rows,
         limits={"Q": q_coeff, "beta1": params.beta1, "beta2": params.beta2,
                 "C_r": params.c_r},
         flags=flags,
         diagnostics={"hypothesis_checks": checks, "tolerance": tol},
-        passed=all(flags.values()),
     )
 
 
@@ -336,14 +337,13 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
     limit_2 = (1.0 - tilted_mass) * mass_2 ** (-alpha)
     conditional = d.restrict(interval)
     q_conditional = theory.quantization_coefficient(conditional, alpha, r)
-    complement = interval.complement()
+    sides = ((interval,), interval.complement())
 
     def point(n: int) -> dict:
-        q = _quantizer_for(cfg, d, n)
-        entropy = quantizer_entropy(q, d, alpha)
-        dist = float(math.fsum(cell_distortions(q, d, r)))
-        m1 = restricted_metrics(q, d, interval, alpha, r)
-        m2 = region_metrics(q, d, complement, alpha, r)
+        table = cell_table(_quantizer_for(cfg, d, n), d, r, sides)
+        row = _rate_point(n, table, alpha, r, q_coeff)
+        entropy, dist = row["H_alpha"], row["D"]
+        m1, m2 = (table.metrics(side, alpha) for side in table.regions)
         ratio_1 = math.exp((1.0 - alpha) * (m1.entropy_restricted - entropy))
         ratio_2 = math.exp((1.0 - alpha) * (m2.entropy_restricted - entropy))
         normalization = ratio_1 * mass_1**alpha + ratio_2 * mass_2**alpha
@@ -351,13 +351,8 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
         partition_gap = abs(
             mass_1 * m1.distortion_restricted + mass_2 * m2.distortion_restricted - dist
         )
-        normalized = math.exp(r * entropy) * dist
         return {
-            "n": n,
-            "H_alpha": entropy,
-            "D": dist,
-            "eRH_D": normalized,
-            "ratio": normalized / q_coeff,
+            **row,
             "entropy_density_ratio_A1": ratio_1,
             "entropy_density_ratio_A2": ratio_2,
             "normalization": normalization,
@@ -390,16 +385,8 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
             "restricted_distortion": tol_restricted,
         },
     }
-    return ConvergenceReport(
-        experiment="entropy-density",
-        name=cfg.name,
-        columns=(
-            "n", "H_alpha", "D", "eRH_D", "ratio",
-            "entropy_density_ratio_A1", "entropy_density_ratio_A2",
-            "normalization", "restricted_eRH_D", "restricted_ratio",
-            "partition_identity_gap",
-        ),
-        rows=rows,
+    return _report(
+        cfg, "entropy-density", rows,
         limits={
             "Q": q_coeff,
             "entropy_density_limit_A1": limit_1,
@@ -410,7 +397,6 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
         },
         flags=flags,
         diagnostics=diagnostics,
-        passed=all(flags.values()),
     )
 
 
@@ -428,30 +414,24 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
         params.beta1
     )
     mg_limit = theory.limit_distortion_measure(d, interval, alpha, r)
-    complement = interval.complement()
+    sides = ((interval,), interval.complement())
     mass_1 = d.interval_mass(interval)
     mass_2 = 1.0 - mass_1
 
     def point(n: int) -> dict:
-        q = _quantizer_for(cfg, d, n)
-        entropy = quantizer_entropy(q, d, alpha)
-        dist = float(math.fsum(cell_distortions(q, d, r)))
-        dist_in = float(math.fsum(cell_distortions(q, d, r, region=interval)))
-        m1 = restricted_metrics(q, d, interval, alpha, r)
-        m2 = region_metrics(q, d, complement, alpha, r)
+        table = cell_table(_quantizer_for(cfg, d, n), d, r, sides)
+        row = _rate_point(n, table, alpha, r, q_coeff)
+        entropy, dist = row["H_alpha"], row["D"]
+        dist_in = float(math.fsum(table.regions[0].distortions))
+        m1, m2 = (table.metrics(side, alpha) for side in table.regions)
         share = dist_in / dist
         power_share = m1.restricted_power_sum / m1.entropy_power_sum
         mg_n = math.exp(r * entropy) * dist_in
         partition_gap = abs(
             mass_1 * m1.distortion_restricted + mass_2 * m2.distortion_restricted - dist
         )
-        normalized = math.exp(r * entropy) * dist
         return {
-            "n": n,
-            "H_alpha": entropy,
-            "D": dist,
-            "eRH_D": normalized,
-            "ratio": normalized / q_coeff,
+            **row,
             "distortion_share": share,
             "power_sum_share": power_share,
             "coincidence_ratio": share / power_share,
@@ -479,15 +459,8 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
         "max_partition_identity_gap": max(row["partition_identity_gap"] for row in rows),
         "tolerances": {"share": tol_share, "coincidence": tol_coincidence, "mg": tol_mg},
     }
-    return ConvergenceReport(
-        experiment="distortion-density",
-        name=cfg.name,
-        columns=(
-            "n", "H_alpha", "D", "eRH_D", "ratio",
-            "distortion_share", "power_sum_share", "coincidence_ratio",
-            "Mg_n", "Mg_ratio", "partition_identity_gap",
-        ),
-        rows=rows,
+    return _report(
+        cfg, "distortion-density", rows,
         limits={
             "Q": q_coeff,
             "tilted_mass": tilted_mass,
@@ -496,7 +469,6 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
         },
         flags=flags,
         diagnostics=diagnostics,
-        passed=all(flags.values()),
     )
 
 
@@ -517,16 +489,11 @@ def run_mismatch(cfg: ExperimentConfig) -> ConvergenceReport:
     def point(n: int) -> dict:
         q = _quantizer_for(cfg, g, n)
         h_mu = quantizer_entropy(q, g, alpha)
-        h_nu = quantizer_entropy(q, f, alpha)
-        d_nu = float(math.fsum(cell_distortions(q, f, r)))
-        shift = math.exp((1.0 - alpha) * (h_nu - h_mu))
-        normalized = math.exp(r * h_nu) * d_nu
+        row = _rate_point(n, cell_table(q, f, r), alpha, r, dist_limit)
+        shift = math.exp((1.0 - alpha) * (row["H_alpha"] - h_mu))
+        normalized = row["eRH_D"]
         return {
-            "n": n,
-            "H_alpha": h_nu,
-            "D": d_nu,
-            "eRH_D": normalized,
-            "ratio": normalized / dist_limit,
+            **row,
             "H_mu": h_mu,
             "mismatch_entropy_shift_empirical": shift,
             "shift_ratio": shift / shift_limit,
@@ -550,15 +517,8 @@ def run_mismatch(cfg: ExperimentConfig) -> ConvergenceReport:
             [row["ratio"] for row in rows]
         ),
     }
-    return ConvergenceReport(
-        experiment="mismatch",
-        name=cfg.name,
-        columns=(
-            "n", "H_alpha", "D", "eRH_D", "ratio", "H_mu",
-            "mismatch_entropy_shift_empirical", "shift_ratio",
-            "loss_empirical", "loss_ratio",
-        ),
-        rows=rows,
+    return _report(
+        cfg, "mismatch", rows,
         limits={
             "mismatch_entropy_shift": shift_limit,
             "mismatch_distortion_limit": dist_limit,
@@ -568,7 +528,6 @@ def run_mismatch(cfg: ExperimentConfig) -> ConvergenceReport:
         },
         flags=flags,
         diagnostics={"hypothesis_checks": checks, "tolerances": dict(cfg.tolerances)},
-        passed=all(flags.values()),
     )
 
 
@@ -587,29 +546,22 @@ def run_sanity(cfg: ExperimentConfig) -> ConvergenceReport:
     if points is None:
         points = (d.quantile(0.5), d.mode())
     q_coeff = theory.quantization_coefficient(d, alpha, r)
-    complement = interval.complement()
+    sides = ((interval,), interval.complement())
     point_cols = tuple(f"single_cell_ratio_p{i}" for i in range(len(points)))
 
     def point(n: int) -> dict:
         q = _quantizer_for(cfg, d, n)
-        masses = cell_probabilities(q, d)
-        total_power = power_sum(masses, alpha)
-        entropy = renyi_entropy_vec(masses, alpha)
-        dist = float(math.fsum(cell_distortions(q, d, r)))
-        m1 = restricted_metrics(q, d, interval, alpha, r)
-        m2 = region_metrics(q, d, complement, alpha, r)
+        table = cell_table(q, d, r, sides)
+        total_power = power_sum(table.masses, alpha)
+        m1, m2 = (table.metrics(side, alpha) for side in table.regions)
         row = {
-            "n": n,
-            "H_alpha": entropy,
-            "D": dist,
-            "eRH_D": math.exp(r * entropy) * dist,
-            "ratio": math.exp(r * entropy) * dist / q_coeff,
-            "max_cell_probability": float(masses.max()),
+            **_rate_point(n, table, alpha, r, q_coeff),
+            "max_cell_probability": float(table.masses.max()),
             "H_restricted_A1": m1.entropy_restricted,
             "H_restricted_A2": m2.entropy_restricted,
         }
         for i, p in enumerate(points):
-            mass_p = float(masses[q.cell_index(p)])
+            mass_p = float(table.masses[q.cell_index(p)])
             row[point_cols[i]] = (mass_p**alpha / total_power) if mass_p > 0.0 else 0.0
         return row
 
@@ -632,19 +584,11 @@ def run_sanity(cfg: ExperimentConfig) -> ConvergenceReport:
         flags[f"single_cell_ratio_p{i}_vanishing"] = bool(
             _deviations_nonincreasing(series, target=0.0) and series[-1] < threshold
         )
-    return ConvergenceReport(
-        experiment="sanity",
-        name=cfg.name,
-        columns=(
-            "n", "H_alpha", "D", "eRH_D", "ratio",
-            "max_cell_probability", "H_restricted_A1", "H_restricted_A2",
-            *point_cols,
-        ),
-        rows=rows,
+    return _report(
+        cfg, "sanity", rows,
         limits={"Q": q_coeff, "interval": interval.to_json(), "points": list(points)},
         flags=flags,
         diagnostics={"hypothesis_checks": checks},
-        passed=all(flags.values()),
     )
 
 

@@ -11,6 +11,9 @@ one cdf/sf difference over the edges, and each half-cell distortion gets one
 batched Gauss-Kronrod panel. A half-cell whose panel already meets the
 adaptive rule's first stopping test keeps that value, which is what the
 adaptive rule would return; the rest go through `quadrature.integrate`.
+
+A rate point makes one `cell_table`: one pass of each, and the columns inside
+a region from it, evaluating again only the cells a region endpoint cuts.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .density import Density, TAIL_MASS
 from .errors import DomainError, EmptyConditioningError
-from .intervals import Interval
+from .intervals import Interval, REAL_LINE
 from . import quadrature
 
 _ALPHA_LIMIT_EPS = 1e-6  # alpha this close to an endpoint uses the limit formula
@@ -163,28 +166,31 @@ def _piece_distortion(d: Density, r: float, lo: float, hi: float, c: float) -> f
     return _integrate_piece(d, r, lo, hi, c)
 
 
-def _half_cell_distortions(
+def _clipped_distortions(
     d: Density, r: float, lo: np.ndarray, hi: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
     """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi.
 
-    The integrand has no kink inside any piece. One batched G7/K15 panel
-    settles each piece whose error estimate passes the adaptive rule's first
-    stopping test; the others are integrated adaptively.
+    Each piece is split at its codepoint c, where the integrand has its kink.
+    One batched G7/K15 panel settles each half whose error estimate passes the
+    adaptive rule's first stopping test; the others are integrated adaptively.
     """
-    out = np.zeros(lo.shape)
+    size = lo.size
+    # both halves in one batch; a side the piece does not reach is empty
+    lo, hi = np.concatenate((lo, np.maximum(lo, c))), np.concatenate((np.minimum(hi, c), hi))
+    c = np.concatenate((c, c))
+    halves = np.zeros(lo.shape)
     live = np.flatnonzero(lo < hi)
-    if live.size == 0:
-        return out
-    lo, hi, c = lo[live], hi[live], c[live]
-    values, errors = quadrature.kronrod_panels(
-        lambda x: np.abs(x - c) ** r * d.pdf_array(x), lo, hi
-    )
-    settled = errors <= np.maximum(quadrature.DEFAULT_REL_TOL * np.abs(values), _PIECE_ABS_TOL)
-    for i in np.flatnonzero(~settled).tolist():
-        values[i] = _integrate_piece(d, r, float(lo[i]), float(hi[i]), float(c[i]))
-    out[live] = values
-    return out
+    if live.size:
+        lo, hi, c = lo[live], hi[live], c[live]
+        values, errors = quadrature.kronrod_panels(
+            lambda x: np.abs(x - c) ** r * d.pdf_array(x), lo, hi
+        )
+        settled = errors <= np.maximum(quadrature.DEFAULT_REL_TOL * np.abs(values), _PIECE_ABS_TOL)
+        for i in np.flatnonzero(~settled).tolist():
+            values[i] = _integrate_piece(d, r, float(lo[i]), float(hi[i]), float(c[i]))
+        halves[live] = values
+    return halves[:size] + halves[size:]
 
 
 def cell_distortions(
@@ -200,24 +206,16 @@ def cell_distortions(
     """
     if r < 1.0:
         raise DomainError(f"distortion requires r >= 1, got {r}")
-    if region is None:
-        parts: list[Interval] = [quadrature.truncate_support(d, TAIL_MASS)]
-    else:
-        if isinstance(region, Interval):
-            region = [region]
-        window = quadrature.truncate_support(d, TAIL_MASS)
-        parts = [p for p in (window.intersect(iv) for iv in region) if p is not None]
+    if region is not None:
+        region = (region,) if isinstance(region, Interval) else region
+        return cell_table(q, d, r, (region,)).regions[0].distortions
+    window = quadrature.truncate_support(d, TAIL_MASS)
     lows, highs = q._edges[:-1], q._edges[1:]
     out = np.zeros(q.size)
     for block in _blocks(q.size):
-        c = q._codepoint_array[block]
-        for part in parts:
-            lo = np.maximum(lows[block], part.lo)
-            hi = np.minimum(highs[block], part.hi)
-            # split at the codepoint; a side the piece does not reach is empty
-            left = _half_cell_distortions(d, r, lo, np.minimum(hi, c), c)
-            right = _half_cell_distortions(d, r, np.maximum(lo, c), hi, c)
-            out[block] += left + right
+        lo = np.maximum(lows[block], window.lo)
+        hi = np.minimum(highs[block], window.hi)
+        out[block] += _clipped_distortions(d, r, lo, hi, q._codepoint_array[block])
     return out
 
 
@@ -226,18 +224,7 @@ def distortion(q: Quantizer, d: Density, r: float) -> float:
     return float(math.fsum(cell_distortions(q, d, r)))
 
 
-def _region_masses(q: Quantizer, d: Density, region: Sequence[Interval]) -> np.ndarray:
-    lows, highs = q._edges[:-1], q._edges[1:]
-    masses = np.zeros(q.size)
-    for block in _blocks(q.size):
-        for iv in region:
-            lo = np.maximum(lows[block], iv.lo)
-            hi = np.minimum(highs[block], iv.hi)
-            live = np.flatnonzero(lo < hi)
-            piece = np.zeros(lo.shape)
-            piece[live] = d.interval_mass_array(lo[live], hi[live])
-            masses[block] += piece
-    return masses
+# --- the cell table ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -248,12 +235,92 @@ class RestrictedMetrics:
     restricted_power_sum: float
 
 
+@dataclass(frozen=True)
+class RegionColumns:
+    mass: float              # probability of the region
+    masses: np.ndarray       # per-cell mass inside the region
+    distortions: np.ndarray  # per-cell distortion inside the region
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """Cell masses and distortions of one quantizer, and both inside each region."""
+
+    masses: np.ndarray
+    distortions: np.ndarray
+    regions: tuple[RegionColumns, ...]
+
+    def metrics(self, region: RegionColumns, alpha: float) -> RestrictedMetrics:
+        """Entropy and distortion of the quantizer conditioned on a region."""
+        if region.mass <= 0.0:
+            raise EmptyConditioningError("conditioning region has zero probability")
+        conditional = region.masses / region.mass
+        # renormalize away the tiny cdf-difference drift before validation
+        conditional = conditional / conditional.sum()
+        return RestrictedMetrics(
+            entropy_restricted=renyi_entropy_vec(conditional, alpha),
+            distortion_restricted=float(math.fsum(region.distortions)) / region.mass,
+            entropy_power_sum=power_sum(self.masses, alpha),
+            restricted_power_sum=power_sum(region.masses, alpha),
+        )
+
+
+def _restricted_columns(q: Quantizer, full: np.ndarray, window: Interval,
+                        regions: Sequence[Sequence[Interval]], piece: Callable) -> list[np.ndarray]:
+    """The column full, computed over window, inside each region.
+
+    A cell wholly inside an interval keeps its value in full, as its clip to the
+    window is its clip to window ∩ interval; a cell an interval endpoint cuts
+    gets piece(lo, hi, c) over that clip, all in one batch, in interval order.
+    """
+    lows, highs = q._edges[:-1], q._edges[1:]
+    columns = [np.zeros(q.size) for _ in regions]
+    cuts = []
+    for column, region in zip(columns, regions):
+        for iv in region:
+            part = window.intersect(iv)
+            if part is None:
+                continue
+            start = int(np.searchsorted(lows, iv.lo, side="left"))
+            stop = int(np.searchsorted(highs, iv.hi, side="right"))
+            column[start:stop] += full[start:stop]
+            # the cell on either side of that run holds an endpoint or lies outside
+            for k in sorted({start - 1, stop} - {-1, q.size}):
+                lo, hi = max(lows[k], part.lo), min(highs[k], part.hi)
+                if lo < hi:
+                    cuts.append((column, k, lo, hi))
+    if cuts:
+        _, cells, lo, hi = zip(*cuts)
+        values = piece(np.array(lo), np.array(hi), q._codepoint_array[list(cells)])
+        for (column, k, _, _), value in zip(cuts, values.tolist()):
+            column[k] += value
+    return columns
+
+
+def cell_table(
+    q: Quantizer, d: Density, r: float, regions: Sequence[Sequence[Interval]] = ()
+) -> CellTable:
+    """One cell_probabilities and one cell_distortions pass, and both columns
+    inside each region (a union of disjoint intervals): masses over each
+    interval, distortions over its part of the truncated support, as in the
+    full passes."""
+    masses = cell_probabilities(q, d)
+    distortions = cell_distortions(q, d, r)
+    window = quadrature.truncate_support(d, TAIL_MASS)
+    region_masses = _restricted_columns(
+        q, masses, REAL_LINE, regions, lambda lo, hi, c: d.interval_mass_array(lo, hi)
+    )
+    region_distortions = _restricted_columns(
+        q, distortions, window, regions, lambda lo, hi, c: _clipped_distortions(d, r, lo, hi, c)
+    )
+    return CellTable(masses, distortions, tuple(
+        RegionColumns(math.fsum(d.interval_mass(iv) for iv in region), m, x)
+        for region, m, x in zip(regions, region_masses, region_distortions)
+    ))
+
+
 def restricted_metrics(
-    q: Quantizer,
-    d: Density,
-    interval: Interval,
-    alpha: float,
-    r: float,
+    q: Quantizer, d: Density, interval: Interval, alpha: float, r: float
 ) -> RestrictedMetrics:
     """Entropy and distortion of the quantizer under conditioning on an interval.
 
@@ -264,26 +331,8 @@ def restricted_metrics(
 
 
 def region_metrics(
-    q: Quantizer,
-    d: Density,
-    region: Sequence[Interval],
-    alpha: float,
-    r: float,
+    q: Quantizer, d: Density, region: Sequence[Interval], alpha: float, r: float
 ) -> RestrictedMetrics:
     """Same as restricted_metrics for a union of disjoint intervals."""
-    mass_total = math.fsum(d.interval_mass(iv) for iv in region)
-    if mass_total <= 0.0:
-        raise EmptyConditioningError("conditioning region has zero probability")
-    masses = cell_probabilities(q, d)
-    masses_in = _region_masses(q, d, region)
-    conditional = masses_in / mass_total
-    # renormalize away the tiny cdf-difference drift before validation
-    conditional = conditional / conditional.sum()
-    entropy_restricted = renyi_entropy_vec(conditional, alpha)
-    dist_in = float(math.fsum(cell_distortions(q, d, r, region=region)))
-    return RestrictedMetrics(
-        entropy_restricted=entropy_restricted,
-        distortion_restricted=dist_in / mass_total,
-        entropy_power_sum=power_sum(masses, alpha),
-        restricted_power_sum=power_sum(masses_in, alpha),
-    )
+    table = cell_table(q, d, r, (region,))
+    return table.metrics(table.regions[0], alpha)

@@ -107,6 +107,44 @@ def test_array_surface_keeps_shape_and_checks_domain(d):
             d.quantile_array(np.array([0.5, p]))
 
 
+def test_piecewise_pdf_array_is_the_scalar_pdf():
+    # nonzero at both ends, so the half-open support (lo, hi] shows
+    d = PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0), (3.5, 0.4)])
+    knots = np.array([x for x, _ in d.knots])
+    xs = np.concatenate((
+        np.linspace(-0.5, 4.0, 451),
+        knots,
+        np.nextafter(knots, -np.inf),
+        np.nextafter(knots, np.inf),
+        [-np.inf, np.inf],
+    ))
+    got = d.pdf_array(xs)
+    want = np.array([d.pdf(float(x)) for x in xs])
+    assert np.array_equal(got, want)
+    assert d.pdf_array(np.array([0.0, 3.5])).tolist() == [0.0, d.pdf(3.5)] and d.pdf(3.5) > 0.0
+    assert d.pdf_array(xs[:450].reshape(-1, 2)).shape == (225, 2)
+
+
+def test_piecewise_partial_power_integral_sums_the_clipped_segments():
+    d = PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0), (3.5, 0.4)])
+    knots = [x for x, _ in d.knots]
+    for iv in (
+        Interval(-math.inf, 1.0),
+        Interval(0.5, 3.2),
+        Interval(1.0, 3.0),
+        Interval(-1.0, 5.0),
+        Interval(3.4, math.inf),
+        Interval(1.2, 1.3),
+        Interval(4.0, 5.0),
+    ):
+        want = 0.0
+        for i in range(len(knots) - 1):
+            seg = Interval(knots[i], knots[i + 1]).intersect(iv)
+            if seg is not None:
+                want += d._segment_power(i, seg.lo, seg.hi, 0.6)
+        assert d.partial_power_integral(0.6, iv) == want
+
+
 @pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Gaussian(1.5, 0.7), Gaussian(-3.0, 2e-3)],
                          ids=lambda d: repr(d))
 def test_gaussian_quantile_matches_stdlib_as241(d):

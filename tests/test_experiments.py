@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from renyi_quant import Interval
+from renyi_quant import Interval, quantizer
 from renyi_quant.errors import ConfigError, HypothesisError
 from renyi_quant.experiments import (
     DEFAULT_N_GRID,
@@ -245,6 +245,52 @@ def test_sanity_default_interval_and_points():
     assert "single_cell_ratio_p1" in report.columns
     series = [row["single_cell_ratio_p0"] for row in report.rows]
     assert series[-1] < series[0]
+
+
+# --- cell passes per rate point ------------------------------------------------------------
+
+
+def _count_cell_passes(monkeypatch):
+    calls = {"cell_probabilities": 0, "cell_distortions": 0}
+    for name in calls:
+        original = getattr(quantizer, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(quantizer, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "runner, probabilities_per_point",
+    [
+        (run_asymptotics, 1),
+        (run_entropy_density, 1),
+        (run_distortion_density, 1),
+        (run_sanity, 1),
+        (run_mismatch, 2),  # under the design source and under the mismatched one
+    ],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_one_cell_pass_each_per_rate_point(monkeypatch, runner, probabilities_per_point):
+    cfg = ExperimentConfig(
+        source=GAUSSIAN,
+        mismatch_source={"family": "gaussian", "mean": 0.2, "sigma": 0.8},
+        alpha=0.5,
+        r=2.0,
+        interval=Interval(-0.3, 0.8),
+        n_grid=SMALL_GRID,
+    )
+    calls = _count_cell_passes(monkeypatch)
+    report = runner(cfg)
+    points = len(report.rows)
+    assert points == len(SMALL_GRID)
+    assert calls == {
+        "cell_probabilities": probabilities_per_point * points,
+        "cell_distortions": points,
+    }
 
 
 # --- report serialization -----------------------------------------------------------------------------

@@ -20,9 +20,11 @@ from renyi_quant import (
     restricted_metrics,
 )
 from renyi_quant import quadrature
+from renyi_quant.intervals import REAL_LINE
 from renyi_quant.density import TAIL_MASS
 from renyi_quant.errors import DomainError, EmptyConditioningError
-from renyi_quant.quantizer import cell_distortions, power_sum, region_metrics
+from renyi_quant import quantizer
+from renyi_quant.quantizer import cell_distortions, cell_table, power_sum, region_metrics
 
 
 def uniform_quantizer(n, lo=0.0, hi=1.0):
@@ -297,6 +299,167 @@ def test_partition_distortion_identity(d):
     mass1 = d.interval_mass(interval)
     total = mass1 * m1.distortion_restricted + (1.0 - mass1) * m2.distortion_restricted
     assert total == pytest.approx(distortion(q, d, 2.0), abs=1e-9)
+
+
+def test_restricted_metrics_interval_over_the_whole_support():
+    u = Uniform(0.0, 1.0)
+    q = uniform_quantizer(4)
+    m = restricted_metrics(q, u, Interval(-1.0, 2.0), 0.5, 2.0)
+    assert m.entropy_restricted == pytest.approx(math.log(4.0), abs=1e-12)
+    assert m.distortion_restricted == pytest.approx(distortion(q, u, 2.0), rel=1e-12)
+    # the empty complement raises only when it is read
+    table = cell_table(q, u, 2.0, ((Interval(-1.0, 2.0),), Interval(-1.0, 2.0).complement()))
+    inside, outside = table.regions
+    assert table.metrics(inside, 0.5) == m
+    assert outside.mass == 0.0 and not outside.masses.any() and not outside.distortions.any()
+    with pytest.raises(EmptyConditioningError):
+        table.metrics(outside, 0.5)
+
+
+# --- the cell table against the per-region passes it replaces --------------------------
+
+
+def _oracle_region_masses(q, d, region):
+    """Per-cell mass inside a region: every cell clipped to every interval."""
+    lows, highs = q._edges[:-1], q._edges[1:]
+    masses = np.zeros(q.size)
+    for block in quantizer._blocks(q.size):
+        for iv in region:
+            lo = np.maximum(lows[block], iv.lo)
+            hi = np.minimum(highs[block], iv.hi)
+            live = np.flatnonzero(lo < hi)
+            piece = np.zeros(lo.shape)
+            piece[live] = d.interval_mass_array(lo[live], hi[live])
+            masses[block] += piece
+    return masses
+
+
+def _oracle_half_cells(d, r, lo, hi, c):
+    """Integral of |x - c|^r pdf over every (lo, hi) with no kink inside, 0 where
+    lo >= hi: one batched panel, kept when it passes the adaptive rule's first
+    stopping test, else the adaptive rule."""
+    out = np.zeros(lo.shape)
+    live = np.flatnonzero(lo < hi)
+    if live.size == 0:
+        return out
+    lo, hi, c = lo[live], hi[live], c[live]
+    values, errors = quadrature.kronrod_panels(
+        lambda x: np.abs(x - c) ** r * d.pdf_array(x), lo, hi
+    )
+    settled = errors <= np.maximum(quadrature.DEFAULT_REL_TOL * np.abs(values), 1e-16)
+    for i in np.flatnonzero(~settled).tolist():
+        values[i] = _integrate_half_cell(d, r, float(c[i]), float(lo[i]), float(hi[i])).value
+    out[live] = values
+    return out
+
+
+def _oracle_region_distortions(q, d, r, region):
+    """Per-cell distortion inside a region: a full pass per interval, clipped to
+    the interval's part of the window, each half of a cell integrated alone."""
+    window = quadrature.truncate_support(d, TAIL_MASS)
+    parts = [p for p in (window.intersect(iv) for iv in region) if p is not None]
+    lows, highs = q._edges[:-1], q._edges[1:]
+    out = np.zeros(q.size)
+    for block in quantizer._blocks(q.size):
+        c = q._codepoint_array[block]
+        for part in parts:
+            lo = np.maximum(lows[block], part.lo)
+            hi = np.minimum(highs[block], part.hi)
+            left = _oracle_half_cells(d, r, lo, np.minimum(hi, c), c)
+            right = _oracle_half_cells(d, r, np.maximum(lo, c), hi, c)
+            out[block] += left + right
+    return out
+
+
+def _oracle_region_metrics(q, d, region, alpha, r):
+    mass_total = math.fsum(d.interval_mass(iv) for iv in region)
+    masses_in = _oracle_region_masses(q, d, region)
+    conditional = masses_in / mass_total
+    conditional = conditional / conditional.sum()
+    dist_in = float(math.fsum(_oracle_region_distortions(q, d, r, region)))
+    return quantizer.RestrictedMetrics(
+        entropy_restricted=renyi_entropy_vec(conditional, alpha),
+        distortion_restricted=dist_in / mass_total,
+        entropy_power_sum=power_sum(cell_probabilities(q, d), alpha),
+        restricted_power_sum=power_sum(masses_in, alpha),
+    )
+
+
+TABLE_SOURCES = [
+    Gaussian(0.3, 1.7),
+    Laplacian(-0.5, 0.8),
+    Uniform(-1.0, 2.0),
+    Exponential(1.5, 0.25),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)]),
+]
+
+
+def _table_intervals(d, q):
+    """Interval cases named by what they test, for a quantizer q of d."""
+    window = quadrature.truncate_support(d, TAIL_MASS)
+    bps = q.breakpoints
+    k = q.size // 2
+    lo, hi = (bps[k - 1], bps[k]) if q.size > 2 else (bps[0] - 1.0, bps[0])
+    return {
+        "interior": Interval(d.quantile(0.3), d.quantile(0.8)),
+        "on_breakpoints": Interval(bps[0], bps[-1]),
+        "one_end_on_breakpoint": Interval(bps[k - 1], 0.5 * (bps[k - 1] + bps[-1])),
+        "inside_one_cell": Interval(lo + 0.25 * (hi - lo), lo + 0.5 * (hi - lo)),
+        "wider_than_window": Interval(window.lo - 1.0, window.hi + 1.0),
+        "left_half_infinite": Interval(-math.inf, d.quantile(0.4)),
+        "right_half_infinite": Interval(d.quantile(0.6), math.inf),
+    }
+
+
+@pytest.mark.parametrize("n", [4, 16, 257, 2048])
+@pytest.mark.parametrize("d", TABLE_SOURCES, ids=lambda d: repr(d))
+def test_cell_table_is_bit_equal_to_the_per_region_passes(d, n):
+    r = 3.0 if isinstance(d, Laplacian) else 2.0
+    q = _compander_for(d, n, r)
+    cases = _table_intervals(d, q)
+    regions = [region for iv in cases.values() for region in ((iv,), iv.complement())]
+    table = cell_table(q, d, r, regions)
+    assert np.array_equal(table.masses, cell_probabilities(q, d))
+    assert np.array_equal(table.distortions, _oracle_region_distortions(q, d, r, [REAL_LINE]))
+    for region, columns in zip(regions, table.regions):
+        assert np.array_equal(columns.masses, _oracle_region_masses(q, d, region)), region
+        assert np.array_equal(
+            columns.distortions, _oracle_region_distortions(q, d, r, region)
+        ), region
+        assert columns.mass == math.fsum(d.interval_mass(iv) for iv in region)
+        if columns.mass > 0.0:
+            assert table.metrics(columns, 0.5) == _oracle_region_metrics(q, d, region, 0.5, r)
+            assert region_metrics(q, d, region, 0.5, r) == table.metrics(columns, 0.5)
+
+
+def test_cell_table_interval_cases_cover_what_they_name():
+    d = Gaussian(0.3, 1.7)
+    q = _compander_for(d, 4)
+    cases = _table_intervals(d, q)
+    assert q.cell_index(cases["inside_one_cell"].lo) == q.cell_index(cases["inside_one_cell"].hi)
+    assert cases["on_breakpoints"].lo in q.breakpoints
+    window = quadrature.truncate_support(d, TAIL_MASS)
+    assert window.intersect(cases["wider_than_window"]) == window
+
+
+def test_cell_table_reevaluates_only_the_cut_cells(monkeypatch):
+    g = Gaussian(0.0, 1.0)
+    q = _compander_for(g, 1024)
+    interval = Interval(-0.3, 0.7)
+    table = cell_table(q, g, 2.0)
+    pieces = []
+    original = quantizer._clipped_distortions
+
+    def recording(d, r, lo, hi, c):
+        pieces.append(lo.size)
+        return original(d, r, lo, hi, c)
+
+    monkeypatch.setattr(quantizer, "_clipped_distortions", recording)
+    sides = cell_table(q, g, 2.0, ((interval,), interval.complement()))
+    # one batch for the full pass, one for the cells the two endpoints cut,
+    # once for the interval and once for its complement
+    assert pieces == [q.size, 4]
+    assert np.array_equal(sides.distortions, table.distortions)
 
 
 def test_power_sum_zero_convention():
