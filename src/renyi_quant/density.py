@@ -127,6 +127,48 @@ def _check_probabilities(p) -> np.ndarray:
     return p
 
 
+def integrate_over(
+    f,
+    densities,
+    interval: Interval = REAL_LINE,
+    cuts=(),
+    rel_tol: float = quadrature.DEFAULT_REL_TOL,
+    abs_tol: float = quadrature.DEFAULT_ABS_TOL,
+    tail_tol: float = 1e-13,
+) -> float:
+    """Integrate f over the densities' common support within interval.
+
+    A finite end of that range is kept exactly. An unbounded end starts at the
+    widest of the densities' TAIL_MASS windows and continues with geometric
+    tail windows, so slowly decaying integrands (fractional powers of light
+    tails) are still captured. The range is split at every cut and at every
+    window end inside it, so a density much narrower than another still gets
+    panels on its own scale. An empty range, or one whose finite end lies past
+    every window, integrates to 0.0.
+    """
+    lo = max(interval.lo, *(d.support.lo for d in densities))
+    hi = min(interval.hi, *(d.support.hi for d in densities))
+    windows = [quadrature.truncate_support(d, TAIL_MASS) for d in densities]
+    lo_eff = lo if math.isfinite(lo) else min(w.lo for w in windows)
+    hi_eff = hi if math.isfinite(hi) else max(w.hi for w in windows)
+    if not lo_eff < hi_eff:
+        return 0.0
+    splits = {*cuts, *(w.lo for w in windows), *(w.hi for w in windows)}
+    edges = [lo_eff, *sorted(x for x in splits if lo_eff < x < hi_eff), hi_eff]
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        total += quadrature.integrate_with_tails(
+            f,
+            Interval(a, b),
+            extend_left=a == lo_eff and not math.isfinite(lo),
+            extend_right=b == hi_eff and not math.isfinite(hi),
+            rel_tol=rel_tol,
+            abs_tol=abs_tol,
+            tail_tol=tail_tol,
+        )
+    return total
+
+
 class Density:
     """Common surface for all density families.
 
@@ -264,25 +306,12 @@ class Density:
             return self.power_integral(beta) * closed.interval_mass(interval)
         return self._power_integral_quad(beta, interval)
 
-    def _power_integral_quad(self, beta: float, interval: Interval | None = None) -> float:
-        domain = self.support if interval is None else self.support.intersect(interval)
-        if domain is None:
-            return 0.0
-        core = quadrature.truncate_support(self, TAIL_MASS)
-        window = core.intersect(domain)
-        if window is None:
-            return 0.0
-
+    def _power_integral_quad(self, beta: float, interval: Interval = REAL_LINE) -> float:
         def f(x: float) -> float:
             g = self.pdf(x)
             return g**beta if g > 0.0 else 0.0
 
-        return quadrature.integrate_with_tails(
-            f,
-            window,
-            extend_left=not math.isfinite(domain.lo) and window.lo == core.lo,
-            extend_right=not math.isfinite(domain.hi) and window.hi == core.hi,
-        )
+        return integrate_over(f, (self,), interval)
 
     def renyi_differential_entropy(self, beta: float) -> float:
         """(1/(1-beta)) log of the beta power integral; Shannon at beta = 1."""
@@ -293,50 +322,21 @@ class Density:
         return math.log(self.power_integral(beta)) / (1.0 - beta)
 
     def shannon_differential_entropy(self) -> float:
-        core = quadrature.truncate_support(self, TAIL_MASS)
-
         def f(x: float) -> float:
             g = self.pdf(x)
             return -g * math.log(g) if g > 0.0 else 0.0
 
-        return quadrature.integrate_with_tails(
-            f,
-            core,
-            extend_left=not math.isfinite(self.support.lo),
-            extend_right=not math.isfinite(self.support.hi),
-        )
+        return integrate_over(f, (self,))
 
     def absolute_moment(self, r: float) -> float:
         """E|X|^r by quadrature, splitting at the |x| kink."""
         if r < 1.0:
             raise DomainError(f"absolute_moment requires r >= 1, got {r}")
-        core = quadrature.truncate_support(self, TAIL_MASS)
-
-        def f(x: float) -> float:
-            return abs(x) ** r * self.pdf(x)
-
-        pieces = [core]
-        if core.lo < 0.0 < core.hi:
-            pieces = [Interval(core.lo, 0.0), Interval(0.0, core.hi)]
-        total = 0.0
-        for piece in pieces:
-            total += quadrature.integrate_with_tails(
-                f,
-                piece,
-                extend_left=piece.lo == core.lo and not math.isfinite(self.support.lo),
-                extend_right=piece.hi == core.hi and not math.isfinite(self.support.hi),
-            )
-        return total
+        return integrate_over(lambda x: abs(x) ** r * self.pdf(x), (self,), cuts=(0.0,))
 
     def interval_first_moment(self, interval: Interval) -> float:
         """Integral of x * pdf(x) over an interval (unnormalized)."""
-        window = self._bounded_window(interval)
-        if window is None:
-            return 0.0
-        return quadrature.integrate(lambda x: x * self.pdf(x), window).value
-
-    def _bounded_window(self, interval: Interval) -> Interval | None:
-        return quadrature.truncate_support(self, TAIL_MASS).intersect(interval)
+        return integrate_over(lambda x: x * self.pdf(x), (self,), interval)
 
     # --- derived densities ---------------------------------------------------
 
@@ -363,8 +363,7 @@ class Density:
     # --- housekeeping ---------------------------------------------------------
 
     def _check_normalization(self) -> None:
-        core = quadrature.truncate_support(self, TAIL_MASS)
-        total = quadrature.integrate(self.pdf, core).value
+        total = integrate_over(self.pdf, (self,))
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise DomainError(
                 f"{type(self).__name__} pdf integrates to {total!r}, expected 1 "

@@ -4,9 +4,8 @@ divergences, density limits, mismatch formulas, and the split-bound minimizer.
 Conventions: alpha in [0, 1) is the entropy order, r > 1 the distortion power,
 beta1 = (1 - alpha + alpha r) / (1 - alpha + r), beta2 = (1 - alpha + r) / (1 - alpha),
 and the cell constant is 1 / (2^r (1 + r)). Everything here is a pure function
-of immutable densities; predictor integrals run over the truncated support of
-the wider-support density, extended by geometric tail windows where a support
-is unbounded.
+of immutable densities; predictor integrals run through
+density.integrate_over, and their integrands work in log space.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compander import optimal_point_density
-from .density import Density, TAIL_MASS
+from .density import Density, TAIL_MASS, integrate_over
 from .errors import DomainError, InfiniteIntegralError, RenyiQuantError
 from .intervals import Interval
 from . import quadrature
@@ -63,75 +62,38 @@ def rate_params(alpha: float, r: float) -> RateParams:
 # --- shared integration helpers ---------------------------------------------
 
 
-def _pow(base: float, expo: float) -> float:
-    """base**expo with the 0**0 := 0 convention used throughout."""
-    return base**expo if base > 0.0 else 0.0
-
-
-def _joint_integral(
-    fn: Callable[[float], float],
-    densities: Sequence[Density],
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-14,
-) -> float:
-    """Integrate fn over the support intersection of the given densities.
-
-    Finite support ends are respected exactly; unbounded ends start from the
-    widest of the densities' truncated supports and continue with geometric
-    tail windows, so slowly-decaying integrands (fractional powers of light
-    tails) are still captured to full precision.
-    """
-    lo = max(d.support.lo for d in densities)
-    hi = min(d.support.hi for d in densities)
-    if not lo < hi:
-        return 0.0
-    cores = [quadrature.truncate_support(d, TAIL_MASS) for d in densities]
-    lo_eff = lo if math.isfinite(lo) else min(c.lo for c in cores)
-    hi_eff = hi if math.isfinite(hi) else max(c.hi for c in cores)
-    lo_eff = max(lo_eff, lo)
-    hi_eff = min(hi_eff, hi)
-    if not lo_eff < hi_eff:
-        lo_eff, hi_eff = lo, hi
-    return quadrature.integrate_with_tails(
-        fn,
-        Interval(lo_eff, hi_eff),
-        extend_left=not math.isfinite(lo),
-        extend_right=not math.isfinite(hi),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        tail_tol=1e-14,
-    )
+def _joint_integral(fn: Callable[[float], float], densities: Sequence[Density]) -> float:
+    """Integrate fn over the densities' common support at the predictor tolerances."""
+    return integrate_over(fn, densities, rel_tol=1e-10, abs_tol=1e-14, tail_tol=1e-14)
 
 
 def _support_within(inner: Interval, outer: Interval, tol: float = 1e-12) -> bool:
     return inner.lo >= outer.lo - tol and inner.hi <= outer.hi + tol
 
 
-def _exp_or_diverge(log_value: float, where: float) -> float:
-    """exp of a log-space integrand value; overflow means divergence."""
-    if log_value == -math.inf:
-        return 0.0
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise InfiniteIntegralError(
-            f"integrand overflows at x = {where:.6g}"
-        ) from None
+def _product(u: Density, a: float, v: Density, b: float) -> Callable[[float], float]:
+    """x -> u(x)^a v(x)^b in log space, so deep-tail pdf underflow is safe.
 
-
-def _bennett_integrand(num: Density, h: Density, r: float) -> Callable[[float], float]:
-    """x -> num(x) / h(x)^r in log space, so deep-tail pdf underflow is safe."""
+    The product is 0 off u's support, and off v's support when b >= 0 (the
+    0**0 := 0 convention); with b < 0 a point where v vanishes inside u's
+    support makes the integral diverge, and so does an overflow.
+    """
 
     def fn(x: float) -> float:
-        ln = num.logpdf(x)
-        if ln == -math.inf:
+        lu = u.logpdf(x)
+        if lu == -math.inf:
             return 0.0
-        lh = h.logpdf(x)
-        if lh == -math.inf:
+        lv = v.logpdf(x)
+        if lv == -math.inf:
+            if b >= 0.0:
+                return 0.0
             raise InfiniteIntegralError(
-                f"point density vanishes at {x:.6g} inside the source support"
+                f"{v!r} vanishes at {x:.6g} inside the support of {u!r}"
             )
-        return _exp_or_diverge(ln - r * lh, x)
+        try:
+            return math.exp(a * lu + b * lv)
+        except OverflowError:
+            raise InfiniteIntegralError(f"integrand overflows at x = {x:.6g}") from None
 
     return fn
 
@@ -193,10 +155,8 @@ def compander_performance(d: Density, h: Density, alpha: float, r: float) -> flo
             f"point density support {h.support} does not cover the source support "
             f"{d.support}"
         )
-    a_int = _joint_integral(
-        lambda x: _pow(d.pdf(x), alpha) * _pow(h.pdf(x), 1.0 - alpha), (d, h)
-    )
-    b_int = _joint_integral(_bennett_integrand(d, h, r), (d,))
+    a_int = _joint_integral(_product(d, alpha, h, 1.0 - alpha), (d, h))
+    b_int = _joint_integral(_product(d, 1.0, h, -r), (d,))
     return p.c_r * a_int ** (r / (1.0 - alpha)) * b_int
 
 
@@ -215,20 +175,9 @@ def renyi_divergence(u: Density, v: Density, alpha: float) -> float:
         return _kl_divergence(u, v)
     if alpha > 1.0 and not _support_within(u.support, v.support):
         return math.inf
-
-    def fn(x: float) -> float:
-        lu = u.logpdf(x)
-        if lu == -math.inf:
-            return 0.0
-        lv = v.logpdf(x)
-        if lv == -math.inf:
-            if alpha < 1.0:
-                return 0.0
-            raise InfiniteIntegralError(f"second density vanishes at {x}")
-        return _exp_or_diverge(alpha * lu + (1.0 - alpha) * lv, x)
-
+    densities = (u, v) if alpha < 1.0 else (u,)
     try:
-        total = _joint_integral(fn, (u, v) if alpha < 1.0 else (u,))
+        total = _joint_integral(_product(u, alpha, v, 1.0 - alpha), densities)
     except InfiniteIntegralError:
         return math.inf
     if total <= 0.0:
@@ -294,9 +243,7 @@ def mismatch_entropy_shift(g: Density, f: Density, alpha: float, r: float) -> fl
             "the mismatch hypothesis fails and the limit formula may not apply",
             stacklevel=2,
         )
-    num = _joint_integral(
-        lambda x: _pow(f.pdf(x), alpha) * _pow(g.pdf(x), p.beta1 - alpha), (f,)
-    )
+    num = _joint_integral(_product(f, alpha, g, p.beta1 - alpha), (f,))
     return num / g.power_integral(p.beta1)
 
 
@@ -308,10 +255,8 @@ def mismatch_distortion_limit(g: Density, f: Density, alpha: float, r: float) ->
     """
     p = rate_params(alpha, r)
     h = optimal_point_density(g, alpha, r)
-    a_int = _joint_integral(
-        lambda x: _pow(f.pdf(x), alpha) * _pow(h.pdf(x), 1.0 - alpha), (f, h)
-    )
-    b_int = _joint_integral(_bennett_integrand(f, h, r), (f,))
+    a_int = _joint_integral(_product(f, alpha, h, 1.0 - alpha), (f, h))
+    b_int = _joint_integral(_product(f, 1.0, h, -r), (f,))
     value = p.c_r * a_int ** (r / (1.0 - alpha)) * b_int
     # same quantity through the divergence form; a disagreement means the
     # numerics (not the algebra) broke down

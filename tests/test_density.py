@@ -14,8 +14,10 @@ from renyi_quant import (
     check_weak_unimodality,
     density_from_spec,
 )
+from renyi_quant.density import TAIL_MASS, Density, TiltedDensity
 from renyi_quant.errors import ConfigError, DomainError, EmptyConditioningError
-from renyi_quant.quadrature import integrate, truncate_support
+from renyi_quant.intervals import REAL_LINE
+from renyi_quant.quadrature import integrate, integrate_with_tails, truncate_support
 
 ALL_FAMILIES = [
     Uniform(0.0, 1.0),
@@ -315,6 +317,146 @@ def test_partial_power_integral_matches_quadrature():
     closed = d.partial_power_integral(0.6, iv)
     quad = d._power_integral_quad(0.6, iv)
     assert closed == pytest.approx(quad, rel=1e-9)
+
+
+# --- support integrals --------------------------------------------------------
+#
+# Each functional computed with its own TAIL_MASS window (finite ends clipped to
+# it) and its own tail flags: density.integrate_over must match these bit for
+# bit wherever the finite ends of the range lie inside the window.
+
+
+def _window_power_integral(d, beta, interval):
+    domain = d.support.intersect(interval)
+    if domain is None:
+        return 0.0
+    core = truncate_support(d, TAIL_MASS)
+    window = core.intersect(domain)
+    if window is None:
+        return 0.0
+
+    def f(x):
+        g = d.pdf(x)
+        return g**beta if g > 0.0 else 0.0
+
+    return integrate_with_tails(
+        f,
+        window,
+        extend_left=not math.isfinite(domain.lo) and window.lo == core.lo,
+        extend_right=not math.isfinite(domain.hi) and window.hi == core.hi,
+    )
+
+
+def _window_shannon(d):
+    def f(x):
+        g = d.pdf(x)
+        return -g * math.log(g) if g > 0.0 else 0.0
+
+    return integrate_with_tails(
+        f,
+        truncate_support(d, TAIL_MASS),
+        extend_left=not math.isfinite(d.support.lo),
+        extend_right=not math.isfinite(d.support.hi),
+    )
+
+
+def _window_absolute_moment(d, r):
+    core = truncate_support(d, TAIL_MASS)
+    pieces = [core]
+    if core.lo < 0.0 < core.hi:
+        pieces = [Interval(core.lo, 0.0), Interval(0.0, core.hi)]
+    total = 0.0
+    for piece in pieces:
+        total += integrate_with_tails(
+            lambda x: abs(x) ** r * d.pdf(x),
+            piece,
+            extend_left=piece.lo == core.lo and not math.isfinite(d.support.lo),
+            extend_right=piece.hi == core.hi and not math.isfinite(d.support.hi),
+        )
+    return total
+
+
+def _window_first_moment(d, interval):
+    window = truncate_support(d, TAIL_MASS).intersect(interval)
+    if window is None:
+        return 0.0
+    return integrate(lambda x: x * d.pdf(x), window).value
+
+
+_PIECEWISE = PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)])
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Gaussian(0.3, 1.4),
+        Laplacian(-0.2, 0.7),
+        Exponential(1.7, 0.5),
+        Uniform(-1.0, 2.0),
+        _PIECEWISE,
+        TiltedDensity(_PIECEWISE, 0.6),
+    ],
+    ids=repr,
+)
+def test_support_integrals_keep_the_window_bits(d):
+    q, window = d.quantile, truncate_support(d, TAIL_MASS)
+    for beta in (0.6, 1.7):
+        inside = (Interval(q(0.2), q(0.7)), Interval(q(0.6), math.inf))
+        for iv in inside + (Interval(window.hi + 1.0, math.inf),):
+            assert d._power_integral_quad(beta, iv) == _window_power_integral(d, beta, iv)
+    # the cells of the r = 2 codepoint refinement, clipped to the window
+    if type(d).interval_first_moment is Density.interval_first_moment:
+        for cell in (Interval(window.lo, q(0.1)), Interval(q(0.1), q(0.3)), Interval(q(0.5), q(0.95))):
+            assert d.interval_first_moment(cell) == _window_first_moment(d, cell)
+    # an Exponential's window starts past its support's finite end: see the oracle test
+    if window.lo == d.support.lo or d.support.lo == -math.inf:
+        assert d.shannon_differential_entropy() == _window_shannon(d)
+        for r in (2.0, 3.0):
+            assert d.absolute_moment(r) == _window_absolute_moment(d, r)
+        for beta in (0.6, 1.7):
+            for iv in (REAL_LINE, Interval(-math.inf, q(0.3))):
+                assert d._power_integral_quad(beta, iv) == _window_power_integral(d, beta, iv)
+
+
+def test_support_integrals_past_the_window_match_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    gauss, lap, expo = Gaussian(0.3, 1.4), Laplacian(-0.2, 0.7), Exponential(1.7, 0.5)
+    g_window, l_window = truncate_support(gauss, TAIL_MASS), truncate_support(lap, TAIL_MASS)
+    with mpmath.workdps(30):
+        mpf, inf = mpmath.mpf, mpmath.inf
+
+        def g_pdf(x):
+            z = (x - mpf(0.3)) / mpf(1.4)
+            return mpmath.exp(-z * z / 2) / (mpf(1.4) * mpmath.sqrt(2 * mpmath.pi))
+
+        def l_pdf(x):
+            return mpmath.exp(-abs(x - mpf(-0.2)) / mpf(0.7)) / (2 * mpf(0.7))
+
+        def e_pdf(x):
+            return mpf(1.7) * mpmath.exp(-mpf(1.7) * (x - mpf(0.5)))
+
+        g_iv = Interval(gauss.quantile(0.3), g_window.hi + 2.0)
+        l_iv = Interval(l_window.lo - 3.0, lap.quantile(0.5))
+        l_cell = Interval(lap.quantile(0.9), l_window.hi + 5.0)
+        e_iv = Interval(-math.inf, expo.quantile(0.3))
+        cases = [
+            # the Exponential's support end 0.5 lies left of its window
+            (expo.shannon_differential_entropy(), lambda x: -e_pdf(x) * mpmath.log(e_pdf(x)),
+             [mpf(0.5), inf]),
+            (expo.absolute_moment(3.0), lambda x: x**3 * e_pdf(x), [mpf(0.5), inf]),
+            (expo._power_integral_quad(0.6), lambda x: e_pdf(x) ** mpf(0.6), [mpf(0.5), inf]),
+            (expo._power_integral_quad(1.7, e_iv), lambda x: e_pdf(x) ** mpf(1.7),
+             [mpf(0.5), mpf(e_iv.hi)]),
+            # intervals with a finite end past the window
+            (gauss._power_integral_quad(0.6, g_iv), lambda x: g_pdf(x) ** mpf(0.6),
+             [mpf(g_iv.lo), mpf(g_iv.hi)]),
+            (lap._power_integral_quad(0.6, l_iv), lambda x: l_pdf(x) ** mpf(0.6),
+             [mpf(l_iv.lo), mpf(l_iv.hi)]),
+            (lap.interval_first_moment(l_cell), lambda x: x * l_pdf(x),
+             [mpf(l_cell.lo), mpf(l_cell.hi)]),
+        ]
+        for got, integrand, points in cases:
+            assert got == pytest.approx(float(mpmath.quad(integrand, points)), rel=1e-12)
 
 
 # --- tilting ---------------------------------------------------------------------

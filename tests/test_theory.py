@@ -355,12 +355,24 @@ def test_mismatch_loss_examples():
     )
 
 
-def test_mismatch_loss_endpoint_alpha_zero():
-    g, f = Gaussian(0.0, 2.0), Gaussian(0.0, 1.0)
+# the (g, f) pairs of the mismatch grid below whose supports are equal: only for
+# those does the generic ratio at alpha = 0 equal the fixed-rate formula
+EQUAL_SUPPORT_PAIRS = [
+    (Gaussian(0.0, 2.0), Gaussian(0.0, 1.0)),
+    (Gaussian(0.0, 2.0), Gaussian(0.3, 1.5)),
+    (Laplacian(0.0, 2.0), Laplacian(0.0, 1.0)),
+    (Laplacian(0.0, 2.0), Gaussian(0.0, 1.0)),
+    (Uniform(-2.0, 2.0), Uniform(-2.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("g, f", EQUAL_SUPPORT_PAIRS, ids=repr)
+def test_mismatch_loss_endpoint_alpha_zero(g, f):
     generic = mismatch_loss(g, f, 0.0, 2.0)
     dedicated = mismatch_loss_fixed_rate(g, f, 2.0)
     assert generic == pytest.approx(dedicated, rel=1e-8)
-    assert dedicated == pytest.approx(LOSS0_GAUSS_PAIR, rel=1e-8)
+    if (g, f) == (Gaussian(0.0, 2.0), Gaussian(0.0, 1.0)):
+        assert dedicated == pytest.approx(LOSS0_GAUSS_PAIR, rel=1e-8)
 
 
 def test_mismatch_loss_endpoint_near_one():
@@ -370,7 +382,13 @@ def test_mismatch_loss_endpoint_near_one():
     assert mismatch_loss_variable_rate(g, f, 2.0) == pytest.approx(target, rel=1e-8)
 
 
-def test_mismatch_loss_at_least_one_on_grid():
+# near 1 the point density of g is far wider than f (Laplacian scale 201 g.scale
+# at 0.99), so these orders check that the integrals still resolve f's peak
+ALPHA_GRID = [0.0, 0.5, 0.9, 0.97, 0.99]
+
+
+@pytest.mark.parametrize("alpha", ALPHA_GRID)
+def test_mismatch_loss_at_least_one_on_grid(alpha):
     # 3x3 grid of (g, f) pairs satisfying the bounded-ratio hypothesis;
     # Laplacian-over-Gaussian and the like are excluded exactly because f/g
     # blows up there and the theorem does not apply
@@ -382,8 +400,62 @@ def test_mismatch_loss_at_least_one_on_grid():
     for g, fs in grid.items():
         for f in fs:
             assert check_density_ratio_bound(f, g).bounded
-            loss = mismatch_loss(g, f, 0.5, 2.0)
+            loss = mismatch_loss(g, f, alpha, 2.0)
             assert loss >= 1.0 - 1e-9
+
+
+def _mp_pdf(mpmath, d):
+    """An mpmath pdf of d and the points its integrals split at (support ends, mode)."""
+    if isinstance(d, Gaussian):
+        m, s = mpmath.mpf(d.mean), mpmath.mpf(d.sigma)
+        c = 1 / (s * mpmath.sqrt(2 * mpmath.pi))
+        return (lambda x: c * mpmath.exp(-(((x - m) / s) ** 2) / 2)), [-mpmath.inf, m, mpmath.inf]
+    if isinstance(d, Laplacian):
+        m, b = mpmath.mpf(d.mean), mpmath.mpf(d.scale)
+        return (lambda x: mpmath.exp(-abs(x - m) / b) / (2 * b)), [-mpmath.inf, m, mpmath.inf]
+    a, b = mpmath.mpf(d.a), mpmath.mpf(d.b)
+    return (lambda x: 1 / (b - a) if a < x <= b else mpmath.mpf(0)), [a, b]
+
+
+def _mp_mismatch_loss(mpmath, g, f, alpha, r):
+    """a^(r/(1-alpha)) b / (int f^beta1)^beta2 with a = int f^alpha h^(1-alpha),
+    b = int f h^-r and h the normalized g^(1/beta2), every integral by mpmath.quad."""
+    alpha, r = mpmath.mpf(alpha), mpmath.mpf(r)
+    beta1 = (1 - alpha + alpha * r) / (1 - alpha + r)
+    beta2 = (1 - alpha + r) / (1 - alpha)
+    gp, g_pts = _mp_pdf(mpmath, g)
+    fp, f_pts = _mp_pdf(mpmath, f)
+    norm = mpmath.quad(lambda x: gp(x) ** (1 / beta2), g_pts)
+
+    def h(x):
+        return gp(x) ** (1 / beta2) / norm
+
+    def a_integrand(x):
+        fx = fp(x)
+        return fx**alpha * h(x) ** (1 - alpha) if fx > 0 else 0
+
+    a_int = mpmath.quad(a_integrand, f_pts)
+    b_int = mpmath.quad(lambda x: fp(x) / h(x) ** r, f_pts)
+    f_power = mpmath.quad(lambda x: fp(x) ** beta1, f_pts)
+    return a_int ** (r / (1 - alpha)) * b_int / f_power**beta2
+
+
+@pytest.mark.parametrize("alpha", ALPHA_GRID)
+@pytest.mark.parametrize(
+    "g, f",
+    [
+        (Laplacian(0.0, 1.5), Gaussian(0.0, 1.0)),
+        (Gaussian(0.0, 2.0), Gaussian(0.0, 1.0)),
+        (Uniform(0.0, 1.0), Uniform(0.0, 0.5)),
+    ],
+    ids=repr,
+)
+def test_mismatch_loss_matches_mpmath_oracle(g, f, alpha):
+    mpmath = pytest.importorskip("mpmath")
+    # a_int carries a 1e-10 tolerance and is raised to r/(1-alpha) = 200 at 0.99
+    with mpmath.workdps(20):
+        want = float(_mp_mismatch_loss(mpmath, g, f, alpha, 2.0))
+    assert mismatch_loss(g, f, alpha, 2.0) == pytest.approx(want, rel=1e-8)
 
 
 def test_ratio_bound_report():
