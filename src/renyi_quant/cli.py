@@ -18,7 +18,7 @@ import numpy as np
 
 from .compander import optimal_point_density
 from .errors import DomainError, RenyiQuantError
-from .experiments import EXPERIMENTS, RUNNERS, ExperimentConfig
+from .experiments import EXPERIMENTS, RUNNERS, ExperimentConfig, read_config
 from . import theory
 
 EXIT_OK = 0
@@ -92,18 +92,9 @@ def _apply_override(raw: dict, spec: str) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    path = Path(args.config)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise RenyiQuantError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise RenyiQuantError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise RenyiQuantError(f"config {path} must contain a JSON object")
+    raw = read_config(args.config)
     for spec in args.overrides:
         _apply_override(raw, spec)
-    raw.setdefault("name", path.stem)
     return ExperimentConfig.from_dict(raw)
 
 

@@ -143,16 +143,20 @@ def integrate_over(
     tail windows, so slowly decaying integrands (fractional powers of light
     tails) are still captured. The range is split at every cut and at every
     window end inside it, so a density much narrower than another still gets
-    panels on its own scale. An empty range, or one whose finite end lies past
-    every window, integrates to 0.0.
+    panels on its own scale. An empty range integrates to 0.0; a half-line
+    whose finite end lies past every window is its geometric tail from that end.
     """
     lo = max(interval.lo, *(d.support.lo for d in densities))
     hi = min(interval.hi, *(d.support.hi for d in densities))
+    if not lo < hi:
+        return 0.0
     windows = [quadrature.truncate_support(d, TAIL_MASS) for d in densities]
     lo_eff = lo if math.isfinite(lo) else min(w.lo for w in windows)
     hi_eff = hi if math.isfinite(hi) else max(w.hi for w in windows)
     if not lo_eff < hi_eff:
-        return 0.0
+        if math.isfinite(lo):
+            return quadrature._tail_sum(f, lo, +1, tail_tol)
+        return quadrature._tail_sum(f, hi, -1, tail_tol)
     splits = {*cuts, *(w.lo for w in windows), *(w.hi for w in windows)}
     edges = [lo_eff, *sorted(x for x in splits if lo_eff < x < hi_eff), hi_eff]
     total = 0.0
@@ -864,6 +868,11 @@ class RestrictedDensity(Density):
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires p in (0,1), got {p}")
         c_lo = self.base.cdf(self._window.lo) if math.isfinite(self._window.lo) else 0.0
+        if c_lo > 0.5:
+            # deep in the right tail c_lo + p * mass rounds to 1; invert the survival form
+            target = self.base.sf(self._window.lo) - p * self._mass
+            target = min(max(target, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+            return self.base.isf(target)
         target = c_lo + p * self._mass
         target = min(max(target, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
         return self.base.quantile(target)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -138,17 +138,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-        cfg = cls.from_dict(raw)
-        if cfg.name == "experiment":
-            cfg = replace(cfg, name=path.stem)
-        return cfg
+        return cls.from_dict(read_config(path))
+
+
+def read_config(path: str | Path) -> dict:
+    """The JSON object of a config file, its name defaulting to the file stem."""
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must contain a JSON object")
+    raw.setdefault("name", path.stem)
+    return raw
 
 
 @dataclass

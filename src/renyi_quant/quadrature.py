@@ -203,8 +203,9 @@ def integrate_with_tails(
     """Integrate f over the core interval plus geometric tail windows.
 
     The windows double in width and accumulation stops once a window
-    contributes less than tail_tol. Windows that keep growing signal a
-    divergent integral.
+    contributes less than tail_tol or less than 1e-9 of the tail summed so
+    far; each window is integrated to that same floor. Windows that keep
+    growing signal a divergent integral.
     """
     value = integrate(f, core, rel_tol, abs_tol).value
     if extend_right:
@@ -225,9 +226,12 @@ def _tail_sum(f, start: float, direction: int, tail_tol: float, max_windows: int
             a, b = edge, edge + width
         else:
             a, b = edge - width, edge
-        window = integrate(f, Interval(a, b), rel_tol=1e-9, abs_tol=tail_tol / 8).value
+        # a window below tail_tol, or below the windows' relative tolerance of
+        # the sum so far, ends the tail
+        floor = max(tail_tol, 1e-9 * abs(total))
+        window = integrate(f, Interval(a, b), rel_tol=1e-9, abs_tol=floor / 8).value
         total += window
-        if abs(window) < tail_tol:
+        if abs(window) < floor:
             return total
         if abs(window) >= prev:
             growth_run += 1

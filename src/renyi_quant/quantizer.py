@@ -2,15 +2,16 @@
 
 A quantizer with m codepoints partitions the line into half-open cells
 (-inf, b1], (b1, b2], ..., (b_{m-1}, +inf); a value sitting exactly on a
-breakpoint maps to the cell on its left. Distortion integrals run per cell
-over the quantile-truncated support, split at the codepoint where the
-integrand has its kink.
+breakpoint maps to the cell on its left. Distortion integrals run over the
+whole of every cell, the two unbounded outer cells out to the density's tails,
+split at the codepoint where the integrand has its kink.
 
 Cell passes work on arrays, a fixed-size block of cells at a time: masses are
 one cdf/sf difference over the edges, and each half-cell distortion gets one
 batched Gauss-Kronrod panel. A half-cell whose panel already meets the
 adaptive rule's first stopping test keeps that value, which is what the
-adaptive rule would return; the rest go through `quadrature.integrate`.
+adaptive rule would return; the rest, and the two unbounded half-cells, go
+through `density.integrate_over`.
 
 A rate point makes one `cell_table`: one pass of each, and the columns inside
 a region from it, evaluating again only the cells a region endpoint cuts.
@@ -21,17 +22,18 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .density import Density, TAIL_MASS
+from .density import Density, integrate_over
 from .errors import DomainError, EmptyConditioningError
-from .intervals import Interval, REAL_LINE
+from .intervals import Interval
 from . import quadrature
 
 _ALPHA_LIMIT_EPS = 1e-6  # alpha this close to an endpoint uses the limit formula
 _PIECE_ABS_TOL = 1e-16   # absolute tolerance of every cell distortion integral
+_TAIL_TOL = 1e-30        # an unbounded cell's tail ends at a window below this or 1e-9 of the tail
 _BLOCK = 1024            # cells per array pass; temporaries stay O(_BLOCK)
 
 
@@ -150,72 +152,52 @@ def quantizer_entropy(q: Quantizer, d: Density, alpha: float) -> float:
 # --- distortion --------------------------------------------------------------
 
 
-def _integrate_piece(d: Density, r: float, lo: float, hi: float, c: float) -> float:
-    """Integral of |x - c|^r pdf over (lo, hi) by the adaptive rule."""
-
-    def f(x: float) -> float:
-        return abs(x - c) ** r * d.pdf(x)
-
-    return quadrature.integrate(f, Interval(lo, hi), abs_tol=_PIECE_ABS_TOL).value
-
-
 def _piece_distortion(d: Density, r: float, lo: float, hi: float, c: float) -> float:
-    """Integral of |x - c|^r pdf over (lo, hi), split at the kink."""
-    if lo < c < hi:
-        return _integrate_piece(d, r, lo, c, c) + _integrate_piece(d, r, c, hi, c)
-    return _integrate_piece(d, r, lo, hi, c)
+    """Integral of |x - c|^r pdf over (lo, hi), split at the kink c; an
+    unbounded end runs out to the density's tail."""
+    return integrate_over(
+        lambda x: abs(x - c) ** r * d.pdf(x), (d,), Interval(lo, hi), cuts=(c,),
+        abs_tol=_PIECE_ABS_TOL, tail_tol=_TAIL_TOL,
+    )
 
 
-def _clipped_distortions(
+def _batch_distortions(
     d: Density, r: float, lo: np.ndarray, hi: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
     """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi.
 
     Each piece is split at its codepoint c, where the integrand has its kink.
-    One batched G7/K15 panel settles each half whose error estimate passes the
-    adaptive rule's first stopping test; the others are integrated adaptively.
+    One batched G7/K15 panel settles each finite half whose error estimate
+    passes the adaptive rule's first stopping test; the others, and the
+    unbounded halves, go through _piece_distortion.
     """
     size = lo.size
     # both halves in one batch; a side the piece does not reach is empty
     lo, hi = np.concatenate((lo, np.maximum(lo, c))), np.concatenate((np.minimum(hi, c), hi))
     c = np.concatenate((c, c))
     halves = np.zeros(lo.shape)
-    live = np.flatnonzero(lo < hi)
-    if live.size:
-        lo, hi, c = lo[live], hi[live], c[live]
-        values, errors = quadrature.kronrod_panels(
-            lambda x: np.abs(x - c) ** r * d.pdf_array(x), lo, hi
-        )
-        settled = errors <= np.maximum(quadrature.DEFAULT_REL_TOL * np.abs(values), _PIECE_ABS_TOL)
-        for i in np.flatnonzero(~settled).tolist():
-            values[i] = _integrate_piece(d, r, float(lo[i]), float(hi[i]), float(c[i]))
-        halves[live] = values
+    todo = lo < hi
+    panel = np.flatnonzero(todo & np.isfinite(lo) & np.isfinite(hi))
+    c_panel = c[panel]
+    values, errors = quadrature.kronrod_panels(
+        lambda x: np.abs(x - c_panel) ** r * d.pdf_array(x), lo[panel], hi[panel]
+    )
+    settled = errors <= np.maximum(quadrature.DEFAULT_REL_TOL * np.abs(values), _PIECE_ABS_TOL)
+    halves[panel[settled]] = values[settled]
+    todo[panel[settled]] = False
+    for i in np.flatnonzero(todo).tolist():
+        halves[i] = _piece_distortion(d, r, float(lo[i]), float(hi[i]), float(c[i]))
     return halves[:size] + halves[size:]
 
 
-def cell_distortions(
-    q: Quantizer,
-    d: Density,
-    r: float,
-    region: Interval | Sequence[Interval] | None = None,
-) -> np.ndarray:
-    """Per-cell distortion contributions, optionally restricted to a region.
-
-    The region may be one interval or several disjoint ones; integration is
-    clipped to the truncated support of the density.
-    """
+def cell_distortions(q: Quantizer, d: Density, r: float) -> np.ndarray:
+    """Per-cell distortion contributions, each over the whole cell."""
     if r < 1.0:
         raise DomainError(f"distortion requires r >= 1, got {r}")
-    if region is not None:
-        region = (region,) if isinstance(region, Interval) else region
-        return cell_table(q, d, r, (region,)).regions[0].distortions
-    window = quadrature.truncate_support(d, TAIL_MASS)
     lows, highs = q._edges[:-1], q._edges[1:]
     out = np.zeros(q.size)
     for block in _blocks(q.size):
-        lo = np.maximum(lows[block], window.lo)
-        hi = np.minimum(highs[block], window.hi)
-        out[block] += _clipped_distortions(d, r, lo, hi, q._codepoint_array[block])
+        out[block] = _batch_distortions(d, r, lows[block], highs[block], q._codepoint_array[block])
     return out
 
 
@@ -265,35 +247,40 @@ class CellTable:
         )
 
 
-def _restricted_columns(q: Quantizer, full: np.ndarray, window: Interval,
-                        regions: Sequence[Sequence[Interval]], piece: Callable) -> list[np.ndarray]:
-    """The column full, computed over window, inside each region.
+def _restricted_columns(
+    q: Quantizer, d: Density, r: float, masses: np.ndarray, distortions: np.ndarray,
+    regions: Sequence[Sequence[Interval]],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The full-pass masses and distortions inside each region.
 
-    A cell wholly inside an interval keeps its value in full, as its clip to the
-    window is its clip to window ∩ interval; a cell an interval endpoint cuts
-    gets piece(lo, hi, c) over that clip, all in one batch, in interval order.
+    A cell wholly inside an interval keeps its full-pass values; a cell an
+    interval endpoint cuts is evaluated again over its part of the interval,
+    all such cells in one batch, in interval order.
     """
     lows, highs = q._edges[:-1], q._edges[1:]
-    columns = [np.zeros(q.size) for _ in regions]
+    columns = [(np.zeros(q.size), np.zeros(q.size)) for _ in regions]
     cuts = []
-    for column, region in zip(columns, regions):
+    for (m, x), region in zip(columns, regions):
         for iv in region:
-            part = window.intersect(iv)
-            if part is None:
-                continue
             start = int(np.searchsorted(lows, iv.lo, side="left"))
             stop = int(np.searchsorted(highs, iv.hi, side="right"))
-            column[start:stop] += full[start:stop]
+            m[start:stop] += masses[start:stop]
+            x[start:stop] += distortions[start:stop]
             # the cell on either side of that run holds an endpoint or lies outside
             for k in sorted({start - 1, stop} - {-1, q.size}):
-                lo, hi = max(lows[k], part.lo), min(highs[k], part.hi)
+                lo, hi = max(lows[k], iv.lo), min(highs[k], iv.hi)
                 if lo < hi:
-                    cuts.append((column, k, lo, hi))
+                    cuts.append((m, x, k, lo, hi))
     if cuts:
-        _, cells, lo, hi = zip(*cuts)
-        values = piece(np.array(lo), np.array(hi), q._codepoint_array[list(cells)])
-        for (column, k, _, _), value in zip(cuts, values.tolist()):
-            column[k] += value
+        _, _, cells, lo, hi = zip(*cuts)
+        lo, hi = np.array(lo), np.array(hi)
+        cut_masses = d.interval_mass_array(lo, hi).tolist()
+        cut_distortions = _batch_distortions(
+            d, r, lo, hi, q._codepoint_array[list(cells)]
+        ).tolist()
+        for (m, x, k, _, _), mass, dist in zip(cuts, cut_masses, cut_distortions):
+            m[k] += mass
+            x[k] += dist
     return columns
 
 
@@ -301,21 +288,14 @@ def cell_table(
     q: Quantizer, d: Density, r: float, regions: Sequence[Sequence[Interval]] = ()
 ) -> CellTable:
     """One cell_probabilities and one cell_distortions pass, and both columns
-    inside each region (a union of disjoint intervals): masses over each
-    interval, distortions over its part of the truncated support, as in the
-    full passes."""
+    inside each region (a union of disjoint intervals), each over the cells'
+    parts inside its intervals."""
     masses = cell_probabilities(q, d)
     distortions = cell_distortions(q, d, r)
-    window = quadrature.truncate_support(d, TAIL_MASS)
-    region_masses = _restricted_columns(
-        q, masses, REAL_LINE, regions, lambda lo, hi, c: d.interval_mass_array(lo, hi)
-    )
-    region_distortions = _restricted_columns(
-        q, distortions, window, regions, lambda lo, hi, c: _clipped_distortions(d, r, lo, hi, c)
-    )
+    columns = _restricted_columns(q, d, r, masses, distortions, regions)
     return CellTable(masses, distortions, tuple(
         RegionColumns(math.fsum(d.interval_mass(iv) for iv in region), m, x)
-        for region, m, x in zip(regions, region_masses, region_distortions)
+        for region, (m, x) in zip(regions, columns)
     ))
 
 

@@ -147,6 +147,35 @@ def test_overrides(tmp_path, capsys):
     assert float(values["Q"]) == pytest.approx(1.0 / 3.0, rel=1e-9)
 
 
+def test_cli_and_from_json_name_a_config_alike(tmp_path, capsys):
+    from renyi_quant.experiments import ExperimentConfig
+
+    named = write_config(tmp_path, dict(UNIFORM_CFG, name="experiment"), name="named.json")
+    unnamed = write_config(tmp_path, UNIFORM_CFG, name="unnamed.json")
+    for path, name in ((named, "experiment"), (unnamed, "unnamed")):
+        assert ExperimentConfig.from_json(path).name == name
+        out_dir = tmp_path / path.stem
+        assert main(["asymptotics", "--config", str(path), "--output-dir", str(out_dir)]) == 0
+        assert (out_dir / f"{name}.csv").exists()
+
+
+def test_sweep_reports_are_byte_stable(tmp_path, capsys):
+    # n = 16 puts the outer cells' tails through the adaptive path
+    path = write_config(tmp_path, {
+        "name": "stable",
+        "source": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
+        "alpha": 0.5,
+        "r": 2.0,
+        "n_grid": [16, 32, 64],
+    })
+    runs = []
+    for run in ("first", "second"):
+        out_dir = tmp_path / run
+        main(["asymptotics", "--config", str(path), "--output-dir", str(out_dir)])
+        runs.append([(out_dir / f).read_bytes() for f in ("stable.csv", "stable_summary.json")])
+    assert runs[0] == runs[1]
+
+
 def test_sanity_subcommand(tmp_path):
     cfg = {
         "source": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},

@@ -17,7 +17,7 @@ from renyi_quant import (
 from renyi_quant.density import TAIL_MASS, Density, TiltedDensity
 from renyi_quant.errors import ConfigError, DomainError, EmptyConditioningError
 from renyi_quant.intervals import REAL_LINE
-from renyi_quant.quadrature import integrate, integrate_with_tails, truncate_support
+from renyi_quant.quadrature import _tail_sum, integrate, integrate_with_tails, truncate_support
 
 ALL_FAMILIES = [
     Uniform(0.0, 1.0),
@@ -295,6 +295,15 @@ def test_restrict_normalizes(d):
     assert integrate(restricted.pdf, window).value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_restrict_quantile_deep_in_the_right_tail():
+    d = Gaussian(0.0, 1.0).restrict(Interval(9.0, math.inf))
+    # base.cdf(9) + p * mass rounds to 1 there; the survival form does not
+    assert d.quantile(0.5) == pytest.approx(d.isf(0.5), abs=2e-12)
+    assert 9.0 < d.quantile(1e-12) < d.quantile(0.5)
+    window = truncate_support(d, TAIL_MASS)
+    assert 9.0 < window.lo < window.hi
+
+
 def test_restrict_empty_interval_errors():
     with pytest.raises(EmptyConditioningError):
         Uniform(0.0, 1.0).restrict(Interval(5.0, 6.0))
@@ -323,7 +332,8 @@ def test_partial_power_integral_matches_quadrature():
 #
 # Each functional computed with its own TAIL_MASS window (finite ends clipped to
 # it) and its own tail flags: density.integrate_over must match these bit for
-# bit wherever the finite ends of the range lie inside the window.
+# bit wherever the finite ends of the range lie inside the window, and a
+# half-line that starts past the window is its geometric tail from that start.
 
 
 def _window_power_integral(d, beta, interval):
@@ -332,13 +342,15 @@ def _window_power_integral(d, beta, interval):
         return 0.0
     core = truncate_support(d, TAIL_MASS)
     window = core.intersect(domain)
-    if window is None:
-        return 0.0
 
     def f(x):
         g = d.pdf(x)
         return g**beta if g > 0.0 else 0.0
 
+    if window is None:
+        if math.isfinite(domain.lo):
+            return _tail_sum(f, domain.lo, +1, 1e-13)
+        return _tail_sum(f, domain.hi, -1, 1e-13)
     return integrate_with_tails(
         f,
         window,
@@ -402,7 +414,8 @@ def test_support_integrals_keep_the_window_bits(d):
     q, window = d.quantile, truncate_support(d, TAIL_MASS)
     for beta in (0.6, 1.7):
         inside = (Interval(q(0.2), q(0.7)), Interval(q(0.6), math.inf))
-        for iv in inside + (Interval(window.hi + 1.0, math.inf),):
+        past = (Interval(window.hi + 1.0, math.inf), Interval(-math.inf, window.lo - 1.0))
+        for iv in inside + past:
             assert d._power_integral_quad(beta, iv) == _window_power_integral(d, beta, iv)
     # the cells of the r = 2 codepoint refinement, clipped to the window
     if type(d).interval_first_moment is Density.interval_first_moment:
@@ -422,6 +435,7 @@ def test_support_integrals_past_the_window_match_mpmath_oracle():
     mpmath = pytest.importorskip("mpmath")
     gauss, lap, expo = Gaussian(0.3, 1.4), Laplacian(-0.2, 0.7), Exponential(1.7, 0.5)
     g_window, l_window = truncate_support(gauss, TAIL_MASS), truncate_support(lap, TAIL_MASS)
+    e_window_hi = truncate_support(expo, TAIL_MASS).hi
     with mpmath.workdps(30):
         mpf, inf = mpmath.mpf, mpmath.inf
 
@@ -454,6 +468,13 @@ def test_support_integrals_past_the_window_match_mpmath_oracle():
              [mpf(l_iv.lo), mpf(l_iv.hi)]),
             (lap.interval_first_moment(l_cell), lambda x: x * l_pdf(x),
              [mpf(l_cell.lo), mpf(l_cell.hi)]),
+            # half-lines that start past the window: the whole tail, not 0
+            (gauss._power_integral_quad(0.6, Interval(g_window.hi + 1.0, math.inf)),
+             lambda x: g_pdf(x) ** mpf(0.6), [mpf(g_window.hi + 1.0), inf]),
+            (lap._power_integral_quad(0.6, Interval(-math.inf, l_window.lo - 1.0)),
+             lambda x: l_pdf(x) ** mpf(0.6), [-inf, mpf(l_window.lo - 1.0)]),
+            (expo._power_integral_quad(0.6, Interval(e_window_hi + 1.0, math.inf)),
+             lambda x: e_pdf(x) ** mpf(0.6), [mpf(e_window_hi + 1.0), inf]),
         ]
         for got, integrand, points in cases:
             assert got == pytest.approx(float(mpmath.quad(integrand, points)), rel=1e-12)

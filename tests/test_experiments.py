@@ -60,6 +60,8 @@ def test_config_from_json(tmp_path):
     cfg = ExperimentConfig.from_json(path)
     assert cfg.name == "cfg"  # falls back to the file stem
     assert cfg.alpha == 0.5
+    path.write_text(json.dumps({"source": UNIFORM, "alpha": 0.5, "r": 2.0, "name": "experiment"}))
+    assert ExperimentConfig.from_json(path).name == "experiment"  # a given name is kept
 
 
 def test_checked_in_configs_parse():
@@ -93,6 +95,18 @@ def test_asymptotics_gaussian_small_grid_report_shape():
     assert [row["n"] for row in report.rows] == list(SMALL_GRID)
     assert report.limits["Q"] == pytest.approx(1.8776753129507462, rel=1e-9)
     assert all(row["ratio"] > 0.0 and math.isfinite(row["ratio"]) for row in report.rows)
+
+
+def test_asymptotics_exponential_deviation_shrinks_at_high_rate():
+    # counting the tails past the quantile window makes ratio - 1 fall
+    # monotonically (7.3e-7, 1.8e-7, 4.6e-8, 1.1e-8) instead of crossing zero
+    cfg = ExperimentConfig(
+        source={"family": "exponential", "rate": 1.0}, alpha=0.5, r=2.0,
+        n_grid=(2048, 4096, 8192, 16384),
+    )
+    report = run_asymptotics(cfg)
+    assert report.flags["deviation_nonincreasing"]
+    assert all(row["ratio"] > 1.0 for row in report.rows)
 
 
 def test_asymptotics_hypothesis_failure_aborts():

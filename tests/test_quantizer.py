@@ -21,7 +21,7 @@ from renyi_quant import (
 )
 from renyi_quant import quadrature
 from renyi_quant.intervals import REAL_LINE
-from renyi_quant.density import TAIL_MASS
+from renyi_quant.density import TAIL_MASS, integrate_over
 from renyi_quant.errors import DomainError, EmptyConditioningError
 from renyi_quant import quantizer
 from renyi_quant.quantizer import cell_distortions, cell_table, power_sum, region_metrics
@@ -336,33 +336,29 @@ def _oracle_region_masses(q, d, region):
 
 def _oracle_half_cells(d, r, lo, hi, c):
     """Integral of |x - c|^r pdf over every (lo, hi) with no kink inside, 0 where
-    lo >= hi: one batched panel, kept when it passes the adaptive rule's first
-    stopping test, else the adaptive rule."""
+    lo >= hi: one batched panel for a finite piece, kept when it passes the
+    adaptive rule's first stopping test, else the adaptive rule out to the tails."""
     out = np.zeros(lo.shape)
-    live = np.flatnonzero(lo < hi)
-    if live.size == 0:
-        return out
-    lo, hi, c = lo[live], hi[live], c[live]
+    live = lo < hi
+    finite = np.flatnonzero(live & np.isfinite(lo) & np.isfinite(hi))
     values, errors = quadrature.kronrod_panels(
-        lambda x: np.abs(x - c) ** r * d.pdf_array(x), lo, hi
+        lambda x: np.abs(x - c[finite]) ** r * d.pdf_array(x), lo[finite], hi[finite]
     )
     settled = errors <= np.maximum(quadrature.DEFAULT_REL_TOL * np.abs(values), 1e-16)
-    for i in np.flatnonzero(~settled).tolist():
-        values[i] = _integrate_half_cell(d, r, float(c[i]), float(lo[i]), float(hi[i])).value
-    out[live] = values
+    out[finite[settled]] = values[settled]
+    for i in sorted(set(np.flatnonzero(live).tolist()) - set(finite[settled].tolist())):
+        out[i] = _adaptive_half_cell(d, r, float(c[i]), float(lo[i]), float(hi[i]))
     return out
 
 
 def _oracle_region_distortions(q, d, r, region):
-    """Per-cell distortion inside a region: a full pass per interval, clipped to
-    the interval's part of the window, each half of a cell integrated alone."""
-    window = quadrature.truncate_support(d, TAIL_MASS)
-    parts = [p for p in (window.intersect(iv) for iv in region) if p is not None]
+    """Per-cell distortion inside a region: a full pass per interval, every
+    cell clipped to the interval, each half of a cell integrated alone."""
     lows, highs = q._edges[:-1], q._edges[1:]
     out = np.zeros(q.size)
     for block in quantizer._blocks(q.size):
         c = q._codepoint_array[block]
-        for part in parts:
+        for part in region:
             lo = np.maximum(lows[block], part.lo)
             hi = np.minimum(highs[block], part.hi)
             left = _oracle_half_cells(d, r, lo, np.minimum(hi, c), c)
@@ -448,13 +444,13 @@ def test_cell_table_reevaluates_only_the_cut_cells(monkeypatch):
     interval = Interval(-0.3, 0.7)
     table = cell_table(q, g, 2.0)
     pieces = []
-    original = quantizer._clipped_distortions
+    original = quantizer._batch_distortions
 
     def recording(d, r, lo, hi, c):
         pieces.append(lo.size)
         return original(d, r, lo, hi, c)
 
-    monkeypatch.setattr(quantizer, "_clipped_distortions", recording)
+    monkeypatch.setattr(quantizer, "_batch_distortions", recording)
     sides = cell_table(q, g, 2.0, ((interval,), interval.complement()))
     # one batch for the full pass, one for the cells the two endpoints cut,
     # once for the interval and once for its complement
@@ -471,11 +467,8 @@ def test_power_sum_zero_convention():
 
 
 def _half_cells(q, d, region):
-    """(cell, lo, hi) of every cell piece inside the window, split at its codepoint."""
-    window = quadrature.truncate_support(d, TAIL_MASS)
-    parts = [window] if region is None else [
-        p for p in (window.intersect(iv) for iv in region) if p is not None
-    ]
+    """(cell, lo, hi) of every cell piece inside the region, split at its codepoint."""
+    parts = [REAL_LINE] if region is None else region
     for k in range(q.size):
         c = q.codepoints[k]
         for part in parts:
@@ -495,11 +488,24 @@ def _integrate_half_cell(d, r, c, lo, hi):
     )
 
 
+def _adaptive_half_cell(d, r, c, lo, hi):
+    """The adaptive rule over one half-cell, an unbounded end out to the tail."""
+    return integrate_over(
+        lambda x: abs(x - c) ** r * d.pdf(x), (d,), Interval(lo, hi),
+        abs_tol=1e-16, tail_tol=1e-30,
+    )
+
+
 def _oracle_cell_distortions(q, d, r, region):
-    """The per-cell quadrature.integrate loop, one call per half-cell."""
+    """The per-cell adaptive loop, one call per half-cell: quadrature.integrate
+    over a finite half, integrate_over out to the tail for an unbounded one."""
     out = np.zeros(q.size)
     for k, lo, hi in _half_cells(q, d, region):
-        out[k] += _integrate_half_cell(d, r, q.codepoints[k], lo, hi).value
+        c = q.codepoints[k]
+        if math.isfinite(lo) and math.isfinite(hi):
+            out[k] += _integrate_half_cell(d, r, c, lo, hi).value
+        else:
+            out[k] += _adaptive_half_cell(d, r, c, lo, hi)
     return out
 
 
@@ -515,7 +521,10 @@ def _regions(d):
 def test_cell_distortions_match_per_cell_quadrature(d, r, n, region):
     q = _compander_for(d, n, r)
     regions = _regions(d)[region]
-    got = cell_distortions(q, d, r, region=regions)
+    if regions is None:
+        got = cell_distortions(q, d, r)
+    else:
+        got = cell_table(q, d, r, (regions,)).regions[0].distortions
     want = _oracle_cell_distortions(q, d, r, regions)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -529,6 +538,18 @@ def _count_integrate_calls(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate", counting)
+    return calls
+
+
+def _record_piece_calls(monkeypatch):
+    calls = []
+    original = quantizer._piece_distortion
+
+    def recording(d, r, lo, hi, c):
+        calls.append((lo, hi))
+        return original(d, r, lo, hi, c)
+
+    monkeypatch.setattr(quantizer, "_piece_distortion", recording)
     return calls
 
 
@@ -546,14 +567,112 @@ def test_cell_distortions_batch_settles_almost_every_cell(monkeypatch):
 @pytest.mark.parametrize("d", ORACLE_SOURCES[:4], ids=lambda d: repr(d))
 def test_cell_distortions_fall_back_where_one_panel_does_not_settle(monkeypatch, d, r, n):
     q = _compander_for(d, n, r)
+    halves = [(k, lo, hi) for k, lo, hi in _half_cells(q, d, None)]
+    unbounded = {(lo, hi) for _, lo, hi in halves if not (math.isfinite(lo) and math.isfinite(hi))}
     unsettled = {
         (lo, hi)
-        for k, lo, hi in _half_cells(q, d, None)
-        if _integrate_half_cell(d, r, q.codepoints[k], lo, hi).subdivisions > 1
+        for k, lo, hi in halves
+        if (lo, hi) not in unbounded
+        and _integrate_half_cell(d, r, q.codepoints[k], lo, hi).subdivisions > 1
     }
-    calls = _count_integrate_calls(monkeypatch)
+    calls = _record_piece_calls(monkeypatch)
     cell_distortions(q, d, r)
-    assert {(iv.lo, iv.hi) for iv in calls} == unsettled
-    if n == 4 and not d.support.bounded:
-        # the unbounded outer cells are too wide for one panel
-        assert unsettled
+    # the two outer half-cells run out to the tails; a finite one falls back
+    # only when its single panel does not settle
+    assert len(unbounded) == 2
+    assert sorted(calls) == sorted(unbounded | unsettled)
+
+
+def test_cell_distortions_fall_back_on_a_kink_inside_a_half_cell(monkeypatch):
+    d = Laplacian(0.0, 1.0)
+    q = Quantizer((-1.0, 1.5), (-2.0, 0.5, 3.0))
+    calls = _record_piece_calls(monkeypatch)
+    got = cell_distortions(q, d, 2.0)
+    # the pdf's kink at 0 lies inside the half-cell (-1, 0.5)
+    assert sorted(calls) == [(-math.inf, -2.0), (-1.0, 0.5), (3.0, math.inf)]
+    np.testing.assert_allclose(got, _oracle_cell_distortions(q, d, 2.0, None), rtol=1e-13, atol=0.0)
+
+
+# --- whole-cell distortion and entropy against closed-form cells at 40 digits -----------
+
+
+def _closed_form_cells(mpmath, d, q):
+    """Mass and distortion (r = 2) of every cell from closed-form antiderivatives
+    of pdf and (x - c)^2 pdf: M(x) and A(x, c), continuous in x."""
+    mpf, inf = mpmath.mpf, mpmath.inf
+    edges = [-inf, *map(mpf, q.breakpoints), inf]
+    if isinstance(d, Gaussian):  # N(0, 1): A = (1 + c^2) cdf - (x - 2c) pdf
+        cdf = [mpmath.erfc(-x / mpmath.sqrt(2)) / 2 for x in edges]
+        pdf = [mpmath.exp(-x * x / 2) / mpmath.sqrt(2 * mpmath.pi) for x in edges]
+
+        def M(i):
+            return cdf[i]
+
+        def A(i, c):
+            tail = (edges[i] - 2 * c) * pdf[i] if pdf[i] else 0
+            return (1 + c * c) * cdf[i] - tail
+    elif isinstance(d, Uniform):  # U(0, 1)
+        ys = [min(max(x, mpf(0)), mpf(1)) for x in edges]
+
+        def M(i):
+            return ys[i]
+
+        def A(i, c):
+            return ((ys[i] - c) ** 3 + c**3) / 3
+    else:  # Laplacian(0, 1) or Exponential(1), through e^{-|x|}
+        laplacian = isinstance(d, Laplacian)
+        decay = [mpmath.exp(-abs(x)) for x in edges]
+
+        def poly(i, c, sign):
+            return ((edges[i] - c) ** 2 + sign * 2 * (edges[i] - c) + 2) if decay[i] else 0
+
+        def M(i):
+            if edges[i] <= 0:
+                return decay[i] / 2 if laplacian else mpf(0)
+            return 1 - (decay[i] / 2 if laplacian else decay[i])
+
+        def A(i, c):
+            if laplacian:
+                if edges[i] <= 0:
+                    return decay[i] / 2 * poly(i, c, -1)
+                return c * c + 2 - decay[i] / 2 * poly(i, c, +1)
+            if edges[i] <= 0:
+                return mpf(0)
+            return c * c - 2 * c + 2 - decay[i] * poly(i, c, +1)
+
+    masses, dists = [], []
+    for k, c in enumerate(map(mpf, q.codepoints)):
+        masses.append(M(k + 1) - M(k))
+        dists.append(A(k + 1, c) - A(k, c))
+    return masses, dists
+
+
+@pytest.mark.parametrize(
+    "d, n",
+    [
+        (Gaussian(0.0, 1.0), 4096),
+        (Laplacian(0.0, 1.0), 4096),
+        (Exponential(1.0), 4096),
+        (Uniform(0.0, 1.0), 4096),
+        (Gaussian(0.0, 1.0), 16384),
+    ],
+    ids=repr,
+)
+def test_distortion_and_entropy_match_closed_form_cells(d, n):
+    mpmath = pytest.importorskip("mpmath")
+    from renyi_quant import quantization_coefficient
+
+    q = build_compander(optimal_point_density(d, 0.5, 2.0), n)
+    got_d, got_h = distortion(q, d, 2.0), quantizer_entropy(q, d, 0.5)
+    with mpmath.workdps(40):
+        masses, dists = _closed_form_cells(mpmath, d, q)
+        want_d = mpmath.fsum(dists)
+        want_h = 2 * mpmath.log(mpmath.fsum(mpmath.sqrt(p) for p in masses))
+        assert abs((got_d - want_d) / want_d) <= 1e-12
+        assert abs(got_h - want_h) <= 1e-14
+        if n == 16384:
+            # the deviation from the limit is +3.5e-8 here; clipping the tails
+            # to the quantile window read -1.5e-8
+            coefficient = quantization_coefficient(d, 0.5, 2.0)
+            assert mpmath.exp(2 * want_h) * want_d / coefficient > 1
+            assert math.exp(2 * got_h) * got_d / coefficient > 1
