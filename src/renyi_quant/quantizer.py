@@ -8,10 +8,10 @@ split at the codepoint where the integrand has its kink.
 
 Cell passes work on arrays, a fixed-size block of cells at a time: masses are
 one cdf/sf difference over the edges, and each half-cell distortion gets one
-batched Gauss-Kronrod panel. A half-cell whose panel already meets the
-adaptive rule's first stopping test keeps that value, which is what the
-adaptive rule would return; the rest, and the two unbounded half-cells, go
-through `density.integrate_over`.
+batched Gauss-Kronrod panel. A half-cell keeps that value when an upper
+bound on the panel's error estimate meets the adaptive rule's first stopping
+test, so the value is what the adaptive rule would return; the rest, and the
+two unbounded half-cells, go through `density.integrate_over`.
 
 A rate point makes one `cell_table`: one pass of each, and the columns inside
 a region from it, evaluating again only the cells a region endpoint cuts.
@@ -34,7 +34,7 @@ from . import quadrature
 _ALPHA_LIMIT_EPS = 1e-6  # alpha this close to an endpoint uses the limit formula
 _PIECE_ABS_TOL = 1e-16   # absolute tolerance of every cell distortion integral
 _TAIL_TOL = 1e-30        # an unbounded cell's tail ends at a window below this or 1e-9 of the tail
-_BLOCK = 1024            # cells per array pass; temporaries stay O(_BLOCK)
+_BLOCK = 2048            # cells per array pass; temporaries stay O(_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def _batch_distortions(
     """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi.
 
     Each piece is split at its codepoint c, where the integrand has its kink.
-    One batched G7/K15 panel settles each finite half whose error estimate
+    One batched G7/K15 panel settles each finite half whose error bound
     passes the adaptive rule's first stopping test; the others, and the
     unbounded halves, go through _piece_distortion.
     """
@@ -179,10 +179,10 @@ def _batch_distortions(
     todo = lo < hi
     panel = np.flatnonzero(todo & np.isfinite(lo) & np.isfinite(hi))
     c_panel = c[panel]
-    values, errors = quadrature.kronrod_panels(
+    values, bounds = quadrature.kronrod_panels(
         lambda x: np.abs(x - c_panel) ** r * d.pdf_array(x), lo[panel], hi[panel]
     )
-    settled = errors <= np.maximum(quadrature.DEFAULT_REL_TOL * np.abs(values), _PIECE_ABS_TOL)
+    settled = bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, _PIECE_ABS_TOL)
     halves[panel[settled]] = values[settled]
     todo[panel[settled]] = False
     for i in np.flatnonzero(todo).tolist():

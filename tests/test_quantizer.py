@@ -334,17 +334,26 @@ def _oracle_region_masses(q, d, region):
     return masses
 
 
+def _half_cell_panels(d, r, lo, hi, c):
+    """The batched panel's value and error bound of |x - c|^r pdf over every
+    finite, nonempty (lo, hi) with c outside."""
+    return quadrature.kronrod_panels(lambda x: np.abs(x - c) ** r * d.pdf_array(x), lo, hi)
+
+
+def _settles(values, bounds):
+    return bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, 1e-16)
+
+
 def _oracle_half_cells(d, r, lo, hi, c):
     """Integral of |x - c|^r pdf over every (lo, hi) with no kink inside, 0 where
-    lo >= hi: one batched panel for a finite piece, kept when it passes the
-    adaptive rule's first stopping test, else the adaptive rule out to the tails."""
+    lo >= hi: one batched panel for a finite piece, kept when its error bound
+    passes the adaptive rule's first stopping test, else the adaptive rule out
+    to the tails."""
     out = np.zeros(lo.shape)
     live = lo < hi
     finite = np.flatnonzero(live & np.isfinite(lo) & np.isfinite(hi))
-    values, errors = quadrature.kronrod_panels(
-        lambda x: np.abs(x - c[finite]) ** r * d.pdf_array(x), lo[finite], hi[finite]
-    )
-    settled = errors <= np.maximum(quadrature.DEFAULT_REL_TOL * np.abs(values), 1e-16)
+    values, bounds = _half_cell_panels(d, r, lo[finite], hi[finite], c[finite])
+    settled = _settles(values, bounds)
     out[finite[settled]] = values[settled]
     for i in sorted(set(np.flatnonzero(live).tolist()) - set(finite[settled].tolist())):
         out[i] = _adaptive_half_cell(d, r, float(c[i]), float(lo[i]), float(hi[i]))
@@ -542,12 +551,13 @@ def _count_integrate_calls(monkeypatch):
 
 
 def _record_piece_calls(monkeypatch):
-    calls = []
+    """{(lo, hi): value} of every _piece_distortion call."""
+    calls = {}
     original = quantizer._piece_distortion
 
     def recording(d, r, lo, hi, c):
-        calls.append((lo, hi))
-        return original(d, r, lo, hi, c)
+        calls[lo, hi] = original(d, r, lo, hi, c)
+        return calls[lo, hi]
 
     monkeypatch.setattr(quantizer, "_piece_distortion", recording)
     return calls
@@ -567,20 +577,24 @@ def test_cell_distortions_batch_settles_almost_every_cell(monkeypatch):
 @pytest.mark.parametrize("d", ORACLE_SOURCES[:4], ids=lambda d: repr(d))
 def test_cell_distortions_fall_back_where_one_panel_does_not_settle(monkeypatch, d, r, n):
     q = _compander_for(d, n, r)
-    halves = [(k, lo, hi) for k, lo, hi in _half_cells(q, d, None)]
+    halves = list(_half_cells(q, d, None))
     unbounded = {(lo, hi) for _, lo, hi in halves if not (math.isfinite(lo) and math.isfinite(hi))}
-    unsettled = {
-        (lo, hi)
-        for k, lo, hi in halves
-        if (lo, hi) not in unbounded
-        and _integrate_half_cell(d, r, q.codepoints[k], lo, hi).subdivisions > 1
-    }
+    finite = [(k, lo, hi) for k, lo, hi in halves if (lo, hi) not in unbounded]
+    cells, lo, hi = (np.array(column) for column in zip(*finite))
+    values, bounds = _half_cell_panels(d, r, lo, hi, q._codepoint_array[cells])
+    settled = _settles(values, bounds)
     calls = _record_piece_calls(monkeypatch)
     cell_distortions(q, d, r)
     # the two outer half-cells run out to the tails; a finite one falls back
-    # only when its single panel does not settle
+    # only when its panel's error bound does not settle it
     assert len(unbounded) == 2
-    assert sorted(calls) == sorted(unbounded | unsettled)
+    assert sorted(calls) == sorted(unbounded | {(lo[i], hi[i]) for i in np.flatnonzero(~settled)})
+    # where the adaptive rule's own first panel settles, the fallback keeps the
+    # value the bound turned down
+    for i in np.flatnonzero(~settled).tolist():
+        c = q.codepoints[cells[i]]
+        if _integrate_half_cell(d, r, c, lo[i], hi[i]).subdivisions == 1:
+            assert calls[lo[i], hi[i]] == pytest.approx(values[i], rel=1e-13, abs=0.0)
 
 
 def test_cell_distortions_fall_back_on_a_kink_inside_a_half_cell(monkeypatch):
