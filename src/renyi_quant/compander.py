@@ -12,10 +12,11 @@ import math
 
 import numpy as np
 
-from .density import Density, TAIL_MASS
+from .density import Density
 from .errors import DegenerateCellError, DomainError
 from .quantizer import Quantizer, _piece_distortion, cell_probabilities
-from . import quadrature
+
+_BRACKET_MASS = 1e-12  # share of an unbounded cell's mass left outside its search bracket
 
 
 def optimal_point_density(d: Density, alpha: float, r: float) -> Density:
@@ -41,13 +42,15 @@ def build_compander(h: Density, n: int) -> Quantizer:
 def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
     """Replace each codepoint with the minimizer of its cell's distortion.
 
-    For r = 2 the minimizer is the conditional mean (computed in closed form
-    where the family has one); otherwise a golden-section search shrinks the
-    bracket to 1e-10. Breakpoints are unchanged and distortion cannot increase.
+    Every cell counts whole, tails included. For r = 2 the minimizer is the
+    conditional mean (computed in closed form where the family has one);
+    otherwise a golden-section search shrinks the bracket, the cell's part of
+    the support, to 1e-10, an unbounded end at the point beyond which lies
+    1e-12 of the cell's mass. Breakpoints are unchanged and distortion cannot
+    increase.
     """
     if r < 1.0:
         raise DomainError(f"refine_codepoints requires r >= 1, got {r}")
-    window = quadrature.truncate_support(d, TAIL_MASS)
     masses = cell_probabilities(q, d)
     new_codepoints = []
     for k in range(q.size):
@@ -55,18 +58,13 @@ def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
         mass = masses[k]
         if mass <= 0.0:
             raise DegenerateCellError(f"cell {k} = {cell} has zero probability")
-        bounded = cell.intersect(window)
-        if bounded is None:
-            # all mass of this cell sits beyond the integration window
-            raise DegenerateCellError(f"cell {k} = {cell} has no mass in {window}")
         if r == 2.0:
-            c = d.interval_first_moment(bounded) / mass
+            c = d.interval_first_moment(cell) / mass
         else:
-            c = _golden_section(
-                lambda c_: _piece_distortion(d, r, bounded.lo, bounded.hi, c_),
-                bounded.lo,
-                bounded.hi,
-            )
+            bracket = cell.intersect(d.support)
+            lo = bracket.lo if math.isfinite(bracket.lo) else d.quantile(_BRACKET_MASS * mass)
+            hi = bracket.hi if math.isfinite(bracket.hi) else d.isf(_BRACKET_MASS * mass)
+            c = _golden_section(lambda c_: _piece_distortion(d, r, cell.lo, cell.hi, c_), lo, hi)
         # keep strictly inside the open cell interior
         c = min(max(c, math.nextafter(cell.lo, cell.hi)), math.nextafter(cell.hi, cell.lo))
         new_codepoints.append(c)

@@ -178,9 +178,13 @@ def _batch_distortions(
     halves = np.zeros(lo.shape)
     todo = lo < hi
     panel = np.flatnonzero(todo & np.isfinite(lo) & np.isfinite(hi))
-    c_panel = c[panel]
+    # |x - c| in the panel's own coordinates: the gap from c to the end nearer
+    # it (0 for a cell half) plus the node's distance from that end
+    left = panel < size
+    gap = np.where(left, c[panel] - hi[panel], lo[panel] - c[panel])
     values, bounds = quadrature.kronrod_panels(
-        lambda x: np.abs(x - c_panel) ** r * d.pdf_array(x), lo[panel], hi[panel]
+        lambda x, from_lo, from_hi: (gap + np.where(left, from_hi, from_lo)) ** r * d.pdf_array(x),
+        lo[panel], hi[panel],
     )
     settled = bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, _PIECE_ABS_TOL)
     halves[panel[settled]] = values[settled]

@@ -139,6 +139,42 @@ def test_refine_codepoints_golden_section_matches_mean_for_r2():
     assert distortion(refined, g, 2.5) <= distortion(q, g, 2.5) + 1e-12
 
 
+@pytest.mark.parametrize("n", [16, 4096])
+def test_refine_codepoints_outer_centroids_cover_the_whole_tail(n):
+    # r = 2: the last cell (a, inf) of N(0, 1) has centroid phi(a)/Q(a); at
+    # n = 4096 the first cell lies wholly past the 1e-12 quantile window
+    g = Gaussian(0.0, 1.0)
+    q = build_compander(optimal_point_density(g, 0.5, 2.0), n)
+    refined = refine_codepoints(q, g, 2.0)
+    a = q.breakpoints[-1]
+    centroid = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) / (0.5 * math.erfc(a / math.sqrt(2.0)))
+    assert refined.codepoints[-1] == pytest.approx(centroid, rel=1e-12)
+    assert refined.codepoints[0] == pytest.approx(-centroid, rel=1e-12)
+    # the generic first moment: a Laplacian(0, 1) tail beyond a has mean a + 1
+    lap = Laplacian(0.0, 1.0)
+    q = build_compander(optimal_point_density(lap, 0.5, 2.0), n)
+    refined = refine_codepoints(q, lap, 2.0)
+    assert refined.codepoints[-1] == pytest.approx(q.breakpoints[-1] + 1.0, rel=1e-12)
+    assert refined.codepoints[0] == pytest.approx(q.breakpoints[0] - 1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_refine_codepoints_golden_section_searches_the_whole_tail(n):
+    # r = 3: beyond a, a Laplacian(0, 1) is a + Exp(1), and E|Y - t|^3 for
+    # Y ~ Exp(1) is least where t^2 - 2t + 2 = 4 e^{-t}
+    lo, hi = 1.0, 1.5
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * mid - 2.0 * mid + 2.0 < 4.0 * math.exp(-mid) else (lo, mid)
+    lap = Laplacian(0.0, 1.0)
+    q = build_compander(optimal_point_density(lap, 0.5, 3.0), n)
+    refined = refine_codepoints(q, lap, 3.0)
+    # the objective's rounding leaves ~1e-8 of the minimizer; a search over
+    # the cell clipped to the 1e-12 quantile window misses by 3.6e-4 at n = 16
+    assert refined.codepoints[-1] == pytest.approx(q.breakpoints[-1] + lo, abs=1e-7)
+    assert refined.codepoints[0] == pytest.approx(q.breakpoints[0] - lo, abs=1e-7)
+
+
 def test_refine_codepoints_degenerate_cell_errors():
     from renyi_quant.errors import DegenerateCellError
 

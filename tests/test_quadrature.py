@@ -123,7 +123,7 @@ def test_kronrod_panels_repeat_the_scalar_panel(name):
     rng = np.random.default_rng(5)
     a = rng.uniform(-6.0, 6.0, size=400)
     b = a + 10.0 ** rng.uniform(-6.0, 1.0, size=400)
-    values, bounds = kronrod_panels(f, a, b)
+    values, bounds = kronrod_panels(lambda x, from_a, from_b: f(x), a, b)
     floor_binds = 0
     for i in range(a.size):
         value, err = _kronrod_panel(f, float(a[i]), float(b[i]))
