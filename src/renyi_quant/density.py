@@ -119,6 +119,11 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     return x
 
 
+def _open_unit(p: float) -> float:
+    """p clamped into the open interval (0, 1)."""
+    return min(max(p, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+
+
 def _check_probabilities(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     outside = ~((p > 0.0) & (p < 1.0))
@@ -177,11 +182,14 @@ class Density:
     """Common surface for all density families.
 
     Subclasses must provide `support`, `pdf`, and `cdf`; everything else has
-    a generic implementation that closed-form families override.
+    a generic implementation that closed-form families override. The public
+    `quantile`, `isf`, `power_integral` and `partial_power_integral` check the
+    domain (p in (0, 1), beta > 0) and then call the hooks `_quantile`,
+    `_isf`, `_power_integral` and `_partial_power_integral`, which are what
+    a family overrides; a hook may assume its argument is in the domain.
     """
 
     support: Interval
-    weakly_unimodal: bool = False
 
     # --- pointwise surface -------------------------------------------------
 
@@ -208,19 +216,20 @@ class Density:
         """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1)."""
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires p in (0,1), got {p}")
-        return self._quantile_impl(p)
+        return self._quantile(p)
 
     def isf(self, p: float) -> float:
         """Inverse survival function: the x with sf(x) = p.
 
-        Equivalent to quantile(1 - p) but keeps full relative precision deep
-        in the right tail; families with closed tails override it.
+        Equivalent to quantile(1 - p), but the closed-form families and
+        restrictions keep full relative precision deep in the right tail; the
+        generic fallback bisects on 1 - p.
         """
         if not 0.0 < p < 1.0:
             raise DomainError(f"isf requires p in (0,1), got {p}")
-        return self._quantile_impl(1.0 - p)
+        return self._isf(p)
 
-    def _quantile_impl(self, p: float) -> float:
+    def _quantile(self, p: float) -> float:
         lo, hi = self._quantile_bracket(p)
         while hi - lo > QUANTILE_WIDTH:
             mid = 0.5 * (lo + hi)
@@ -229,6 +238,9 @@ class Density:
             else:
                 lo = mid
         return 0.5 * (lo + hi)
+
+    def _isf(self, p: float) -> float:
+        return self._quantile(1.0 - p)
 
     def _quantile_bracket(self, p: float) -> tuple[float, float]:
         lo, hi = self.support.lo, self.support.hi
@@ -295,19 +307,23 @@ class Density:
         """Integral of pdf**beta over the support."""
         if beta <= 0.0:
             raise DomainError(f"power_integral requires beta > 0, got {beta}")
-        return self._power_integral_quad(beta)
+        return self._power_integral(beta)
 
     def partial_power_integral(self, beta: float, interval: Interval) -> float:
-        """Integral of pdf**beta over an interval.
-
-        When the tilted family has a closed form, this is the full power
-        integral times the tilted measure of the interval.
-        """
+        """Integral of pdf**beta over an interval."""
         if beta <= 0.0:
             raise DomainError(f"partial_power_integral requires beta > 0, got {beta}")
+        return self._partial_power_integral(beta, interval)
+
+    def _power_integral(self, beta: float) -> float:
+        return self._power_integral_quad(beta)
+
+    def _partial_power_integral(self, beta: float, interval: Interval) -> float:
+        # with a closed-form tilt: the full power integral times the tilted
+        # measure of the interval
         closed = self._tilt_closed(beta)
         if closed is not None:
-            return self.power_integral(beta) * closed.interval_mass(interval)
+            return self._power_integral(beta) * closed.interval_mass(interval)
         return self._power_integral_quad(beta, interval)
 
     def _power_integral_quad(self, beta: float, interval: Interval = REAL_LINE) -> float:
@@ -387,7 +403,6 @@ class Uniform(Density):
 
     a: float
     b: float
-    weakly_unimodal = True
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
@@ -412,9 +427,7 @@ class Uniform(Density):
             return 1.0
         return (x - self.a) / (self.b - self.a)
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"quantile requires p in (0,1), got {p}")
+    def _quantile(self, p: float) -> float:
         return self.a + p * (self.b - self.a)
 
     def pdf_array(self, x) -> np.ndarray:
@@ -431,14 +444,10 @@ class Uniform(Density):
     def quantile_array(self, p) -> np.ndarray:
         return self.a + _check_probabilities(p) * (self.b - self.a)
 
-    def isf(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"isf requires p in (0,1), got {p}")
+    def _isf(self, p: float) -> float:
         return self.b - p * (self.b - self.a)
 
-    def power_integral(self, beta: float) -> float:
-        if beta <= 0.0:
-            raise DomainError(f"power_integral requires beta > 0, got {beta}")
+    def _power_integral(self, beta: float) -> float:
         return (self.b - self.a) ** (1.0 - beta)
 
     def _tilt_closed(self, beta: float) -> Density:
@@ -467,7 +476,6 @@ class Uniform(Density):
 class Gaussian(Density):
     mean: float = 0.0
     sigma: float = 1.0
-    weakly_unimodal = True
 
     def __post_init__(self):
         if not (math.isfinite(self.mean) and self.sigma > 0.0):
@@ -491,9 +499,7 @@ class Gaussian(Density):
     def sf(self, x: float) -> float:
         return 0.5 * math.erfc((x - self.mean) / (self.sigma * _SQRT_2))
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"quantile requires p in (0,1), got {p}")
+    def _quantile(self, p: float) -> float:
         return self.mean + self.sigma * _ndtri_scalar(p)
 
     def pdf_array(self, x) -> np.ndarray:
@@ -513,14 +519,10 @@ class Gaussian(Density):
     def quantile_array(self, p) -> np.ndarray:
         return self.mean + self.sigma * _ndtri(_check_probabilities(p))
 
-    def isf(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"isf requires p in (0,1), got {p}")
+    def _isf(self, p: float) -> float:
         return self.mean - self.sigma * _ndtri_scalar(p)
 
-    def power_integral(self, beta: float) -> float:
-        if beta <= 0.0:
-            raise DomainError(f"power_integral requires beta > 0, got {beta}")
+    def _power_integral(self, beta: float) -> float:
         return (2.0 * math.pi * self.sigma**2) ** (0.5 * (1.0 - beta)) / math.sqrt(beta)
 
     def _tilt_closed(self, beta: float) -> Density:
@@ -550,7 +552,6 @@ class Gaussian(Density):
 class Laplacian(Density):
     mean: float = 0.0
     scale: float = 1.0
-    weakly_unimodal = True
 
     def __post_init__(self):
         if not (math.isfinite(self.mean) and self.scale > 0.0):
@@ -578,9 +579,7 @@ class Laplacian(Density):
             return 1.0 - 0.5 * math.exp(z)
         return 0.5 * math.exp(-z)
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"quantile requires p in (0,1), got {p}")
+    def _quantile(self, p: float) -> float:
         if p < 0.5:
             return self.mean + self.scale * math.log(2.0 * p)
         return self.mean - self.scale * math.log(2.0 * (1.0 - p))
@@ -605,16 +604,12 @@ class Laplacian(Density):
         offset = self.scale * np.log(2.0 * np.where(below, p, 1.0 - p))
         return np.where(below, self.mean + offset, self.mean - offset)
 
-    def isf(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"isf requires p in (0,1), got {p}")
+    def _isf(self, p: float) -> float:
         if p < 0.5:
             return self.mean - self.scale * math.log(2.0 * p)
         return self.mean + self.scale * math.log(2.0 * (1.0 - p))
 
-    def power_integral(self, beta: float) -> float:
-        if beta <= 0.0:
-            raise DomainError(f"power_integral requires beta > 0, got {beta}")
+    def _power_integral(self, beta: float) -> float:
         return (2.0 * self.scale) ** (1.0 - beta) / beta
 
     def _tilt_closed(self, beta: float) -> Density:
@@ -637,7 +632,6 @@ class Laplacian(Density):
 class Exponential(Density):
     rate: float = 1.0
     shift: float = 0.0
-    weakly_unimodal = True
 
     def __post_init__(self):
         if not (self.rate > 0.0 and math.isfinite(self.shift)):
@@ -667,9 +661,7 @@ class Exponential(Density):
             return 1.0
         return math.exp(-self.rate * (x - self.shift))
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"quantile requires p in (0,1), got {p}")
+    def _quantile(self, p: float) -> float:
         return self.shift - math.log1p(-p) / self.rate
 
     # the maximum keeps exp finite left of the support, where np.where discards it
@@ -691,14 +683,10 @@ class Exponential(Density):
     def quantile_array(self, p) -> np.ndarray:
         return self.shift - np.log1p(-_check_probabilities(p)) / self.rate
 
-    def isf(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"isf requires p in (0,1), got {p}")
+    def _isf(self, p: float) -> float:
         return self.shift - math.log(p) / self.rate
 
-    def power_integral(self, beta: float) -> float:
-        if beta <= 0.0:
-            raise DomainError(f"power_integral requires beta > 0, got {beta}")
+    def _power_integral(self, beta: float) -> float:
         return self.rate ** (beta - 1.0) / beta
 
     def _tilt_closed(self, beta: float) -> Density:
@@ -721,8 +709,6 @@ class Exponential(Density):
 
 class PiecewiseLinear(Density):
     """Piecewise-linear density from (x, y) knots, normalized at construction."""
-
-    weakly_unimodal = False
 
     def __init__(self, knots):
         pts = [(float(x), float(y)) for x, y in knots]
@@ -774,14 +760,10 @@ class PiecewiseLinear(Density):
         dx = x - x0
         return float(self._cum[i] + y0 * dx + 0.5 * slope * dx * dx)
 
-    def power_integral(self, beta: float) -> float:
-        if beta <= 0.0:
-            raise DomainError(f"power_integral requires beta > 0, got {beta}")
-        return self.partial_power_integral(beta, self.support)
+    def _power_integral(self, beta: float) -> float:
+        return self._partial_power_integral(beta, self.support)
 
-    def partial_power_integral(self, beta: float, interval: Interval) -> float:
-        if beta <= 0.0:
-            raise DomainError(f"partial_power_integral requires beta > 0, got {beta}")
+    def _partial_power_integral(self, beta: float, interval: Interval) -> float:
         total = 0.0
         for i in range(len(self._xs) - 1):
             lo = max(float(self._xs[i]), interval.lo)
@@ -832,16 +814,11 @@ class RestrictedDensity(Density):
         self.interval = interval
         self._window = window
         self._mass = mass
-        self.weakly_unimodal = base.weakly_unimodal
         self._check_normalization()
 
     @property
     def support(self) -> Interval:
         return self._window
-
-    @property
-    def conditioning_mass(self) -> float:
-        return self._mass
 
     def pdf(self, x: float) -> float:
         if not self._window.contains(x):
@@ -867,25 +844,24 @@ class RestrictedDensity(Density):
             return 0.0
         return min(1.0, self.base.interval_mass(Interval(x, self._window.hi)) / self._mass)
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"quantile requires p in (0,1), got {p}")
+    def _quantile(self, p: float) -> float:
         c_lo = self.base.cdf(self._window.lo) if math.isfinite(self._window.lo) else 0.0
         if c_lo > 0.5:
             # deep in the right tail c_lo + p * mass rounds to 1; invert the survival form
-            target = self.base.sf(self._window.lo) - p * self._mass
-            target = min(max(target, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
-            return self.base.isf(target)
-        target = c_lo + p * self._mass
-        target = min(max(target, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
-        return self.base.quantile(target)
+            return self.base.isf(_open_unit(self.base.sf(self._window.lo) - p * self._mass))
+        return self.base.quantile(_open_unit(c_lo + p * self._mass))
 
-    def power_integral(self, beta: float) -> float:
-        if beta <= 0.0:
-            raise DomainError(f"power_integral requires beta > 0, got {beta}")
+    def _isf(self, p: float) -> float:
+        s_hi = self.base.sf(self._window.hi) if math.isfinite(self._window.hi) else 0.0
+        if s_hi > 0.5:
+            # deep in the left tail s_hi + p * mass rounds to 1; invert the cdf form
+            return self.base.quantile(_open_unit(self.base.cdf(self._window.hi) - p * self._mass))
+        return self.base.isf(_open_unit(s_hi + p * self._mass))
+
+    def _power_integral(self, beta: float) -> float:
         return self._mass ** (-beta) * self.base.partial_power_integral(beta, self._window)
 
-    def partial_power_integral(self, beta: float, interval: Interval) -> float:
+    def _partial_power_integral(self, beta: float, interval: Interval) -> float:
         window = self._window.intersect(interval)
         if window is None:
             return 0.0
@@ -931,7 +907,6 @@ class TiltedDensity(Density):
         self.base = base
         self.exponent = exponent
         self._normalizer = normalizer
-        self.weakly_unimodal = base.weakly_unimodal
         self._check_normalization()
 
     @property
@@ -956,12 +931,10 @@ class TiltedDensity(Density):
         below = self.base.partial_power_integral(self.exponent, Interval(-math.inf, x))
         return min(1.0, below / self._normalizer)
 
-    def power_integral(self, beta: float) -> float:
-        if beta <= 0.0:
-            raise DomainError(f"power_integral requires beta > 0, got {beta}")
+    def _power_integral(self, beta: float) -> float:
         return self._normalizer ** (-beta) * self.base.power_integral(self.exponent * beta)
 
-    def partial_power_integral(self, beta: float, interval: Interval) -> float:
+    def _partial_power_integral(self, beta: float, interval: Interval) -> float:
         return self._normalizer ** (-beta) * self.base.partial_power_integral(
             self.exponent * beta, interval
         )

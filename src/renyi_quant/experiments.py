@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -37,21 +37,6 @@ TREND_WINDOW = 4           # rate points over which deviations must not increase
 TREND_FLOOR = 1e-9         # deviations below this count as converged noise
 
 EXPERIMENTS = ("asymptotics", "entropy-density", "distortion-density", "mismatch", "sanity")
-
-_CONFIG_KEYS = {
-    "name",
-    "source",
-    "mismatch_source",
-    "alpha",
-    "r",
-    "moment_slack",
-    "interval",
-    "n_grid",
-    "refine_codepoints",
-    "sanity_points",
-    "tolerances",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -94,15 +79,12 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(obj) - _CONFIG_KEYS
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
-        if "source" not in obj:
-            raise ConfigError("field 'source' is required")
-        if "alpha" not in obj:
-            raise ConfigError("field 'alpha' is required")
-        if "r" not in obj:
-            raise ConfigError("field 'r' is required")
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
+                raise ConfigError(f"field '{f.name}' is required")
         try:
             interval = (
                 Interval.from_json(obj["interval"]) if obj.get("interval") is not None else None

@@ -16,7 +16,7 @@ from renyi_quant import (
     refine_codepoints,
 )
 from renyi_quant.errors import DomainError
-from renyi_quant.quantizer import Quantizer
+from renyi_quant.quantizer import Quantizer, cell_distortions
 from renyi_quant.theory import cell_constant
 
 
@@ -195,3 +195,9 @@ def test_refine_codepoints_never_increases_distortion():
         q = build_compander(optimal_point_density(d, alpha, r), n)
         refined = refine_codepoints(q, d, r)
         assert distortion(refined, d, r) <= distortion(q, d, r) * (1.0 + 1e-10)
+    # the last cell's search bracket ends where 1e-12 of its ~2e-19 mass lies
+    # beyond, an isf of ~1e-31 on a restricted density
+    d = Gaussian(0.0, 1.0).restrict(Interval(0.0, math.inf))
+    q = Quantizer((1.0, 9.0), (0.5, 5.0, 9.1))
+    refined = refine_codepoints(q, d, 3.0)
+    assert np.all(cell_distortions(refined, d, 3.0) <= cell_distortions(q, d, 3.0) * (1.0 + 1e-10))

@@ -53,10 +53,28 @@ def test_quantile_examples():
     assert Gaussian(0.0, 1.0).quantile(0.8413447460685429) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_quantile_domain_error():
-    for p in (0.0, 1.0, -0.3, 1.7):
+@pytest.mark.parametrize(
+    "d",
+    ALL_FAMILIES + [
+        Gaussian(0.0, 1.0).restrict(Interval(0.0, 1.0)),
+        PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6),
+    ],
+    ids=lambda d: repr(d),
+)
+@pytest.mark.parametrize(
+    "method, bad_args",
+    [
+        ("quantile", [(p,) for p in (0.0, 1.0, -0.3, 1.7)]),
+        ("isf", [(p,) for p in (0.0, 1.0, -0.3, 1.7)]),
+        ("power_integral", [(beta,) for beta in (0.0, -1.0)]),
+        # (5, 6) misses the restricted window: the check comes before that shortcut
+        ("partial_power_integral", [(beta, Interval(5.0, 6.0)) for beta in (0.0, -1.0)]),
+    ],
+)
+def test_quantile_domain_error(d, method, bad_args):
+    for args in bad_args:
         with pytest.raises(DomainError):
-            Gaussian(0.0, 1.0).quantile(p)
+            getattr(d, method)(*args)
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: repr(d))
@@ -302,6 +320,22 @@ def test_restrict_quantile_deep_in_the_right_tail():
     assert 9.0 < d.quantile(1e-12) < d.quantile(0.5)
     window = truncate_support(d, TAIL_MASS)
     assert 9.0 < window.lo < window.hi
+
+
+def test_restrict_isf_deep_in_the_right_tail():
+    # 1 - p rounds to 1 below p ~ 1e-16; the survival form keeps every digit
+    d = Gaussian(0.0, 1.0).restrict(Interval(0.0, math.inf))
+    for p in np.geomspace(1e-3, 1e-300, 31).tolist():
+        want = Gaussian(0.0, 1.0).isf(p / 2.0)
+        assert abs(d.isf(p) - want) <= 4.0 * math.ulp(want)
+
+
+def test_restrict_isf_in_the_left_tail_mirrors_quantile():
+    for hi in (-9.0, -1.0):
+        d = Gaussian(0.0, 1.0).restrict(Interval(-math.inf, hi))
+        for p in (0.1, 0.25, 0.5, 0.75, 0.9):
+            want = d.quantile(1.0 - p)
+            assert abs(d.isf(p) - want) <= 4.0 * math.ulp(want)
 
 
 def test_restrict_empty_interval_errors():
