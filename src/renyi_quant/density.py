@@ -212,6 +212,12 @@ class Density:
         """Survival function 1 - cdf(x); override where the tail cancels."""
         return 1.0 - self.cdf(x)
 
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """The points inside the support where the pdf is not differentiable,
+        in increasing order; a quadrature panel should not straddle one."""
+        return ()
+
     def quantile(self, p: float) -> float:
         """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1)."""
         if not 0.0 < p < 1.0:
@@ -221,42 +227,44 @@ class Density:
     def isf(self, p: float) -> float:
         """Inverse survival function: the x with sf(x) = p.
 
-        Equivalent to quantile(1 - p), but the closed-form families and
-        restrictions keep full relative precision deep in the right tail; the
-        generic fallback bisects on 1 - p.
+        Equivalent to quantile(1 - p), but keeps full relative precision deep
+        in the right tail: the closed-form families invert sf in closed form,
+        and the generic fallback bisects on sf.
         """
         if not 0.0 < p < 1.0:
             raise DomainError(f"isf requires p in (0,1), got {p}")
         return self._isf(p)
 
     def _quantile(self, p: float) -> float:
-        lo, hi = self._quantile_bracket(p)
-        while hi - lo > QUANTILE_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= p:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return self._bisect(lambda x: self.cdf(x) < p)
 
     def _isf(self, p: float) -> float:
-        return self._quantile(1.0 - p)
+        # on sf itself: 1 - p rounds away a right tail below 1e-16
+        return self._bisect(lambda x: self.sf(x) > p)
 
-    def _quantile_bracket(self, p: float) -> tuple[float, float]:
+    def _bisect(self, left_of) -> float:
+        """The point where left_of(x) turns from True to False, to within
+        QUANTILE_WIDTH; an unbounded end is bracketed by doubling steps."""
         lo, hi = self.support.lo, self.support.hi
         if not math.isfinite(lo):
             anchor = hi if math.isfinite(hi) else 0.0
             lo, step = anchor - 1.0, 1.0
-            while self.cdf(lo) >= p:
+            while not left_of(lo):
                 step *= 2.0
                 lo -= step
         if not math.isfinite(hi):
             anchor = self.support.lo if math.isfinite(self.support.lo) else 0.0
             hi, step = anchor + 1.0, 1.0
-            while self.cdf(hi) < p:
+            while left_of(hi):
                 step *= 2.0
                 hi += step
-        return lo, hi
+        while hi - lo > QUANTILE_WIDTH:
+            mid = 0.5 * (lo + hi)
+            if left_of(mid):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
     # --- array surface -----------------------------------------------------
     #
@@ -564,6 +572,10 @@ class Laplacian(Density):
     def pdf(self, x: float) -> float:
         return math.exp(-abs(x - self.mean) / self.scale) / (2.0 * self.scale)
 
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return (self.mean,)
+
     def logpdf(self, x: float) -> float:
         return -abs(x - self.mean) / self.scale - math.log(2.0 * self.scale)
 
@@ -728,6 +740,9 @@ class PiecewiseLinear(Density):
         seg = 0.5 * (self._ys[1:] + self._ys[:-1]) * np.diff(xs)
         self._cum = np.concatenate(([0.0], np.cumsum(seg)))
         self._cum[-1] = 1.0
+        # the mass right of each knot, summed from the right end
+        self._tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+        self._tail[0] = 1.0
         self._support = Interval(float(xs[0]), float(xs[-1]))
         self._check_normalization()
 
@@ -738,6 +753,10 @@ class PiecewiseLinear(Density):
     @property
     def knots(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self._xs.tolist(), self._ys.tolist()))
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return tuple(self._xs[1:-1].tolist())
 
     def pdf(self, x: float) -> float:
         if not self._support.contains(x):
@@ -759,6 +778,17 @@ class PiecewiseLinear(Density):
         slope = (self._ys[i + 1] - y0) / (self._xs[i + 1] - x0)
         dx = x - x0
         return float(self._cum[i] + y0 * dx + 0.5 * slope * dx * dx)
+
+    def sf(self, x: float) -> float:
+        if x <= self._xs[0]:
+            return 1.0
+        if x >= self._xs[-1]:
+            return 0.0
+        i = int(np.searchsorted(self._xs, x, side="left"))
+        x1, y1 = self._xs[i], self._ys[i]
+        slope = (y1 - self._ys[i - 1]) / (x1 - self._xs[i - 1])
+        dx = x1 - x
+        return float(self._tail[i] + y1 * dx - 0.5 * slope * dx * dx)
 
     def _power_integral(self, beta: float) -> float:
         return self._partial_power_integral(beta, self.support)
@@ -819,6 +849,10 @@ class RestrictedDensity(Density):
     @property
     def support(self) -> Interval:
         return self._window
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return tuple(k for k in self.base.kinks if self._window.lo < k < self._window.hi)
 
     def pdf(self, x: float) -> float:
         if not self._window.contains(x):
@@ -913,6 +947,10 @@ class TiltedDensity(Density):
     def support(self) -> Interval:
         return self.base.support
 
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return self.base.kinks
+
     def pdf(self, x: float) -> float:
         g = self.base.pdf(x)
         return g**self.exponent / self._normalizer if g > 0.0 else 0.0
@@ -930,6 +968,14 @@ class TiltedDensity(Density):
             return 1.0
         below = self.base.partial_power_integral(self.exponent, Interval(-math.inf, x))
         return min(1.0, below / self._normalizer)
+
+    def sf(self, x: float) -> float:
+        if x <= self.support.lo:
+            return 1.0
+        if x >= self.support.hi:
+            return 0.0
+        above = self.base.partial_power_integral(self.exponent, Interval(x, math.inf))
+        return min(1.0, above / self._normalizer)
 
     def _power_integral(self, beta: float) -> float:
         return self._normalizer ** (-beta) * self.base.power_integral(self.exponent * beta)

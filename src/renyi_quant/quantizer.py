@@ -3,15 +3,17 @@
 A quantizer with m codepoints partitions the line into half-open cells
 (-inf, b1], (b1, b2], ..., (b_{m-1}, +inf); a value sitting exactly on a
 breakpoint maps to the cell on its left. Distortion integrals run over the
-whole of every cell, the two unbounded outer cells out to the density's tails,
-split at the codepoint where the integrand has its kink.
+whole of every cell, the two unbounded outer cells out to the density's tails.
 
 Cell passes work on arrays, a fixed-size block of cells at a time: masses are
-one cdf/sf difference over the edges, and each half-cell distortion gets one
-batched Gauss-Kronrod panel. A half-cell keeps that value when an upper
-bound on the panel's error estimate meets the adaptive rule's first stopping
-test, so the value is what the adaptive rule would return; the rest, and the
-two unbounded half-cells, go through `density.integrate_over`.
+one cdf/sf difference over the edges, and distortions one batched
+Gauss-Kronrod panel per piece of a cell. A cell is split only where its
+integrand |x - c|^r pdf has a kink: at the codepoint c unless r is an even
+integer, so at r = 2 a piece is the whole cell. A piece keeps its panel's
+value when an upper bound on the panel's error estimate meets the adaptive
+rule's first stopping test, so the value is what the adaptive rule would
+return; the rest, the pieces with a kink of the pdf inside, and the unbounded
+pieces go through `density.integrate_over`, cut at c and at the pdf's kinks.
 
 A rate point makes one `cell_table`: one pass of each, and the columns inside
 a region from it, evaluating again only the cells a region endpoint cuts.
@@ -153,10 +155,10 @@ def quantizer_entropy(q: Quantizer, d: Density, alpha: float) -> float:
 
 
 def _piece_distortion(d: Density, r: float, lo: float, hi: float, c: float) -> float:
-    """Integral of |x - c|^r pdf over (lo, hi), split at the kink c; an
-    unbounded end runs out to the density's tail."""
+    """Integral of |x - c|^r pdf over (lo, hi), split at c and at the pdf's
+    kinks; an unbounded end runs out to the density's tail."""
     return integrate_over(
-        lambda x: abs(x - c) ** r * d.pdf(x), (d,), Interval(lo, hi), cuts=(c,),
+        lambda x: abs(x - c) ** r * d.pdf(x), (d,), Interval(lo, hi), cuts=(c, *d.kinks),
         abs_tol=_PIECE_ABS_TOL, tail_tol=_TAIL_TOL,
     )
 
@@ -166,32 +168,35 @@ def _batch_distortions(
 ) -> np.ndarray:
     """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi.
 
-    Each piece is split at its codepoint c, where the integrand has its kink.
-    One batched G7/K15 panel settles each finite half whose error bound
-    passes the adaptive rule's first stopping test; the others, and the
-    unbounded halves, go through _piece_distortion.
+    The pieces are split only at kinks of the integrand: at c unless r is an
+    even integer (then |x - c|^r is a polynomial and the piece stays whole),
+    and at the pdf's own kinks. One batched G7/K15 panel settles each finite
+    piece with no pdf kink inside whose error bound passes the adaptive
+    rule's first stopping test; the others, and the unbounded pieces, go
+    through _piece_distortion.
     """
     size = lo.size
-    # both halves in one batch; a side the piece does not reach is empty
-    lo, hi = np.concatenate((lo, np.maximum(lo, c))), np.concatenate((np.minimum(hi, c), hi))
-    c = np.concatenate((c, c))
-    halves = np.zeros(lo.shape)
+    split = r % 2.0 != 0.0
+    if split:  # both sides of c in one batch; a side the piece does not reach is empty
+        lo, hi = np.concatenate((lo, np.maximum(lo, c))), np.concatenate((np.minimum(hi, c), hi))
+        c = np.concatenate((c, c))
+    pieces = np.zeros(lo.shape)
     todo = lo < hi
-    panel = np.flatnonzero(todo & np.isfinite(lo) & np.isfinite(hi))
-    # |x - c| in the panel's own coordinates: the gap from c to the end nearer
-    # it (0 for a cell half) plus the node's distance from that end
-    left = panel < size
-    gap = np.where(left, c[panel] - hi[panel], lo[panel] - c[panel])
+    kinks = np.array(d.kinks)
+    smooth = np.searchsorted(kinks, lo, side="right") >= np.searchsorted(kinks, hi, side="left")
+    panel = np.flatnonzero(todo & smooth & np.isfinite(lo) & np.isfinite(hi))
+    # |x - c| in the panel's own coordinates, from the node's offset from lo
+    offset = c[panel] - lo[panel]
     values, bounds = quadrature.kronrod_panels(
-        lambda x, from_lo, from_hi: (gap + np.where(left, from_hi, from_lo)) ** r * d.pdf_array(x),
+        lambda x, from_lo, from_hi: np.abs(from_lo - offset) ** r * d.pdf_array(x),
         lo[panel], hi[panel],
     )
     settled = bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, _PIECE_ABS_TOL)
-    halves[panel[settled]] = values[settled]
+    pieces[panel[settled]] = values[settled]
     todo[panel[settled]] = False
     for i in np.flatnonzero(todo).tolist():
-        halves[i] = _piece_distortion(d, r, float(lo[i]), float(hi[i]), float(c[i]))
-    return halves[:size] + halves[size:]
+        pieces[i] = _piece_distortion(d, r, float(lo[i]), float(hi[i]), float(c[i]))
+    return pieces[:size] + pieces[size:] if split else pieces
 
 
 def cell_distortions(q: Quantizer, d: Density, r: float) -> np.ndarray:

@@ -168,12 +168,25 @@ def test_sweep_reports_are_byte_stable(tmp_path, capsys):
         "r": 2.0,
         "n_grid": [16, 32, 64],
     })
+    first, second = _reports_of_two_runs(tmp_path, "asymptotics", path, "stable")
+    assert first == second
+
+
+def _reports_of_two_runs(tmp_path, command, path, name):
     runs = []
     for run in ("first", "second"):
         out_dir = tmp_path / run
-        main(["asymptotics", "--config", str(path), "--output-dir", str(out_dir)])
-        runs.append([(out_dir / f).read_bytes() for f in ("stable.csv", "stable_summary.json")])
-    assert runs[0] == runs[1]
+        main([command, "--config", str(path), "--output-dir", str(out_dir)])
+        runs.append([(out_dir / f).read_bytes() for f in (f"{name}.csv", f"{name}_summary.json")])
+    return runs
+
+
+@pytest.mark.parametrize(
+    "command, name", [("asymptotics", "gaussian_asymptotics"), ("mismatch", "mismatch_uniform")]
+)
+def test_checked_in_sweep_reports_are_byte_stable(tmp_path, capsys, command, name):
+    first, second = _reports_of_two_runs(tmp_path, command, CONFIG_DIR / f"{name}.json", name)
+    assert first == second
 
 
 def test_sanity_subcommand(tmp_path):

@@ -14,7 +14,7 @@ from renyi_quant import (
     check_weak_unimodality,
     density_from_spec,
 )
-from renyi_quant.density import TAIL_MASS, Density, TiltedDensity
+from renyi_quant.density import QUANTILE_WIDTH, TAIL_MASS, Density, TiltedDensity
 from renyi_quant.errors import ConfigError, DomainError, EmptyConditioningError
 from renyi_quant.intervals import REAL_LINE
 from renyi_quant.quadrature import _tail_sum, integrate, integrate_with_tails, truncate_support
@@ -163,6 +163,31 @@ def test_piecewise_partial_power_integral_sums_the_clipped_segments():
             if seg is not None:
                 want += d._segment_power(i, seg.lo, seg.hi, 0.6)
         assert d.partial_power_integral(0.6, iv) == want
+
+
+def test_piecewise_and_tilted_right_tails_keep_relative_precision():
+    d = PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)])
+    # normalized by the area 3.75, the last segment falls to 0 with slope -0.5/3.75
+    slope = 0.5 / 3.75
+    x = 4.0 - 1e-6
+    dx = 4.0 - x  # exact, and not quite 1e-6
+    assert d.sf(x) == pytest.approx(0.5 * slope * dx * dx, rel=1e-12, abs=0.0)
+    assert abs(d.isf(1e-20) - (4.0 - math.sqrt(1.5e-19))) <= QUANTILE_WIDTH
+    # the tilted pdf near 4 is (slope (4 - x))^beta / normalizer
+    beta, x = 0.6, 4.0 - 1e-3
+    dx = 4.0 - x
+    want = slope**beta * dx ** (beta + 1.0) / ((beta + 1.0) * d.power_integral(beta))
+    assert d.tilt(beta).sf(x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_kinks_are_the_pdf_corners_inside_the_support():
+    d = PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)])
+    assert d.kinks == (1.0, 3.0)
+    assert d.tilt(0.6).kinks == (1.0, 3.0)
+    assert d.restrict(Interval(0.5, 3.0)).kinks == (1.0,)
+    assert Laplacian(-0.5, 0.8).kinks == (-0.5,)
+    assert Laplacian(-0.5, 0.8).restrict(Interval(-0.5, 2.0)).kinks == ()
+    assert Gaussian(0.0, 1.0).kinks == Uniform(0.0, 1.0).kinks == Exponential(1.0).kinks == ()
 
 
 @pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Gaussian(1.5, 0.7), Gaussian(-3.0, 2e-3)],

@@ -334,15 +334,18 @@ def _oracle_region_masses(q, d, region):
     return masses
 
 
-def _half_cell_panels(d, r, lo, hi, c):
+def _split(r):
+    """Whether the cell layer splits a cell at its codepoint: unless r is an
+    even integer, |x - c|^r has its kink there."""
+    return r % 2.0 != 0.0
+
+
+def _piece_panels(d, r, lo, hi, c):
     """The batched panel's value and error bound of |x - c|^r pdf over every
-    finite, nonempty (lo, hi) with c outside, |x - c| measured from the end
-    nearer c."""
-    right = c <= lo
-    gap = np.where(right, lo - c, c - hi)
+    finite, nonempty (lo, hi), |x - c| measured from the node's offset from lo."""
+    offset = c - lo
     return quadrature.kronrod_panels(
-        lambda x, from_lo, from_hi: (gap + np.where(right, from_lo, from_hi)) ** r * d.pdf_array(x),
-        lo, hi,
+        lambda x, from_lo, from_hi: np.abs(from_lo - offset) ** r * d.pdf_array(x), lo, hi,
     )
 
 
@@ -350,25 +353,31 @@ def _settles(values, bounds):
     return bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, 1e-16)
 
 
-def _oracle_half_cells(d, r, lo, hi, c):
-    """Integral of |x - c|^r pdf over every (lo, hi) with no kink inside, 0 where
-    lo >= hi: one batched panel for a finite piece, kept when its error bound
-    passes the adaptive rule's first stopping test, else the adaptive rule out
-    to the tails."""
+def _has_kink(d, lo, hi):
+    return any(lo < k < hi for k in d.kinks)
+
+
+def _oracle_pieces(d, r, lo, hi, c):
+    """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi: one
+    batched panel for a finite piece with no kink of the pdf inside, kept when
+    its error bound passes the adaptive rule's first stopping test, else the
+    adaptive rule cut at c and the kinks, out to the tails."""
     out = np.zeros(lo.shape)
     live = lo < hi
-    finite = np.flatnonzero(live & np.isfinite(lo) & np.isfinite(hi))
-    values, bounds = _half_cell_panels(d, r, lo[finite], hi[finite], c[finite])
+    smooth = np.array([not _has_kink(d, a, b) for a, b in zip(lo, hi)], dtype=bool)
+    finite = np.flatnonzero(live & smooth & np.isfinite(lo) & np.isfinite(hi))
+    values, bounds = _piece_panels(d, r, lo[finite], hi[finite], c[finite])
     settled = _settles(values, bounds)
     out[finite[settled]] = values[settled]
     for i in sorted(set(np.flatnonzero(live).tolist()) - set(finite[settled].tolist())):
-        out[i] = _adaptive_half_cell(d, r, float(c[i]), float(lo[i]), float(hi[i]))
+        out[i] = _adaptive_piece(d, r, float(c[i]), float(lo[i]), float(hi[i]))
     return out
 
 
 def _oracle_region_distortions(q, d, r, region):
     """Per-cell distortion inside a region: a full pass per interval, every
-    cell clipped to the interval, each half of a cell integrated alone."""
+    cell clipped to the interval, each side of the codepoint integrated alone
+    unless r is an even integer."""
     lows, highs = q._edges[:-1], q._edges[1:]
     out = np.zeros(q.size)
     for block in quantizer._blocks(q.size):
@@ -376,9 +385,12 @@ def _oracle_region_distortions(q, d, r, region):
         for part in region:
             lo = np.maximum(lows[block], part.lo)
             hi = np.minimum(highs[block], part.hi)
-            left = _oracle_half_cells(d, r, lo, np.minimum(hi, c), c)
-            right = _oracle_half_cells(d, r, np.maximum(lo, c), hi, c)
-            out[block] += left + right
+            if _split(r):
+                left = _oracle_pieces(d, r, lo, np.minimum(hi, c), c)
+                right = _oracle_pieces(d, r, np.maximum(lo, c), hi, c)
+                out[block] += left + right
+            else:
+                out[block] += _oracle_pieces(d, r, lo, hi, c)
     return out
 
 
@@ -481,8 +493,9 @@ def test_power_sum_zero_convention():
 # --- batched cell distortion against the per-cell adaptive rule ----------------------
 
 
-def _half_cells(q, d, region):
-    """(cell, lo, hi) of every cell piece inside the region, split at its codepoint."""
+def _smooth_pieces(q, d, region):
+    """(cell, lo, hi) of every cell piece inside the region, split at its
+    codepoint and at the pdf's kinks."""
     parts = [REAL_LINE] if region is None else region
     for k in range(q.size):
         c = q.codepoints[k]
@@ -490,16 +503,16 @@ def _half_cells(q, d, region):
             piece = q.cell(k).intersect(part)
             if piece is None:
                 continue
-            if piece.lo < c < piece.hi:
-                yield k, piece.lo, c
-                yield k, c, piece.hi
-            else:
-                yield k, piece.lo, piece.hi
+            cuts = sorted({x for x in (c, *d.kinks) if piece.lo < x < piece.hi})
+            edges = [piece.lo, *cuts, piece.hi]
+            for lo, hi in zip(edges, edges[1:]):
+                yield k, lo, hi
 
 
-def _integrate_half_cell(d, r, c, lo, hi):
-    """The adaptive rule over a finite half-cell, in the offset t from its end
-    nearer c: |x - c| = gap + t keeps its relative precision in a narrow cell."""
+def _integrate_piece(d, r, c, lo, hi):
+    """The adaptive rule over a finite piece with c outside it, in the offset t
+    from its end nearer c: |x - c| = gap + t keeps its relative precision in a
+    narrow cell."""
     if c <= lo:
         gap, start, sign = lo - c, lo, 1.0
     else:
@@ -509,24 +522,26 @@ def _integrate_half_cell(d, r, c, lo, hi):
     )
 
 
-def _adaptive_half_cell(d, r, c, lo, hi):
-    """The adaptive rule over one half-cell, an unbounded end out to the tail."""
+def _adaptive_piece(d, r, c, lo, hi):
+    """The adaptive rule over one piece, cut at c and at the pdf's kinks, an
+    unbounded end out to the tail."""
     return integrate_over(
-        lambda x: abs(x - c) ** r * d.pdf(x), (d,), Interval(lo, hi),
+        lambda x: abs(x - c) ** r * d.pdf(x), (d,), Interval(lo, hi), cuts=(c, *d.kinks),
         abs_tol=1e-16, tail_tol=1e-30,
     )
 
 
 def _oracle_cell_distortions(q, d, r, region):
-    """The per-cell adaptive loop, one call per half-cell: quadrature.integrate
-    over a finite half, integrate_over out to the tail for an unbounded one."""
+    """The per-cell adaptive loop, one call per piece between the codepoint and
+    the pdf's kinks: quadrature.integrate over a finite piece, integrate_over
+    out to the tail for an unbounded one."""
     out = np.zeros(q.size)
-    for k, lo, hi in _half_cells(q, d, region):
+    for k, lo, hi in _smooth_pieces(q, d, region):
         c = q.codepoints[k]
         if math.isfinite(lo) and math.isfinite(hi):
-            out[k] += _integrate_half_cell(d, r, c, lo, hi).value
+            out[k] += _integrate_piece(d, r, c, lo, hi).value
         else:
-            out[k] += _adaptive_half_cell(d, r, c, lo, hi)
+            out[k] += _adaptive_piece(d, r, c, lo, hi)
     return out
 
 
@@ -584,39 +599,93 @@ def test_cell_distortions_batch_settles_almost_every_cell(monkeypatch):
     assert len(calls) < 0.01 * n
 
 
+def _panel_pieces(q, r):
+    """(cell, lo, hi) of every piece the cell layer integrates: the cell, or
+    its two sides of the codepoint unless r is an even integer."""
+    for k in range(q.size):
+        cell, c = q.cell(k), q.codepoints[k]
+        if _split(r):
+            yield k, cell.lo, c
+            yield k, c, cell.hi
+        else:
+            yield k, cell.lo, cell.hi
+
+
 @pytest.mark.parametrize("n", [4, 64])
 @pytest.mark.parametrize("r", [2.0, 3.0])
 @pytest.mark.parametrize("d", ORACLE_SOURCES[:4], ids=lambda d: repr(d))
 def test_cell_distortions_fall_back_where_one_panel_does_not_settle(monkeypatch, d, r, n):
     q = _compander_for(d, n, r)
-    halves = list(_half_cells(q, d, None))
-    unbounded = {(lo, hi) for _, lo, hi in halves if not (math.isfinite(lo) and math.isfinite(hi))}
-    finite = [(k, lo, hi) for k, lo, hi in halves if (lo, hi) not in unbounded]
+    pieces = list(_panel_pieces(q, r))
+    unbounded = {(lo, hi) for _, lo, hi in pieces if not (math.isfinite(lo) and math.isfinite(hi))}
+    kinked = {(lo, hi) for _, lo, hi in pieces if _has_kink(d, lo, hi)} - unbounded
+    finite = [(k, lo, hi) for k, lo, hi in pieces if (lo, hi) not in unbounded | kinked]
     cells, lo, hi = (np.array(column) for column in zip(*finite))
-    values, bounds = _half_cell_panels(d, r, lo, hi, q._codepoint_array[cells])
+    values, bounds = _piece_panels(d, r, lo, hi, q._codepoint_array[cells])
     settled = _settles(values, bounds)
     calls = _record_piece_calls(monkeypatch)
     cell_distortions(q, d, r)
-    # the two outer half-cells run out to the tails; a finite one falls back
-    # only when its panel's error bound does not settle it
+    # the two outer pieces run out to the tails; a finite one falls back only
+    # when a kink of the pdf lies inside or its panel's error bound does not
+    # settle it
     assert len(unbounded) == 2
-    assert sorted(calls) == sorted(unbounded | {(lo[i], hi[i]) for i in np.flatnonzero(~settled)})
-    # where the adaptive rule's own first panel settles, the fallback keeps the
-    # value the bound turned down
+    assert sorted(calls) == sorted(
+        unbounded | kinked | {(lo[i], hi[i]) for i in np.flatnonzero(~settled)}
+    )
+    # where the adaptive rule's own first panel settles a side of c, the
+    # fallback keeps the value the bound turned down
     for i in np.flatnonzero(~settled).tolist():
         c = q.codepoints[cells[i]]
-        if _integrate_half_cell(d, r, c, lo[i], hi[i]).subdivisions == 1:
+        if not lo[i] < c < hi[i] and _integrate_piece(d, r, c, lo[i], hi[i]).subdivisions == 1:
             assert calls[lo[i], hi[i]] == pytest.approx(values[i], rel=1e-13, abs=0.0)
 
 
-def test_cell_distortions_fall_back_on_a_kink_inside_a_half_cell(monkeypatch):
+@pytest.mark.parametrize(
+    "r, pieces",
+    [
+        # the cell (-1, 1.5] holds the pdf's kink at 0
+        (2.0, [(-math.inf, -1.0), (-1.0, 1.5), (1.5, math.inf)]),
+        # so does its side (-1, 0.5) of the codepoint
+        (3.0, [(-math.inf, -2.0), (-1.0, 0.5), (3.0, math.inf)]),
+    ],
+)
+def test_cell_distortions_fall_back_on_a_kink_inside_a_piece(monkeypatch, r, pieces):
     d = Laplacian(0.0, 1.0)
     q = Quantizer((-1.0, 1.5), (-2.0, 0.5, 3.0))
     calls = _record_piece_calls(monkeypatch)
-    got = cell_distortions(q, d, 2.0)
-    # the pdf's kink at 0 lies inside the half-cell (-1, 0.5)
-    assert sorted(calls) == [(-math.inf, -2.0), (-1.0, 0.5), (3.0, math.inf)]
-    np.testing.assert_allclose(got, _oracle_cell_distortions(q, d, 2.0, None), rtol=1e-13, atol=0.0)
+    got = cell_distortions(q, d, r)
+    assert sorted(calls) == pieces
+    np.testing.assert_allclose(got, _oracle_cell_distortions(q, d, r, None), rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "d, n, rows_r2, rows_r3",
+    [
+        # one row per finite cell at r = 2; two at r = 3, and one for the
+        # finite side of each outer cell
+        (Gaussian(0.0, 1.0), 64, 62, 126),
+        # the mean, the pdf's kink, is the codepoint of the middle cell: that
+        # cell falls back whole, its two sides do not
+        (Laplacian(0.0, 1.0), 65, 62, 128),
+        # equal-width cells: the knots 1 and 3 lie inside cells 12 and 36, on
+        # the left and right side of the codepoint
+        (PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)]), 49, 45, 94),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("r", [2.0, 3.0])
+def test_cell_distortions_panel_once_per_smooth_piece(monkeypatch, r, d, n, rows_r2, rows_r3):
+    q = _compander_for(d, n, r)
+    rows = []
+    original = quadrature.kronrod_panels
+
+    def counting(f, a, b):
+        rows.append(a.size)
+        return original(f, a, b)
+
+    monkeypatch.setattr(quadrature, "kronrod_panels", counting)
+    cell_distortions(q, d, r)
+    assert rows == [rows_r2 if r == 2.0 else rows_r3]
 
 
 # --- whole-cell distortion and entropy against closed-form cells at 40 digits -----------
@@ -704,3 +773,64 @@ def test_distortion_and_entropy_match_closed_form_cells(d, n):
             coefficient = quantization_coefficient(d, 0.5, 2.0)
             assert mpmath.exp(2 * want_h) * want_d / coefficient > 1
             assert math.exp(2 * got_h) * got_d / coefficient > 1
+
+
+GENERAL_SOURCE = PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)])
+
+
+def _piecewise_linear_cells(mpmath, d, q, r):
+    """Distortion of every cell of a piecewise-linear source from the closed
+    form: where pdf = a + s (x - c) is linear, |x - c|^r pdf has the
+    antiderivative sign(u) a |u|^(r+1)/(r+1) + s |u|^(r+2)/(r+2), u = x - c."""
+    mpf = mpmath.mpf
+    xs, ys = zip(*((mpf(x), mpf(y)) for x, y in d.knots))
+    edges = [xs[0], *(mpf(b) for b in q.breakpoints), xs[-1]]
+    dists = []
+    for k, c in enumerate(map(mpf, q.codepoints)):
+        total = mpf(0)
+        for i in range(len(xs) - 1):
+            lo, hi = max(edges[k], xs[i]), min(edges[k + 1], xs[i + 1])
+            if not lo < hi:
+                continue
+            s = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+            a = ys[i] + s * (c - xs[i])
+
+            def F(x):
+                u = x - c
+                return mpmath.sign(u) * a * abs(u) ** (r + 1) / (r + 1) + s * abs(u) ** (r + 2) / (r + 2)
+
+            total += F(hi) - F(lo)
+        dists.append(total)
+    return dists
+
+
+@pytest.mark.parametrize("n", [64, 512, 1024])
+@pytest.mark.parametrize("r", [2.0, 3.0])
+def test_kinked_source_distortion_matches_closed_form_cells(r, n):
+    """The piecewise-linear source of the general-source sweeps, on its own
+    compander: no panel may straddle a knot."""
+    mpmath = pytest.importorskip("mpmath")
+    d = GENERAL_SOURCE
+    q = build_compander(optimal_point_density(d, 0.5, r), n)
+    got = cell_distortions(q, d, r)
+    got_d = distortion(q, d, r)
+    with mpmath.workdps(40):
+        want = _piecewise_linear_cells(mpmath, d, q, r)
+        want_d = mpmath.fsum(want)
+        assert abs((got_d - want_d) / want_d) <= 1e-15
+        assert max(abs((g - w) / w) for g, w in zip(got, want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 257, 4097])
+def test_laplacian_with_its_kink_on_a_codepoint_matches_closed_form_cells(n):
+    mpmath = pytest.importorskip("mpmath")
+    d = Laplacian(0.0, 1.0)
+    q = build_compander(optimal_point_density(d, 0.5, 2.0), n)
+    assert q.codepoints[n // 2] == 0.0
+    got = cell_distortions(q, d, 2.0)
+    got_d = distortion(q, d, 2.0)
+    with mpmath.workdps(40):
+        _, want = _closed_form_cells(mpmath, d, q)
+        want_d = mpmath.fsum(want)
+        assert abs((got_d - want_d) / want_d) <= 1e-15
+        assert max(abs((g - w) / w) for g, w in zip(got, want)) <= 1e-12
