@@ -49,8 +49,8 @@ _WGK = (
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
 )
-# a node's distance from its nearer and its farther panel end, in units of h
-_NEAR_FAR = tuple((1.0 - x, 1.0 + x) for x in _XGK)
+# the distances of the node pair mid -+ h x from the panel's left end, in units of h
+_FROM_LO = tuple((1.0 - x, 1.0 + x) for x in _XGK)
 _WGK_CENTER = 0.209482141084727828012999174891714
 _WG = (
     0.129484966168869693270611432679082,
@@ -102,13 +102,13 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
 
 
 def kronrod_panels(
-    f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The value of _kronrod_panel over every [a[i], b[i]] at once, and an upper
     bound on its error estimate, for an f >= 0 that maps arrays.
 
-    f is called as f(x, x - a, b - x), the distances formed as h (1 -+ xi), not
-    from x, so they keep their relative precision in a panel narrow next to |x|.
+    f is called as f(x, x - a), the distance formed as h (1 -+ xi), not from
+    x, so it keeps its relative precision in a panel narrow next to |x|.
     The value repeats the scalar panel's arithmetic, so it is what the scalar
     panel gives for the same f values. The bound is max(200 e, 50 eps value),
     e = |K15 - G7| h, times a margin for rounding: the scalar estimate
@@ -117,13 +117,12 @@ def kronrod_panels(
     """
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = f(mid, h, h)
+    fc = f(mid, h)
     resg = _WG_CENTER * fc
     resk = _WGK_CENTER * fc
     for j in range(7):
         dx = h * _XGK[j]
-        near, far = h * _NEAR_FAR[j][0], h * _NEAR_FAR[j][1]
-        s = f(mid - dx, near, far) + f(mid + dx, far, near)
+        s = f(mid - dx, h * _FROM_LO[j][0]) + f(mid + dx, h * _FROM_LO[j][1])
         resk = resk + _WGK[j] * s
         if j % 2 == 1:
             resg = resg + _WG[(j - 1) // 2] * s

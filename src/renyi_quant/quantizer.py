@@ -188,7 +188,7 @@ def _batch_distortions(
     # |x - c| in the panel's own coordinates, from the node's offset from lo
     offset = c[panel] - lo[panel]
     values, bounds = quadrature.kronrod_panels(
-        lambda x, from_lo, from_hi: np.abs(from_lo - offset) ** r * d.pdf_array(x),
+        lambda x, from_lo: np.abs(from_lo - offset) ** r * d.pdf_array(x),
         lo[panel], hi[panel],
     )
     settled = bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, _PIECE_ABS_TOL)

@@ -345,7 +345,7 @@ def _piece_panels(d, r, lo, hi, c):
     finite, nonempty (lo, hi), |x - c| measured from the node's offset from lo."""
     offset = c - lo
     return quadrature.kronrod_panels(
-        lambda x, from_lo, from_hi: np.abs(from_lo - offset) ** r * d.pdf_array(x), lo, hi,
+        lambda x, from_lo: np.abs(from_lo - offset) ** r * d.pdf_array(x), lo, hi,
     )
 
 
