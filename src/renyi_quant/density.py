@@ -2,7 +2,8 @@
 
 Closed forms cover the Uniform/Gaussian/Laplacian/Exponential families (pdf,
 cdf, quantile, power integrals and their tilted relatives); everything else
-falls back to adaptive quadrature on a quantile-truncated support. Densities
+falls back to adaptive quadrature on a quantile-truncated support, and its
+quantiles to one batched root solver, `decreasing_roots`. Densities
 are immutable after construction and every operation is a pure function, so
 instances can be shared across threads.
 """
@@ -25,7 +26,7 @@ from . import quadrature
 
 TAIL_MASS = 1e-12           # unbounded supports integrate over the 1e-12 quantile window
 NORMALIZATION_TOL = 1e-9
-QUANTILE_WIDTH = 1e-12      # bisection bracket width for the quantile fallback
+QUANTILE_WIDTH = 1e-12      # bracket width at which decreasing_roots stops
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -132,6 +133,64 @@ def _check_probabilities(p) -> np.ndarray:
     return p
 
 
+def decreasing_roots(fn, lo, hi) -> np.ndarray:
+    """Per entry i, the root in (lo[i], hi[i]) of fn(x, idx), an array function
+    that decreases in x, called with only the entries idx still open.
+
+    An infinite end is bracketed by doubling steps from the other end, or from
+    0. Each step is an Illinois false-position step, kept QUANTILE_WIDTH / 2
+    from both ends, or the bracket's midpoint where the last three steps did
+    not halve the bracket. An entry stops at a point where fn is exactly 0, or
+    at the midpoint of a bracket no wider than QUANTILE_WIDTH or with no
+    double inside.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fa, fb = np.full(a.shape, np.inf), np.full(b.shape, -np.inf)  # infinite until evaluated
+    last = np.zeros(a.shape)  # the sign of fn at each entry's last step
+
+    def step(x, idx):
+        """fn at x; x becomes the end of idx's bracket on its side of the root,
+        both ends where fn is 0."""
+        f = fn(x, idx)
+        left, right = f >= 0.0, ~(f > 0.0)
+        a[idx[left]], fa[idx[left]] = x[left], f[left]
+        b[idx[right]], fb[idx[right]] = x[right], f[right]
+        return f
+
+    # fn at each finite end; from an infinite one, doubling steps until fn changes sign
+    for end, f_end, other, sign in ((a, fa, b, -1.0), (b, fb, a, 1.0)):
+        idx = np.flatnonzero(np.isinf(f_end))
+        unbounded = np.isinf(end[idx])
+        x = np.where(unbounded, np.where(np.isfinite(other[idx]), other[idx], 0.0) + sign, end[idx])
+        width = 1.0
+        while idx.size:
+            f = step(x, idx)
+            width *= 2.0
+            outside = unbounded & (sign * f > 0.0) & np.isfinite(x)
+            idx, x, unbounded = idx[outside], x[outside] + sign * width, unbounded[outside]
+    widths = np.full((3, a.size), np.inf)  # the bracket widths of the last three steps
+    idx = np.arange(a.size)
+    while True:
+        lo_, hi_ = a[idx], b[idx]
+        width, mid = hi_ - lo_, 0.5 * (lo_ + hi_)
+        done = (width <= QUANTILE_WIDTH) | (mid <= lo_) | (mid >= hi_)
+        a[idx[done]] = mid[done]  # an entry's root, once it is done
+        if done.all():
+            return a
+        idx, lo_, hi_, width, mid = idx[~done], lo_[~done], hi_[~done], width[~done], mid[~done]
+        x = lo_ + width * (fa[idx] / (fa[idx] - fb[idx]))
+        # at least half the stopping width from either end, so a point next to
+        # the root is followed by one that brackets it from the other side
+        x = np.clip(x, lo_ + 0.5 * QUANTILE_WIDTH, hi_ - 0.5 * QUANTILE_WIDTH)
+        x = np.where((width > 0.5 * widths[0, idx]) | ~((lo_ < x) & (x < hi_)), mid, x)
+        widths[:, idx] = np.vstack((widths[1:, idx], width))
+        f = step(x, idx)
+        # Illinois: an end kept at two steps in a row has its value halved
+        fb[idx[(f > 0.0) & (last[idx] > 0.0)]] *= 0.5
+        fa[idx[(f < 0.0) & (last[idx] < 0.0)]] *= 0.5
+        last[idx] = np.sign(f)
+
+
 def integrate_over(
     f,
     densities,
@@ -219,7 +278,8 @@ class Density:
         return ()
 
     def quantile(self, p: float) -> float:
-        """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1)."""
+        """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1); where cdf
+        is flat at p, the generic fallback may return any point of that stretch."""
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires p in (0,1), got {p}")
         return self._quantile(p)
@@ -229,42 +289,19 @@ class Density:
 
         Equivalent to quantile(1 - p), but keeps full relative precision deep
         in the right tail: the closed-form families invert sf in closed form,
-        and the generic fallback bisects on sf.
+        and the generic fallback solves on sf.
         """
         if not 0.0 < p < 1.0:
             raise DomainError(f"isf requires p in (0,1), got {p}")
         return self._isf(p)
 
     def _quantile(self, p: float) -> float:
-        return self._bisect(lambda x: self.cdf(x) < p)
+        return float(self.quantile_array(p))
 
     def _isf(self, p: float) -> float:
         # on sf itself: 1 - p rounds away a right tail below 1e-16
-        return self._bisect(lambda x: self.sf(x) > p)
-
-    def _bisect(self, left_of) -> float:
-        """The point where left_of(x) turns from True to False, to within
-        QUANTILE_WIDTH; an unbounded end is bracketed by doubling steps."""
         lo, hi = self.support.lo, self.support.hi
-        if not math.isfinite(lo):
-            anchor = hi if math.isfinite(hi) else 0.0
-            lo, step = anchor - 1.0, 1.0
-            while not left_of(lo):
-                step *= 2.0
-                lo -= step
-        if not math.isfinite(hi):
-            anchor = self.support.lo if math.isfinite(self.support.lo) else 0.0
-            hi, step = anchor + 1.0, 1.0
-            while left_of(hi):
-                step *= 2.0
-                hi += step
-        while hi - lo > QUANTILE_WIDTH:
-            mid = 0.5 * (lo + hi)
-            if left_of(mid):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(decreasing_roots(lambda x, idx: self.sf_array(x) - p, [lo], [hi])[0])
 
     # --- array surface -----------------------------------------------------
     #
@@ -282,7 +319,12 @@ class Density:
         return _elementwise(self.sf, x)
 
     def quantile_array(self, p) -> np.ndarray:
-        return _elementwise(self.quantile, p)
+        """Every quantile in one decreasing_roots call on p - cdf_array."""
+        p = _check_probabilities(p)
+        flat, support = p.ravel(), self.support
+        roots = decreasing_roots(lambda x, idx: flat[idx] - self.cdf_array(x),
+                                 np.full(flat.size, support.lo), np.full(flat.size, support.hi))
+        return roots.reshape(p.shape)
 
     def interval_mass_array(self, lo, hi) -> np.ndarray:
         """interval_mass of every (lo[i], hi[i]], with the same cdf/sf branches."""
@@ -361,13 +403,6 @@ class Density:
         if r < 1.0:
             raise DomainError(f"absolute_moment requires r >= 1, got {r}")
         return integrate_over(lambda x: abs(x) ** r * self.pdf(x), (self,), cuts=(0.0,))
-
-    def interval_first_moment(self, interval: Interval) -> float:
-        """Integral of x * pdf(x) over an interval (unnormalized), to tolerances
-        scaled by its mass: a centroid deep in a tail is as accurate as any."""
-        mass = self.interval_mass(interval)
-        return integrate_over(lambda x: x * self.pdf(x), (self,), interval,
-                              abs_tol=quadrature.DEFAULT_ABS_TOL * mass, tail_tol=1e-13 * mass)
 
     # --- derived densities ---------------------------------------------------
 
@@ -461,12 +496,6 @@ class Uniform(Density):
     def _tilt_closed(self, beta: float) -> Density:
         return self
 
-    def interval_first_moment(self, interval: Interval) -> float:
-        window = self.support.intersect(interval)
-        if window is None:
-            return 0.0
-        return 0.5 * (window.hi**2 - window.lo**2) / (self.b - self.a)
-
     def mode(self) -> float:
         return 0.5 * (self.a + self.b)
 
@@ -535,13 +564,6 @@ class Gaussian(Density):
 
     def _tilt_closed(self, beta: float) -> Density:
         return Gaussian(self.mean, self.sigma / math.sqrt(beta))
-
-    def interval_first_moment(self, interval: Interval) -> float:
-        # int_a^b x g = mean * mass + sigma^2 (g(a) - g(b))
-        lo, hi = interval.lo, interval.hi
-        g_lo = self.pdf(lo) if math.isfinite(lo) else 0.0
-        g_hi = self.pdf(hi) if math.isfinite(hi) else 0.0
-        return self.mean * self.interval_mass(interval) + self.sigma**2 * (g_lo - g_hi)
 
     def mode(self) -> float:
         return self.mean
@@ -803,10 +825,12 @@ class PiecewiseLinear(Density):
         return total
 
     def _segment_power(self, i: int, a: float, b: float, beta: float) -> float:
-        x0, y0 = float(self._xs[i]), float(self._ys[i])
-        slope = (float(self._ys[i + 1]) - y0) / (float(self._xs[i + 1]) - x0)
-        ya = y0 + slope * (a - x0)
-        yb = y0 + slope * (b - x0)
+        x0, x1 = float(self._xs[i]), float(self._xs[i + 1])
+        y0, y1 = float(self._ys[i]), float(self._ys[i + 1])
+        slope = (y1 - y0) / (x1 - x0)
+        # each end's pdf from the nearer knot: from the other it cancels near a zero
+        ya, yb = (y0 + slope * (t - x0) if t - x0 <= x1 - t else y1 - slope * (x1 - t)
+                  for t in (a, b))
         if slope == 0.0:
             return ya**beta * (b - a) if ya > 0.0 else 0.0
         return (yb ** (beta + 1.0) - ya ** (beta + 1.0)) / (slope * (beta + 1.0))
@@ -892,6 +916,9 @@ class RestrictedDensity(Density):
             return self.base.quantile(_open_unit(self.base.cdf(self._window.hi) - p * self._mass))
         return self.base.isf(_open_unit(s_hi + p * self._mass))
 
+    def quantile_array(self, p) -> np.ndarray:  # the closed form through the base
+        return _elementwise(self.quantile, p)
+
     def _power_integral(self, beta: float) -> float:
         return self._mass ** (-beta) * self.base.partial_power_integral(beta, self._window)
 
@@ -903,12 +930,6 @@ class RestrictedDensity(Density):
 
     def _tilt_closed(self, beta: float) -> Density:
         return RestrictedDensity(self.base.tilt(beta), self._window)
-
-    def interval_first_moment(self, interval: Interval) -> float:
-        window = self._window.intersect(interval)
-        if window is None:
-            return 0.0
-        return self.base.interval_first_moment(window) / self._mass
 
     def mode(self) -> float:
         m = self.base.mode()

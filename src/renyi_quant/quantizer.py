@@ -164,19 +164,24 @@ def _piece_distortion(d: Density, r: float, lo: float, hi: float, c: float) -> f
 
 
 def _batch_distortions(
-    d: Density, r: float, lo: np.ndarray, hi: np.ndarray, c: np.ndarray
+    d: Density, r: float, lo: np.ndarray, hi: np.ndarray, c: np.ndarray, signed: bool = False
 ) -> np.ndarray:
-    """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi.
+    """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi; signed,
+    of sign(x - c)|x - c|^r pdf, the part right of c less the part left.
 
     The pieces are split only at kinks of the integrand: at c unless r is an
-    even integer (then |x - c|^r is a polynomial and the piece stays whole),
-    and at the pdf's own kinks. One batched G7/K15 panel settles each finite
-    piece with no pdf kink inside whose error bound passes the adaptive
-    rule's first stopping test; the others, and the unbounded pieces, go
-    through _piece_distortion.
+    even integer and the integral unsigned (then |x - c|^r is a polynomial and
+    the piece stays whole), and at the pdf's own kinks. One batched G7/K15
+    panel settles each finite piece with no pdf kink inside whose error bound
+    passes the adaptive rule's first stopping test; the others, and the
+    unbounded pieces, go through _piece_distortion. A block of _BLOCK
+    entries runs at a time.
     """
     size = lo.size
-    split = r % 2.0 != 0.0
+    if size > _BLOCK:
+        parts = [_batch_distortions(d, r, lo[b], hi[b], c[b], signed) for b in _blocks(size)]
+        return np.concatenate(parts)
+    split = signed or r % 2.0 != 0.0
     if split:  # both sides of c in one batch; a side the piece does not reach is empty
         lo, hi = np.concatenate((lo, np.maximum(lo, c))), np.concatenate((np.minimum(hi, c), hi))
         c = np.concatenate((c, c))
@@ -196,6 +201,8 @@ def _batch_distortions(
     todo[panel[settled]] = False
     for i in np.flatnonzero(todo).tolist():
         pieces[i] = _piece_distortion(d, r, float(lo[i]), float(hi[i]), float(c[i]))
+    if signed:
+        return pieces[size:] - pieces[:size]
     return pieces[:size] + pieces[size:] if split else pieces
 
 
@@ -203,11 +210,7 @@ def cell_distortions(q: Quantizer, d: Density, r: float) -> np.ndarray:
     """Per-cell distortion contributions, each over the whole cell."""
     if r < 1.0:
         raise DomainError(f"distortion requires r >= 1, got {r}")
-    lows, highs = q._edges[:-1], q._edges[1:]
-    out = np.zeros(q.size)
-    for block in _blocks(q.size):
-        out[block] = _batch_distortions(d, r, lows[block], highs[block], q._codepoint_array[block])
-    return out
+    return _batch_distortions(d, r, q._edges[:-1], q._edges[1:], q._codepoint_array)
 
 
 def distortion(q: Quantizer, d: Density, r: float) -> float:

@@ -15,6 +15,7 @@ from renyi_quant import (
     quantizer_entropy,
     refine_codepoints,
 )
+from renyi_quant.density import QUANTILE_WIDTH
 from renyi_quant.errors import DomainError
 from renyi_quant.quantizer import Quantizer, cell_distortions
 from renyi_quant.theory import cell_constant
@@ -131,8 +132,8 @@ def test_refine_codepoints_gaussian_half_means():
     assert refined.codepoints[1] == pytest.approx(c, abs=1e-9)
 
 
-def test_refine_codepoints_golden_section_matches_mean_for_r2():
-    # golden-section path (r != 2) on an r=2-like smooth case stays close
+def test_refine_codepoints_matches_mean_for_r2():
+    # r = 2.5, next to the conditional mean of r = 2: distortion cannot rise
     g = Gaussian(0.0, 1.0)
     q = build_compander(optimal_point_density(g, 0.5, 2.0), 8)
     refined = refine_codepoints(q, g, 2.5)
@@ -159,7 +160,7 @@ def test_refine_codepoints_outer_centroids_cover_the_whole_tail(n):
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
-def test_refine_codepoints_golden_section_searches_the_whole_tail(n):
+def test_refine_codepoints_searches_the_whole_tail(n):
     # r = 3: beyond a, a Laplacian(0, 1) is a + Exp(1), and E|Y - t|^3 for
     # Y ~ Exp(1) is least where t^2 - 2t + 2 = 4 e^{-t}
     lo, hi = 1.0, 1.5
@@ -169,10 +170,38 @@ def test_refine_codepoints_golden_section_searches_the_whole_tail(n):
     lap = Laplacian(0.0, 1.0)
     q = build_compander(optimal_point_density(lap, 0.5, 3.0), n)
     refined = refine_codepoints(q, lap, 3.0)
-    # the objective's rounding leaves ~1e-8 of the minimizer; a search over
-    # the cell clipped to the 1e-12 quantile window misses by 3.6e-4 at n = 16
-    assert refined.codepoints[-1] == pytest.approx(q.breakpoints[-1] + lo, abs=1e-7)
-    assert refined.codepoints[0] == pytest.approx(q.breakpoints[0] - lo, abs=1e-7)
+    # a golden section on the distortion itself stalls ~1e-8 away, where the
+    # objective is flat to its rounding; a search over the cell clipped to the
+    # 1e-12 quantile window misses by 3.6e-4 at n = 16
+    assert refined.codepoints[-1] == pytest.approx(q.breakpoints[-1] + lo, abs=1e-12)
+    assert refined.codepoints[0] == pytest.approx(q.breakpoints[0] - lo, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Laplacian(0.0, 1.0)], ids=repr)
+def test_refine_codepoints_r1_gives_the_cell_medians(d):
+    q = build_compander(optimal_point_density(d, 0.5, 2.0), 64)
+    refined = refine_codepoints(q, d, 1.0)
+    edges = (-math.inf, *q.breakpoints, math.inf)
+    for k, c in enumerate(refined.codepoints):
+        a, b = edges[k], edges[k + 1]
+        # the cell's half-mass point, from the side that keeps relative precision
+        if b <= 0.0:
+            median = d.quantile(0.5 * (d.cdf(a) + d.cdf(b)))
+        else:
+            median = d.isf(0.5 * (d.sf(a) + d.sf(b)))
+        assert c == pytest.approx(median, abs=1e-12), k
+
+
+def test_refine_codepoints_r2_gives_the_gaussian_centroids():
+    g = Gaussian(0.0, 1.0)
+    q = build_compander(optimal_point_density(g, 0.5, 2.0), 4096)
+    refined = refine_codepoints(q, g, 2.0)
+    a, b = np.array(q.breakpoints[:-1]), np.array(q.breakpoints[1:])
+    mass = np.array([g.interval_mass(Interval(lo, hi)) for lo, hi in zip(a, b)])
+    centroids = (g.pdf_array(a) - g.pdf_array(b)) / mass
+    np.testing.assert_allclose(
+        refined.codepoints[1:-1], centroids, rtol=0.0, atol=2 * QUANTILE_WIDTH
+    )
 
 
 def test_refine_codepoints_degenerate_cell_errors():
@@ -195,8 +224,7 @@ def test_refine_codepoints_never_increases_distortion():
         q = build_compander(optimal_point_density(d, alpha, r), n)
         refined = refine_codepoints(q, d, r)
         assert distortion(refined, d, r) <= distortion(q, d, r) * (1.0 + 1e-10)
-    # the last cell's search bracket ends where 1e-12 of its ~2e-19 mass lies
-    # beyond, an isf of ~1e-31 on a restricted density
+    # the last cell (9, inf) holds ~2e-19 of a restricted density's mass
     d = Gaussian(0.0, 1.0).restrict(Interval(0.0, math.inf))
     q = Quantizer((1.0, 9.0), (0.5, 5.0, 9.1))
     refined = refine_codepoints(q, d, 3.0)
