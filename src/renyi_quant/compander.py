@@ -34,7 +34,7 @@ def build_compander(h: Density, n: int) -> Quantizer:
         raise DomainError(f"compander needs n >= 2 cells, got {n}")
     # the j/(2n) quantiles: even j are the breakpoints k/n, odd j the codepoints
     x = h.quantile_array(np.arange(1, 2 * n) / (2 * n))
-    return Quantizer(tuple(x[1::2].tolist()), tuple(x[0::2].tolist()))
+    return Quantizer(x[1::2], x[0::2])
 
 
 def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
@@ -60,4 +60,4 @@ def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
     )
     # keep strictly inside the open cell interior
     c = np.clip(c, np.nextafter(q._edges[:-1], np.inf), np.nextafter(q._edges[1:], -np.inf))
-    return Quantizer(q.breakpoints, tuple(c.tolist()))
+    return Quantizer(q._edges[1:-1], c)

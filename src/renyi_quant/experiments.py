@@ -266,7 +266,7 @@ def _rate_point(n: int, table: CellTable, alpha: float, r: float, limit: float) 
     """The columns every sweep starts with: the entropy and distortion of the
     table, the normalized distortion e^{rH} D and its ratio to the limit."""
     entropy = renyi_entropy_vec(table.masses, alpha)
-    dist = float(math.fsum(table.distortions))
+    dist = math.fsum(memoryview(table.distortions))
     normalized = math.exp(r * entropy) * dist
     return {"n": n, "H_alpha": entropy, "D": dist, "eRH_D": normalized, "ratio": normalized / limit}
 
@@ -409,7 +409,7 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
         table = cell_table(_quantizer_for(cfg, d, n), d, r, sides)
         row = _rate_point(n, table, alpha, r, q_coeff)
         entropy, dist = row["H_alpha"], row["D"]
-        dist_in = float(math.fsum(table.regions[0].distortions))
+        dist_in = math.fsum(memoryview(table.regions[0].distortions))
         m1, m2 = (table.metrics(side, alpha) for side in table.regions)
         share = dist_in / dist
         power_share = m1.restricted_power_sum / m1.entropy_power_sum

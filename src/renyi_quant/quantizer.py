@@ -5,15 +5,17 @@ A quantizer with m codepoints partitions the line into half-open cells
 breakpoint maps to the cell on its left. Distortion integrals run over the
 whole of every cell, the two unbounded outer cells out to the density's tails.
 
-Cell passes work on arrays, a fixed-size block of cells at a time: masses are
-one cdf/sf difference over the edges, and distortions one batched
-Gauss-Kronrod panel per piece of a cell. A cell is split only where its
-integrand |x - c|^r pdf has a kink: at the codepoint c unless r is an even
-integer, so at r = 2 a piece is the whole cell. A piece keeps its panel's
-value when an upper bound on the panel's error estimate meets the adaptive
-rule's first stopping test, so the value is what the adaptive rule would
-return; the rest, the pieces with a kink of the pdf inside, and the unbounded
-pieces go through `density.integrate_over`, cut at c and at the pdf's kinks.
+A quantizer's state is two read-only arrays, its cell edges and codepoints.
+Cell passes work on them, a block of _BLOCK cells at a time: masses are cdf/sf
+differences over the block's edges, each edge evaluated once, and distortions
+one batched Gauss-Kronrod panel per piece of a cell. A cell is split only
+where its integrand |x - c|^r pdf has a kink: at the codepoint c unless r is
+an even integer, so at r = 2 a piece is the whole cell. A piece keeps its
+panel's value when an upper bound on the panel's error estimate meets the
+adaptive rule's first stopping test, so the value is what the adaptive rule
+would return; the rest, the pieces with a kink of the pdf inside, and the
+unbounded pieces go through `density.integrate_over`, cut at c and at the
+pdf's kinks.
 
 A rate point makes one `cell_table`: one pass of each, and the columns inside
 a region from it, evaluating again only the cells a region endpoint cuts.
@@ -22,13 +24,12 @@ a region from it, evaluating again only the cells a region endpoint cuts.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .density import Density, integrate_over
+from .density import Density, _finite_or, integrate_over
 from .errors import DomainError, EmptyConditioningError
 from .intervals import Interval
 from . import quadrature
@@ -36,22 +37,28 @@ from . import quadrature
 _ALPHA_LIMIT_EPS = 1e-6  # alpha this close to an endpoint uses the limit formula
 _PIECE_ABS_TOL = 1e-16   # absolute tolerance of every cell distortion integral
 _TAIL_TOL = 1e-30        # an unbounded cell's tail ends at a window below this or 1e-9 of the tail
-_BLOCK = 2048            # cells per array pass; temporaries stay O(_BLOCK)
+# Cells per array pass: per-call numpy overhead dominates smaller blocks, and a
+# split distortion block (2 x 4096 floats) keeps each temporary at 64 KiB, under
+# glibc's 128 KiB mmap threshold. Per-cell values do not depend on it.
+_BLOCK = 4096
 
 
-@dataclass(frozen=True)
 class Quantizer:
-    breakpoints: tuple[float, ...]
-    codepoints: tuple[float, ...]
+    """Cells (-inf, b1], ..., (b_{m-1}, +inf), a codepoint inside each. The state
+    is the edges and codepoints as read-only arrays, copied at construction;
+    the tuple fields, ==, hash, repr and the JSON form are built from them."""
 
-    def __post_init__(self):
-        bps, cps = self.breakpoints, self.codepoints
-        if len(cps) < 2 or len(bps) != len(cps) - 1:
+    __slots__ = ("_edges", "_codepoint_array")
+
+    def __init__(self, breakpoints: Sequence[float], codepoints: Sequence[float]):
+        bps = np.asarray(breakpoints, dtype=float)
+        cps = np.asarray(codepoints, dtype=float).copy()
+        if bps.ndim != 1 or cps.ndim != 1:
+            raise DomainError("breakpoints and codepoints must be 1-d sequences")
+        if cps.size < 2 or bps.size != cps.size - 1:
             raise DomainError(
-                f"need m >= 2 codepoints and m-1 breakpoints, got {len(cps)} and {len(bps)}"
+                f"need m >= 2 codepoints and m-1 breakpoints, got {cps.size} and {bps.size}"
             )
-        bps = np.array(bps, dtype=float)
-        cps = np.array(cps, dtype=float)
         if np.any(bps[:-1] >= bps[1:]):
             raise DomainError("breakpoints must be strictly increasing")
         if np.any(cps[:-1] >= cps[1:]):
@@ -61,30 +68,47 @@ class Quantizer:
         if outside.size:
             k = int(outside[0])
             raise DomainError(
-                f"codepoint {self.codepoints[k]} is not interior to cell "
+                f"codepoint {float(cps[k])} is not interior to cell "
                 f"({float(edges[k])}, {float(edges[k + 1])}]"
             )
-        edges.flags.writeable = False
-        cps.flags.writeable = False
-        # cached arrays for the cell passes; the public fields stay tuples
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_codepoint_array", cps)
+        edges.flags.writeable = cps.flags.writeable = False
+        self._edges, self._codepoint_array = edges, cps
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        return tuple(self._edges[1:-1].tolist())
+
+    @property
+    def codepoints(self) -> tuple[float, ...]:
+        return tuple(self._codepoint_array.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.breakpoints, self.codepoints) == (other.breakpoints, other.codepoints)
+
+    def __hash__(self) -> int:
+        return hash((self.breakpoints, self.codepoints))
+
+    def __repr__(self) -> str:
+        return f"Quantizer(breakpoints={self.breakpoints!r}, codepoints={self.codepoints!r})"
 
     @property
     def size(self) -> int:
-        return len(self.codepoints)
+        return self._codepoint_array.size
 
     def cell(self, k: int) -> Interval:
         return Interval(float(self._edges[k]), float(self._edges[k + 1]))
 
     def cell_index(self, x: float) -> int:
-        return bisect_left(self.breakpoints, x)
+        return int(np.searchsorted(self._edges[1:-1], x, side="left"))
 
     def quantize(self, x: float) -> float:
-        return self.codepoints[self.cell_index(x)]
+        return float(self._codepoint_array[self.cell_index(x)])
 
     def codepoint_count_in(self, interval: Interval) -> int:
-        return sum(1 for c in self.codepoints if interval.contains(c))
+        lo, hi = np.searchsorted(self._codepoint_array, (interval.lo, interval.hi), side="right")
+        return int(hi - lo)
 
     def to_json(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "codepoints": list(self.codepoints)}
@@ -138,12 +162,20 @@ def _blocks(size: int):
 
 
 def cell_probabilities(q: Quantizer, d: Density) -> np.ndarray:
-    """Source probability of every cell, in cell order."""
-    lows, highs = q._edges[:-1], q._edges[1:]
+    """Source probability of every cell, bit-equal to `d.interval_mass_array`
+    over the cells, but evaluating the cdf once per edge and the sf once per
+    edge of a cell on its sf branch, where cdf(lo) > 1/2."""
     masses = np.empty(q.size)
     for block in _blocks(q.size):
-        masses[block] = d.interval_mass_array(lows[block], highs[block])
-    return masses
+        edges = q._edges[block.start:block.stop + 1]
+        cdf = _finite_or(d.cdf_array, edges, 1.0)
+        cdf[edges == -math.inf] = 0.0
+        right = ~(cdf[:-1] <= 0.5)
+        sf_edge = np.append(right, False) | np.append(False, right)
+        sf = np.zeros(edges.shape)
+        sf[sf_edge] = _finite_or(d.sf_array, edges[sf_edge], 0.0)
+        masses[block] = np.where(right, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
+    return np.maximum(masses, 0.0, out=masses)
 
 
 def quantizer_entropy(q: Quantizer, d: Density, alpha: float) -> float:
@@ -215,7 +247,7 @@ def cell_distortions(q: Quantizer, d: Density, r: float) -> np.ndarray:
 
 def distortion(q: Quantizer, d: Density, r: float) -> float:
     """Expected |X - q(X)|^r under the density."""
-    return float(math.fsum(cell_distortions(q, d, r)))
+    return math.fsum(memoryview(cell_distortions(q, d, r)))
 
 
 # --- the cell table ------------------------------------------------------------
@@ -253,7 +285,7 @@ class CellTable:
         conditional = conditional / conditional.sum()
         return RestrictedMetrics(
             entropy_restricted=renyi_entropy_vec(conditional, alpha),
-            distortion_restricted=float(math.fsum(region.distortions)) / region.mass,
+            distortion_restricted=math.fsum(memoryview(region.distortions)) / region.mass,
             entropy_power_sum=power_sum(self.masses, alpha),
             restricted_power_sum=power_sum(region.masses, alpha),
         )

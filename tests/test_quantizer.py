@@ -1,4 +1,6 @@
+import json
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from renyi_quant import (
     Laplacian,
     PiecewiseLinear,
     Quantizer,
+    TiltedDensity,
     Uniform,
     build_compander,
     cell_probabilities,
@@ -54,6 +57,65 @@ def test_json_round_trip():
     assert again == q
 
 
+def _array_quantizer(n, seed=3):
+    """n cells with random breakpoints in (-5, 5) and a codepoint inside each, as arrays."""
+    rng = np.random.default_rng(seed)
+    bps = np.sort(rng.uniform(-5.0, 5.0, size=n - 1))
+    edges = np.concatenate(([bps[0] - 1.0], bps, [bps[-1] + 1.0]))
+    return bps, 0.5 * (edges[:-1] + edges[1:])
+
+
+def test_array_quantizer_equals_tuple_quantizer():
+    bps, cps = _array_quantizer(50)
+    from_arrays = Quantizer(bps, cps)
+    from_tuples = Quantizer(tuple(bps.tolist()), tuple(cps.tolist()))
+    assert from_arrays == from_tuples and hash(from_arrays) == hash(from_tuples)
+    assert hash(from_arrays) == hash((from_tuples.breakpoints, from_tuples.codepoints))
+    assert repr(from_arrays) == repr(from_tuples)
+    assert from_arrays != Quantizer(bps, np.nextafter(cps, np.inf))
+    for field in (from_arrays.breakpoints, from_arrays.codepoints):
+        assert type(field) is tuple and all(type(v) is float for v in field)
+    assert from_arrays.breakpoints == tuple(bps.tolist())
+    assert from_arrays.codepoints == tuple(cps.tolist())
+    assert Quantizer.from_json(from_arrays.to_json()) == from_arrays
+    assert Quantizer.from_json(json.loads(json.dumps(from_arrays.to_json()))) == from_arrays
+
+
+def test_array_quantizer_copies_its_input_and_is_read_only():
+    bps, cps = _array_quantizer(8)
+    q = Quantizer(bps, cps)
+    before = (q.breakpoints, q.codepoints)
+    bps[0] -= 1.0
+    cps[:] = 0.0
+    assert (q.breakpoints, q.codepoints) == before
+    for stored in (q._edges, q._codepoint_array):
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[1] = 0.0
+    with pytest.raises(AttributeError):
+        q.breakpoints = ()
+
+
+@pytest.mark.parametrize(
+    "bps, cps",
+    [
+        ((0.5, 0.5), (0.1, 0.6, 0.9)),  # breakpoints not strictly increasing
+        ((0.5, 0.2), (0.1, 0.3, 0.9)),
+        ((0.5,), (0.6, 0.9)),  # a codepoint outside its cell
+        ((0.5,), (0.5, 0.9)),  # a codepoint on its cell's edge
+        ((0.5, 0.7), (0.1, 0.9)),  # wrong lengths
+        ((), (0.5,)),
+        (((0.5,),), ((0.25,), (0.75,))),  # 2-D
+    ],
+)
+def test_array_input_raises_as_tuple_input(bps, cps):
+    with pytest.raises(DomainError) as from_tuples:
+        Quantizer(bps, cps)
+    with pytest.raises(DomainError) as from_arrays:
+        Quantizer(np.array(bps, dtype=float), np.array(cps, dtype=float))
+    assert str(from_arrays.value) == str(from_tuples.value)
+
+
 # --- quantize ------------------------------------------------------------------
 
 
@@ -88,6 +150,28 @@ def test_codepoint_count_in():
     assert q.codepoint_count_in(Interval(0.0, 0.5)) == 2
     assert q.codepoint_count_in(Interval(2.0, 3.0)) == 0
     assert q.codepoint_count_in(Interval(-math.inf, math.inf)) == q.size
+
+
+def test_cell_index_matches_bisect_left():
+    bps, cps = _array_quantizer(40, seed=11)
+    q = Quantizer(bps, cps)
+    rng = np.random.default_rng(12)
+    xs = [*bps.tolist(), *cps.tolist(), *rng.uniform(-7.0, 7.0, size=200).tolist(),
+          -math.inf, math.inf, float(np.nextafter(bps[3], np.inf))]
+    for x in xs:
+        assert q.cell_index(x) == bisect_left(q.breakpoints, x)
+        assert q.quantize(x) == q.codepoints[bisect_left(q.breakpoints, x)]
+
+
+def test_codepoint_count_in_matches_a_scan():
+    bps, cps = _array_quantizer(40, seed=13)
+    q = Quantizer(bps, cps)
+    ends = [*cps.tolist(), *bps.tolist(), -math.inf, math.inf, -9.0, 9.0]
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        lo, hi = sorted(rng.choice(ends, size=2, replace=False).tolist())
+        iv = Interval(lo, hi)
+        assert q.codepoint_count_in(iv) == sum(1 for c in q.codepoints if iv.contains(c))
 
 
 # --- cell probabilities ----------------------------------------------------------
@@ -141,6 +225,50 @@ def test_cell_probabilities_match_interval_mass(d):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=4e-16)
     else:
         np.testing.assert_array_equal(got, want)
+
+
+# each source with a span of edges reaching past its median on both sides
+EDGE_SOURCES = [
+    (Gaussian(0.3, 1.7), (-15.0, 14.0)),
+    (Laplacian(-0.5, 0.8), (-40.0, 30.0)),
+    (Exponential(1.5, 0.25), (-1.0, 30.0)),
+    (Uniform(0.0, 1.0), (-0.5, 1.5)),  # edges outside the support
+    (PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)]), (-0.5, 4.5)),
+    (Gaussian(0.0, 1.0).restrict(Interval(-1.0, 2.0)), (-2.0, 3.0)),
+    (TiltedDensity(PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]), 0.6), (-0.5, 3.5)),
+]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("block", [3, 4096])
+@pytest.mark.parametrize("n", [2, 3, 5000])
+@pytest.mark.parametrize("d, span", EDGE_SOURCES, ids=[repr(d) for d, _ in EDGE_SOURCES])
+def test_edge_masses_bit_equal_interval_mass_array(monkeypatch, d, span, n, block):
+    """Each edge's cdf (and sf) is evaluated once and shared by the cells on
+    both sides of it, also across block boundaries; the masses stay those of
+    interval_mass_array over the cells, bit for bit."""
+    monkeypatch.setattr(quantizer, "_BLOCK", block)
+    q = uniform_quantizer(n, *span)
+    want = d.interval_mass_array(q._edges[:-1], q._edges[1:])
+    np.testing.assert_array_equal(_bits(cell_probabilities(q, d)), _bits(want))
+    if n == 5000:  # both branches: cdf differences left of the median, sf right of it
+        cdf_lo = d.cdf_array(q._edges[1:-1])
+        assert (cdf_lo <= 0.5).any() and (cdf_lo > 0.5).any()
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0])
+@pytest.mark.parametrize("n", [2, 3, 5000])
+@pytest.mark.parametrize("d, span", EDGE_SOURCES, ids=[repr(d) for d, _ in EDGE_SOURCES])
+def test_cell_distortions_do_not_depend_on_the_block_size(monkeypatch, d, span, n, r):
+    q = uniform_quantizer(n, *span)
+    got = []
+    for block in (3, 4096):
+        monkeypatch.setattr(quantizer, "_BLOCK", block)
+        got.append(_bits(cell_distortions(q, d, r)))
+    np.testing.assert_array_equal(*got)
 
 
 # --- Renyi entropy of vectors ------------------------------------------------------
