@@ -44,8 +44,9 @@ def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
     of G(c) = integral over the cell of sign(x - c)|x - c|^(r-1) pdf, which
     decreases in c: the median at r = 1, the conditional mean at r = 2. All
     cells are solved at once by `decreasing_roots` over each cell's part of
-    the support, to QUANTILE_WIDTH. Breakpoints are unchanged and distortion
-    cannot increase.
+    the support, to QUANTILE_WIDTH, each step two unsigned cell passes (right
+    of c less left of c). Breakpoints are unchanged and distortion cannot
+    increase.
     """
     if r < 1.0:
         raise DomainError(f"refine_codepoints requires r >= 1, got {r}")
@@ -55,8 +56,9 @@ def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
         raise DegenerateCellError(f"cell {k} = {q.cell(k)} has zero probability")
     lo = np.maximum(q._edges[:-1], d.support.lo)
     hi = np.minimum(q._edges[1:], d.support.hi)
-    c = decreasing_roots(
-        lambda c, idx: _batch_distortions(d, r - 1.0, lo[idx], hi[idx], c, signed=True), lo, hi
+    c = decreasing_roots(  # G(c): each cell's part right of c less its part left of c
+        lambda c, idx: _batch_distortions(d, r - 1.0, c, hi[idx], c)
+        - _batch_distortions(d, r - 1.0, lo[idx], c, c), lo, hi
     )
     # keep strictly inside the open cell interior
     c = np.clip(c, np.nextafter(q._edges[:-1], np.inf), np.nextafter(q._edges[1:], -np.inf))

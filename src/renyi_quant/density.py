@@ -27,6 +27,8 @@ from . import quadrature
 TAIL_MASS = 1e-12           # unbounded supports integrate over the 1e-12 quantile window
 NORMALIZATION_TOL = 1e-9
 QUANTILE_WIDTH = 1e-12      # bracket width at which decreasing_roots stops
+UNIMODALITY_LEVELS = 32     # level sets check_weak_unimodality samples
+UNIMODALITY_GRID = 4096     # interior grid points it samples them on
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -1030,35 +1032,29 @@ class TiltedDensity(Density):
 class UnimodalityReport:
     passed: bool
     failing_level: float | None
-    levels_checked: int
 
 
-def check_weak_unimodality(
-    d: Density,
-    level_grid_size: int = 32,
-    x_grid_size: int = 4096,
-) -> UnimodalityReport:
+def check_weak_unimodality(d: Density) -> UnimodalityReport:
     """Grid check that sampled level sets {pdf >= l} are single intervals.
 
-    Diagnostic only: level sets are sampled on a log grid below the maximum
-    pdf value seen on a dense grid over the (truncated) support.
+    Diagnostic only: UNIMODALITY_LEVELS level sets are sampled on a log grid
+    below the maximum pdf value seen on UNIMODALITY_GRID interior points of
+    the support, truncated to its 1e-9 quantile window.
     """
-    if level_grid_size < 1:
-        raise DomainError("level_grid_size must be positive")
     window = quadrature.truncate_support(d, 1e-9)
-    xs = np.linspace(window.lo, window.hi, x_grid_size + 2)[1:-1]
+    xs = np.linspace(window.lo, window.hi, UNIMODALITY_GRID + 2)[1:-1]
     vals = d.pdf_array(xs)
     vmax = float(vals.max())
     if vmax <= 0.0:
-        return UnimodalityReport(False, None, 0)
-    levels = np.geomspace(vmax * 1e-6, vmax * (1.0 - 1e-9), level_grid_size)
+        return UnimodalityReport(False, None)
+    levels = np.geomspace(vmax * 1e-6, vmax * (1.0 - 1e-9), UNIMODALITY_LEVELS)
     for level in levels:
         idx = np.flatnonzero(vals >= level)
         if idx.size == 0:
             continue
         if idx[-1] - idx[0] + 1 != idx.size:
-            return UnimodalityReport(False, float(level), level_grid_size)
-    return UnimodalityReport(True, None, level_grid_size)
+            return UnimodalityReport(False, float(level))
+    return UnimodalityReport(True, None)
 
 
 # --- JSON specs -------------------------------------------------------------

@@ -198,14 +198,14 @@ def _deviations_nonincreasing(values: Sequence[float], target: float = 1.0) -> b
     return all(b <= a * (1.0 + 1e-9) for a, b in zip(tail, tail[1:]))
 
 
-def _deviation_shrinks(values: Sequence[float], target: float = 1.0) -> bool:
-    """True when the final deviation from the target is below the initial one.
+def _deviation_shrinks(values: Sequence[float]) -> bool:
+    """True when the final deviation from 1 is below the initial one.
 
     Interval-sliced quantities oscillate inside a shrinking envelope rather
     than decreasing monotonically, so only first-vs-last is compared.
     """
-    first = max(abs(values[0] - target), TREND_FLOOR)
-    last = max(abs(values[-1] - target), TREND_FLOOR)
+    first = max(abs(values[0] - 1.0), TREND_FLOOR)
+    last = max(abs(values[-1] - 1.0), TREND_FLOOR)
     return last <= first * (1.0 + 1e-9)
 
 

@@ -29,10 +29,6 @@ class Interval:
     def bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
     def intersect(self, other: Interval) -> Interval | None:
         """Intersection with another interval, or None when empty."""
         lo = max(self.lo, other.lo)

@@ -25,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 10**6
+MAX_TAIL_WINDOWS = 256  # doubling windows a tail may take before it counts as unsettled
 
 _EPS = 2.220446049250313e-16
 _BOUND_MARGIN = 1.0 + 16.0 * _EPS  # the few roundings between 200 e and the scalar estimate
@@ -206,13 +207,13 @@ def integrate_with_tails(
     return value
 
 
-def _tail_sum(f, start: float, direction: int, tail_tol: float, max_windows: int = 256) -> float:
+def _tail_sum(f, start: float, direction: int, tail_tol: float) -> float:
     total = 0.0
     width = 1.0
     prev = math.inf
     growth_run = 0
     edge = start
-    for _ in range(max_windows):
+    for _ in range(MAX_TAIL_WINDOWS):
         if direction > 0:
             a, b = edge, edge + width
         else:

@@ -93,6 +93,9 @@ class Quantizer:
     def __repr__(self) -> str:
         return f"Quantizer(breakpoints={self.breakpoints!r}, codepoints={self.codepoints!r})"
 
+    def __reduce__(self):  # pickle and copy go through __init__: validated, read-only
+        return (Quantizer, (self._edges[1:-1], self._codepoint_array))
+
     @property
     def size(self) -> int:
         return self._codepoint_array.size
@@ -196,24 +199,22 @@ def _piece_distortion(d: Density, r: float, lo: float, hi: float, c: float) -> f
 
 
 def _batch_distortions(
-    d: Density, r: float, lo: np.ndarray, hi: np.ndarray, c: np.ndarray, signed: bool = False
+    d: Density, r: float, lo: np.ndarray, hi: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi; signed,
-    of sign(x - c)|x - c|^r pdf, the part right of c less the part left.
+    """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi.
 
     The pieces are split only at kinks of the integrand: at c unless r is an
-    even integer and the integral unsigned (then |x - c|^r is a polynomial and
-    the piece stays whole), and at the pdf's own kinks. One batched G7/K15
-    panel settles each finite piece with no pdf kink inside whose error bound
-    passes the adaptive rule's first stopping test; the others, and the
-    unbounded pieces, go through _piece_distortion. A block of _BLOCK
-    entries runs at a time.
+    even integer (then |x - c|^r is a polynomial and the piece stays whole),
+    and at the pdf's own kinks. One batched G7/K15 panel settles each finite
+    piece with no pdf kink inside whose error bound passes the adaptive rule's
+    first stopping test; the others, and the unbounded pieces, go through
+    _piece_distortion. A block of _BLOCK entries runs at a time.
     """
     size = lo.size
     if size > _BLOCK:
-        parts = [_batch_distortions(d, r, lo[b], hi[b], c[b], signed) for b in _blocks(size)]
+        parts = [_batch_distortions(d, r, lo[b], hi[b], c[b]) for b in _blocks(size)]
         return np.concatenate(parts)
-    split = signed or r % 2.0 != 0.0
+    split = r % 2.0 != 0.0
     if split:  # both sides of c in one batch; a side the piece does not reach is empty
         lo, hi = np.concatenate((lo, np.maximum(lo, c))), np.concatenate((np.minimum(hi, c), hi))
         c = np.concatenate((c, c))
@@ -233,8 +234,6 @@ def _batch_distortions(
     todo[panel[settled]] = False
     for i in np.flatnonzero(todo).tolist():
         pieces[i] = _piece_distortion(d, r, float(lo[i]), float(hi[i]), float(c[i]))
-    if signed:
-        return pieces[size:] - pieces[:size]
     return pieces[:size] + pieces[size:] if split else pieces
 
 

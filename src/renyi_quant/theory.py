@@ -26,6 +26,7 @@ from . import quadrature
 # orders this close to 1 route through the dedicated variable-rate formulas
 ALPHA_VARIABLE_RATE_SWITCH = 1e-3
 RATIO_CAP = 1e12
+RATIO_GRID_SIZE = 10_000  # interior grid points of check_density_ratio_bound
 
 
 def cell_constant(r: float) -> float:
@@ -215,14 +216,15 @@ class RatioBoundReport:
     grid_size: int
 
 
-def check_density_ratio_bound(f: Density, g: Density, grid_size: int = 10_000) -> RatioBoundReport:
+def check_density_ratio_bound(f: Density, g: Density) -> RatioBoundReport:
     """Grid check that f/g stays bounded on the support of f.
 
-    Reports the grid maximum inflated by a 10% safety factor. Unbounded means
-    g vanishes (or the ratio exceeds 1e12) somewhere f has mass.
+    Reports the maximum over RATIO_GRID_SIZE points of f's TAIL_MASS quantile
+    window, inflated by a 10% safety factor. Unbounded means g vanishes (or
+    the ratio exceeds RATIO_CAP) somewhere f has mass.
     """
     window = quadrature.truncate_support(f, TAIL_MASS)
-    xs = np.linspace(window.lo, window.hi, grid_size + 2)[1:-1]
+    xs = np.linspace(window.lo, window.hi, RATIO_GRID_SIZE + 2)[1:-1]
     fx = f.pdf_array(xs)
     gx = g.pdf_array(xs)
     # inf where g vanishes, and 0 where f does, so those points never become the maximum
@@ -230,7 +232,7 @@ def check_density_ratio_bound(f: Density, g: Density, grid_size: int = 10_000) -
         ratio = np.where(fx > 0.0, fx / gx, 0.0)
     k = int(np.argmax(ratio))  # the first maximum
     worst = float(ratio[k])
-    return RatioBoundReport(worst <= RATIO_CAP, 1.1 * worst, float(xs[k]), grid_size)
+    return RatioBoundReport(worst <= RATIO_CAP, 1.1 * worst, float(xs[k]), RATIO_GRID_SIZE)
 
 
 def mismatch_entropy_shift(g: Density, f: Density, alpha: float, r: float) -> float:

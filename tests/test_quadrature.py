@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from renyi_quant import Gaussian, Exponential, Uniform, Interval
-from renyi_quant.errors import DomainError, NonConvergenceError
+from renyi_quant import quadrature
+from renyi_quant.errors import DomainError, InfiniteIntegralError, NonConvergenceError
 from renyi_quant.quadrature import (
     _kronrod_panel,
+    _tail_sum,
     integrate,
     integrate_with_tails,
     kronrod_panels,
@@ -75,6 +77,18 @@ def test_tail_windows_capture_slow_decay():
     # integral of exp(-x) over (0, inf) = 1; core stops at 5
     val = integrate_with_tails(lambda x: math.exp(-x), Interval(0.0, 5.0), extend_right=True)
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tail_that_outlasts_the_window_budget_raises(monkeypatch):
+    # 1/x^2 from 1: each doubling window holds half the last one, so the tail
+    # neither grows nor settles within two windows
+    f = lambda x: 1.0 / (x * x)
+    assert _tail_sum(f, 1.0, +1, 1e-13) == pytest.approx(1.0, rel=1e-8)
+    monkeypatch.setattr(quadrature, "MAX_TAIL_WINDOWS", 2)
+    with pytest.raises(InfiniteIntegralError, match="did not settle within the window budget"):
+        _tail_sum(f, 1.0, +1, 1e-13)
+    with pytest.raises(InfiniteIntegralError, match="did not settle within the window budget"):
+        _tail_sum(lambda x: f(-x), -1.0, -1, 1e-13)
 
 
 def test_truncate_support_uniform_unchanged():

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from bisect import bisect_left
 
 import numpy as np
@@ -94,6 +96,21 @@ def test_array_quantizer_copies_its_input_and_is_read_only():
             stored[1] = 0.0
     with pytest.raises(AttributeError):
         q.breakpoints = ()
+
+
+def test_pickle_and_copy_rebuild_a_validated_read_only_quantizer():
+    q = Quantizer(*_array_quantizer(8))
+    for again in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
+        assert again == q and repr(again) == repr(q)
+        for stored in (again._edges, again._codepoint_array):
+            assert not stored.flags.writeable
+    # state that __init__ would refuse does not survive a round trip
+    bad = object.__new__(Quantizer)
+    bad._edges = np.array([-math.inf, 0.5, math.inf])
+    bad._codepoint_array = np.array([0.6, 0.9])
+    for round_trip in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        with pytest.raises(DomainError):
+            round_trip(bad)
 
 
 @pytest.mark.parametrize(
