@@ -70,63 +70,3 @@ from .experiments import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Interval",
-    "REAL_LINE",
-    "RenyiQuantError",
-    "ConfigError",
-    "DomainError",
-    "NonConvergenceError",
-    "InfiniteIntegralError",
-    "EmptyConditioningError",
-    "DegenerateCellError",
-    "HypothesisError",
-    "Density",
-    "Uniform",
-    "Gaussian",
-    "Laplacian",
-    "Exponential",
-    "PiecewiseLinear",
-    "RestrictedDensity",
-    "TiltedDensity",
-    "UnimodalityReport",
-    "check_weak_unimodality",
-    "density_from_spec",
-    "IntegrationResult",
-    "integrate",
-    "truncate_support",
-    "Quantizer",
-    "RestrictedMetrics",
-    "cell_probabilities",
-    "quantizer_entropy",
-    "renyi_entropy_vec",
-    "distortion",
-    "restricted_metrics",
-    "build_compander",
-    "optimal_point_density",
-    "refine_codepoints",
-    "RateParams",
-    "rate_params",
-    "cell_constant",
-    "quantization_coefficient",
-    "renyi_divergence",
-    "tilted_measure",
-    "entropy_density_limit",
-    "limit_distortion_measure",
-    "compander_performance",
-    "mismatch_entropy_shift",
-    "mismatch_distortion_limit",
-    "mismatch_loss",
-    "mismatch_loss_fixed_rate",
-    "mismatch_loss_variable_rate",
-    "SplitBoundResult",
-    "split_bound",
-    "ExperimentConfig",
-    "ConvergenceReport",
-    "run_asymptotics",
-    "run_entropy_density",
-    "run_distortion_density",
-    "run_mismatch",
-    "run_sanity",
-]

@@ -385,21 +385,6 @@ class Density:
 
         return integrate_over(f, (self,), interval)
 
-    def renyi_differential_entropy(self, beta: float) -> float:
-        """(1/(1-beta)) log of the beta power integral; Shannon at beta = 1."""
-        if beta <= 0.0:
-            raise DomainError(f"order must be positive, got {beta}")
-        if abs(beta - 1.0) <= 1e-9:
-            return self.shannon_differential_entropy()
-        return math.log(self.power_integral(beta)) / (1.0 - beta)
-
-    def shannon_differential_entropy(self) -> float:
-        def f(x: float) -> float:
-            g = self.pdf(x)
-            return -g * math.log(g) if g > 0.0 else 0.0
-
-        return integrate_over(f, (self,))
-
     def absolute_moment(self, r: float) -> float:
         """E|X|^r by quadrature, splitting at the |x| kink."""
         if r < 1.0:
@@ -437,9 +422,6 @@ class Density:
                 f"{type(self).__name__} pdf integrates to {total!r}, expected 1 "
                 f"within {NORMALIZATION_TOL}"
             )
-
-    def to_spec(self) -> dict:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -501,15 +483,6 @@ class Uniform(Density):
     def mode(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def scaled(self, s: float) -> "Uniform":
-        return Uniform(self.a * s, self.b * s) if s > 0 else Uniform(self.b * s, self.a * s)
-
-    def shifted(self, c: float) -> "Uniform":
-        return Uniform(self.a + c, self.b + c)
-
-    def to_spec(self) -> dict:
-        return {"family": "uniform", "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class Gaussian(Density):
@@ -569,15 +542,6 @@ class Gaussian(Density):
 
     def mode(self) -> float:
         return self.mean
-
-    def scaled(self, s: float) -> "Gaussian":
-        return Gaussian(self.mean * s, self.sigma * abs(s))
-
-    def shifted(self, c: float) -> "Gaussian":
-        return Gaussian(self.mean + c, self.sigma)
-
-    def to_spec(self) -> dict:
-        return {"family": "gaussian", "mean": self.mean, "sigma": self.sigma}
 
 
 @dataclass(frozen=True)
@@ -654,15 +618,6 @@ class Laplacian(Density):
     def mode(self) -> float:
         return self.mean
 
-    def scaled(self, s: float) -> "Laplacian":
-        return Laplacian(self.mean * s, self.scale * abs(s))
-
-    def shifted(self, c: float) -> "Laplacian":
-        return Laplacian(self.mean + c, self.scale)
-
-    def to_spec(self) -> dict:
-        return {"family": "laplacian", "mean": self.mean, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class Exponential(Density):
@@ -730,17 +685,6 @@ class Exponential(Density):
 
     def mode(self) -> float:
         return self.shift
-
-    def scaled(self, s: float) -> "Exponential":
-        if s <= 0:
-            raise DomainError("exponential scaling requires s > 0")
-        return Exponential(self.rate / s, self.shift * s)
-
-    def shifted(self, c: float) -> "Exponential":
-        return Exponential(self.rate, self.shift + c)
-
-    def to_spec(self) -> dict:
-        return {"family": "exponential", "rate": self.rate, "shift": self.shift}
 
 
 class PiecewiseLinear(Density):
@@ -840,14 +784,6 @@ class PiecewiseLinear(Density):
     def mode(self) -> float:
         return float(self._xs[int(np.argmax(self._ys))])
 
-    def scaled(self, s: float) -> "PiecewiseLinear":
-        if s <= 0:
-            raise DomainError("piecewise scaling requires s > 0")
-        return PiecewiseLinear([(x * s, y / s) for x, y in self.knots])
-
-    def to_spec(self) -> dict:
-        return {"family": "piecewise_linear", "knots": [list(k) for k in self.knots]}
-
     def __repr__(self) -> str:
         return f"PiecewiseLinear({len(self._xs)} knots on {self.support})"
 
@@ -939,13 +875,6 @@ class RestrictedDensity(Density):
             return m
         return self.quantile(0.5)
 
-    def to_spec(self) -> dict:
-        return {
-            "family": "restricted",
-            "base": self.base.to_spec(),
-            "interval": self.interval.to_json(),
-        }
-
     def __repr__(self) -> str:
         return f"Restricted({self.base!r}, {self.interval})"
 
@@ -1013,13 +942,6 @@ class TiltedDensity(Density):
 
     def mode(self) -> float:
         return self.base.mode()
-
-    def to_spec(self) -> dict:
-        return {
-            "family": "tilted",
-            "base": self.base.to_spec(),
-            "beta": self.exponent,
-        }
 
     def __repr__(self) -> str:
         return f"Tilted({self.base!r}, beta={self.exponent})"

@@ -91,6 +91,15 @@ class ExperimentConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field 'interval' is invalid: {exc}") from None
+        refine = obj.get("refine_codepoints", False)
+        if not isinstance(refine, bool):
+            raise ConfigError(f"field 'refine_codepoints' must be true or false, got {refine!r}")
+        n_grid = obj.get("n_grid", DEFAULT_N_GRID)
+        # JSON numbers with an integer value: 8 or 8.0, not 8.2, true or "8"
+        if not isinstance(n_grid, (list, tuple)) or not all(
+            type(n) is int or type(n) is float and n.is_integer() for n in n_grid
+        ):
+            raise ConfigError(f"field 'n_grid' must list integers, got {n_grid!r}")
         try:
             return cls(
                 source=dict(obj["source"]),
@@ -104,8 +113,8 @@ class ExperimentConfig:
                 ),
                 moment_slack=float(obj.get("moment_slack", 1.0)),
                 interval=interval,
-                n_grid=tuple(int(n) for n in obj.get("n_grid", DEFAULT_N_GRID)),
-                refine_codepoints=bool(obj.get("refine_codepoints", False)),
+                n_grid=tuple(int(n) for n in n_grid),
+                refine_codepoints=refine,
                 sanity_points=(
                     tuple(float(p) for p in obj["sanity_points"])
                     if obj.get("sanity_points") is not None

@@ -137,13 +137,12 @@ def integrate(
     interval: Interval,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
-    max_subdivisions: int = MAX_SUBDIVISIONS,
 ) -> IntegrationResult:
     """Adaptively integrate f over a finite interval.
 
     Terminates once the summed per-panel error estimates fall below
-    max(rel_tol * |value|, abs_tol); raises NonConvergenceError once the
-    subdivision budget is exhausted. Panels split largest-error-first with a
+    max(rel_tol * |value|, abs_tol); raises NonConvergenceError after
+    MAX_SUBDIVISIONS subdivisions. Panels split largest-error-first with a
     deterministic insertion-order tie break.
     """
     a, b = interval.lo, interval.hi
@@ -159,9 +158,9 @@ def integrate(
     while True:
         if total_err <= max(rel_tol * abs(total_value), abs_tol):
             break
-        if subdivisions >= max_subdivisions:
+        if subdivisions >= MAX_SUBDIVISIONS:
             raise NonConvergenceError(
-                f"quadrature did not converge within {max_subdivisions} subdivisions "
+                f"quadrature did not converge within {MAX_SUBDIVISIONS} subdivisions "
                 f"(error estimate {total_err:.3e})"
             )
         _, _, wa, wb, wv, we = heapq.heappop(heap)

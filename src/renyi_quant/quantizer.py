@@ -46,7 +46,7 @@ _BLOCK = 4096
 class Quantizer:
     """Cells (-inf, b1], ..., (b_{m-1}, +inf), a codepoint inside each. The state
     is the edges and codepoints as read-only arrays, copied at construction;
-    the tuple fields, ==, hash, repr and the JSON form are built from them."""
+    the tuple fields, ==, hash and repr are built from them."""
 
     __slots__ = ("_edges", "_codepoint_array")
 
@@ -105,20 +105,6 @@ class Quantizer:
 
     def cell_index(self, x: float) -> int:
         return int(np.searchsorted(self._edges[1:-1], x, side="left"))
-
-    def quantize(self, x: float) -> float:
-        return float(self._codepoint_array[self.cell_index(x)])
-
-    def codepoint_count_in(self, interval: Interval) -> int:
-        lo, hi = np.searchsorted(self._codepoint_array, (interval.lo, interval.hi), side="right")
-        return int(hi - lo)
-
-    def to_json(self) -> dict:
-        return {"breakpoints": list(self.breakpoints), "codepoints": list(self.codepoints)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Quantizer":
-        return cls(tuple(obj["breakpoints"]), tuple(obj["codepoints"]))
 
 
 # --- probability vectors and Renyi entropy ---------------------------------

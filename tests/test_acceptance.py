@@ -175,7 +175,7 @@ def test_criterion_6_property_suites():
     for d in (Uniform(0.0, 1.0), Gaussian(0.0, 1.0), Laplacian(0.0, 1.0)):
         q1 = quantization_coefficient(d, 0.5, 2.0)
         for s in (0.5, 2.0, 5.0):
-            q2 = quantization_coefficient(d.scaled(s), 0.5, 2.0)
+            q2 = quantization_coefficient(type(d)(0.0, s), 0.5, 2.0)  # d scaled by s
             if abs(q2 / (s**2 * q1) - 1.0) > 1e-6:
                 failures.append(f"Q-scaling-{s}")
 

@@ -147,6 +147,15 @@ def test_overrides(tmp_path, capsys):
     assert float(values["Q"]) == pytest.approx(1.0 / 3.0, rel=1e-9)
 
 
+def test_override_of_refine_codepoints_must_be_a_json_boolean(tmp_path, capsys):
+    # False is not JSON, so the override is the string "False", which is refused
+    path = write_config(tmp_path, UNIFORM_CFG)
+    code = main(["predict", "--config", str(path), "--set", "refine_codepoints=False"])
+    assert code == 1
+    assert "refine_codepoints" in capsys.readouterr().err
+    assert main(["predict", "--config", str(path), "--set", "refine_codepoints=false"]) == 0
+
+
 def test_cli_and_from_json_name_a_config_alike(tmp_path, capsys):
     from renyi_quant.experiments import ExperimentConfig
 

@@ -54,6 +54,24 @@ def test_config_from_dict_names_missing_field():
         ExperimentConfig.from_dict({"source": UNIFORM, "r": 2.0})
 
 
+def test_config_from_dict_takes_only_a_json_boolean_for_refine_codepoints():
+    base = {"source": UNIFORM, "alpha": 0.5, "r": 2.0}
+    for value in ("false", "False", 0, 1, None):
+        with pytest.raises(ConfigError, match="refine_codepoints"):
+            ExperimentConfig.from_dict({**base, "refine_codepoints": value})
+    for flag in (True, False):
+        cfg = ExperimentConfig.from_dict({**base, "refine_codepoints": flag})
+        assert cfg.refine_codepoints is flag
+
+
+def test_config_from_dict_takes_only_integral_n_grid_entries():
+    base = {"source": UNIFORM, "alpha": 0.5, "r": 2.0}
+    for grid in ([4.7, 8.2], [4, "8"], [True, 8], "48", 8):
+        with pytest.raises(ConfigError, match="n_grid"):
+            ExperimentConfig.from_dict({**base, "n_grid": grid})
+    assert ExperimentConfig.from_dict({**base, "n_grid": [4, 8.0, 16]}).n_grid == (4, 8, 16)
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"source": UNIFORM, "alpha": 0.5, "r": 2.0}))

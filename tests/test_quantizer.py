@@ -1,5 +1,4 @@
 import copy
-import json
 import math
 import pickle
 from bisect import bisect_left
@@ -53,12 +52,6 @@ def test_invariants_enforced():
         Quantizer((0.5,), (0.5, 0.9))  # boundary is not interior
 
 
-def test_json_round_trip():
-    q = uniform_quantizer(4)
-    again = Quantizer.from_json(q.to_json())
-    assert again == q
-
-
 def _array_quantizer(n, seed=3):
     """n cells with random breakpoints in (-5, 5) and a codepoint inside each, as arrays."""
     rng = np.random.default_rng(seed)
@@ -79,8 +72,6 @@ def test_array_quantizer_equals_tuple_quantizer():
         assert type(field) is tuple and all(type(v) is float for v in field)
     assert from_arrays.breakpoints == tuple(bps.tolist())
     assert from_arrays.codepoints == tuple(cps.tolist())
-    assert Quantizer.from_json(from_arrays.to_json()) == from_arrays
-    assert Quantizer.from_json(json.loads(json.dumps(from_arrays.to_json()))) == from_arrays
 
 
 def test_array_quantizer_copies_its_input_and_is_read_only():
@@ -133,14 +124,14 @@ def test_array_input_raises_as_tuple_input(bps, cps):
     assert str(from_arrays.value) == str(from_tuples.value)
 
 
-# --- quantize ------------------------------------------------------------------
+# --- cell lookup ---------------------------------------------------------------
 
 
 def test_quantize_boundary_goes_left():
     q = Quantizer((0.5,), (0.25, 0.75))
-    assert q.quantize(0.5) == 0.25
-    assert q.quantize(0.7) == 0.75
-    assert q.quantize(-3.0) == 0.25
+    assert q.codepoints[q.cell_index(0.5)] == 0.25
+    assert q.codepoints[q.cell_index(0.7)] == 0.75
+    assert q.codepoints[q.cell_index(-3.0)] == 0.25
 
 
 def test_quantize_matches_linear_scan():
@@ -159,14 +150,7 @@ def test_quantize_matches_linear_scan():
             if q.cell(k).contains(x):
                 assert expected is None
                 expected = q.codepoints[k]
-        assert q.quantize(float(x)) == expected
-
-
-def test_codepoint_count_in():
-    q = uniform_quantizer(4)
-    assert q.codepoint_count_in(Interval(0.0, 0.5)) == 2
-    assert q.codepoint_count_in(Interval(2.0, 3.0)) == 0
-    assert q.codepoint_count_in(Interval(-math.inf, math.inf)) == q.size
+        assert q.codepoints[q.cell_index(float(x))] == expected
 
 
 def test_cell_index_matches_bisect_left():
@@ -177,18 +161,6 @@ def test_cell_index_matches_bisect_left():
           -math.inf, math.inf, float(np.nextafter(bps[3], np.inf))]
     for x in xs:
         assert q.cell_index(x) == bisect_left(q.breakpoints, x)
-        assert q.quantize(x) == q.codepoints[bisect_left(q.breakpoints, x)]
-
-
-def test_codepoint_count_in_matches_a_scan():
-    bps, cps = _array_quantizer(40, seed=13)
-    q = Quantizer(bps, cps)
-    ends = [*cps.tolist(), *bps.tolist(), -math.inf, math.inf, -9.0, 9.0]
-    rng = np.random.default_rng(14)
-    for _ in range(300):
-        lo, hi = sorted(rng.choice(ends, size=2, replace=False).tolist())
-        iv = Interval(lo, hi)
-        assert q.codepoint_count_in(iv) == sum(1 for c in q.codepoints if iv.contains(c))
 
 
 # --- cell probabilities ----------------------------------------------------------
@@ -402,7 +374,7 @@ def test_distortion_shift_invariance():
     shifted_q = Quantizer(
         tuple(b + 3.0 for b in q.breakpoints), tuple(c + 3.0 for c in q.codepoints)
     )
-    assert distortion(shifted_q, g.shifted(3.0), 2.0) == pytest.approx(
+    assert distortion(shifted_q, Gaussian(3.0, 1.0), 2.0) == pytest.approx(
         distortion(q, g, 2.0), abs=1e-9
     )
 

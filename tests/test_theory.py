@@ -107,7 +107,7 @@ def test_quantization_coefficient_examples():
 def test_quantization_coefficient_scaling(d, s):
     r = 2.0
     q1 = quantization_coefficient(d, 0.5, r)
-    q2 = quantization_coefficient(d.scaled(s), 0.5, r)
+    q2 = quantization_coefficient(type(d)(0.0, s), 0.5, r)  # d scaled by s
     assert q2 == pytest.approx(s**r * q1, rel=1e-6)
 
 
