@@ -227,15 +227,12 @@ def integrate_over(
     edges = [lo_eff, *sorted(x for x in splits if lo_eff < x < hi_eff), hi_eff]
     total = 0.0
     for a, b in zip(edges, edges[1:]):
-        total += quadrature.integrate_with_tails(
-            f,
-            Interval(a, b),
-            extend_left=a == lo_eff and not math.isfinite(lo),
-            extend_right=b == hi_eff and not math.isfinite(hi),
-            rel_tol=rel_tol,
-            abs_tol=abs_tol,
-            tail_tol=tail_tol,
-        )
+        value = quadrature.integrate(f, Interval(a, b), rel_tol, abs_tol).value
+        if b == hi_eff and not math.isfinite(hi):
+            value += quadrature._tail_sum(f, b, +1, tail_tol)
+        if a == lo_eff and not math.isfinite(lo):
+            value += quadrature._tail_sum(f, a, -1, tail_tol)
+        total += value
     return total
 
 

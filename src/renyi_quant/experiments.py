@@ -85,12 +85,13 @@ class ExperimentConfig:
         for f in fields(cls):
             if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
                 raise ConfigError(f"field '{f.name}' is required")
-        try:
-            interval = (
-                Interval.from_json(obj["interval"]) if obj.get("interval") is not None else None
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field 'interval' is invalid: {exc}") from None
+        interval, points = obj.get("interval"), obj.get("sanity_points")
+        if not (interval is None or isinstance(interval, (list, tuple)) and len(interval) == 2):
+            raise ConfigError(f"field 'interval' must be a pair, got {interval!r}")
+        if points is not None and not isinstance(points, (list, tuple)):
+            raise ConfigError(f"field 'sanity_points' must list numbers, got {points!r}")
+        if not isinstance(obj.get("name", ""), str):
+            raise ConfigError(f"field 'name' must be a string, got {obj['name']!r}")
         refine = obj.get("refine_codepoints", False)
         if not isinstance(refine, bool):
             raise ConfigError(f"field 'refine_codepoints' must be true or false, got {refine!r}")
@@ -103,25 +104,26 @@ class ExperimentConfig:
         try:
             return cls(
                 source=dict(obj["source"]),
-                alpha=float(obj["alpha"]),
-                r=float(obj["r"]),
-                name=str(obj.get("name", "experiment")),
+                alpha=_number("alpha", obj["alpha"]),
+                r=_number("r", obj["r"]),
+                name=obj.get("name", "experiment"),
                 mismatch_source=(
                     dict(obj["mismatch_source"])
                     if obj.get("mismatch_source") is not None
                     else None
                 ),
-                moment_slack=float(obj.get("moment_slack", 1.0)),
-                interval=interval,
+                moment_slack=_number("moment_slack", obj.get("moment_slack", 1.0)),
+                interval=None if interval is None else Interval.from_json(
+                    [None if end is None else _number("interval", end) for end in interval]
+                ),
                 n_grid=tuple(int(n) for n in n_grid),
                 refine_codepoints=refine,
-                sanity_points=(
-                    tuple(float(p) for p in obj["sanity_points"])
-                    if obj.get("sanity_points") is not None
-                    else None
+                sanity_points=None if points is None else tuple(
+                    _number("sanity_points", p) for p in points
                 ),
                 tolerances={
-                    str(k): float(v) for k, v in dict(obj.get("tolerances", {})).items()
+                    str(k): _number(f"tolerances.{k}", v)
+                    for k, v in dict(obj.get("tolerances", {})).items()
                 },
             )
         except (TypeError, ValueError) as exc:
@@ -130,6 +132,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(read_config(path))
+
+
+def _number(field_name: str, value) -> float:
+    """A JSON number (an int or a float, never a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field {field_name!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def read_config(path: str | Path) -> dict:

@@ -182,31 +182,10 @@ def integrate(
     )
 
 
-def integrate_with_tails(
-    f: Callable[[float], float],
-    core: Interval,
-    extend_left: bool = False,
-    extend_right: bool = False,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    tail_tol: float = 1e-13,
-) -> float:
-    """Integrate f over the core interval plus geometric tail windows.
-
-    The windows double in width and accumulation stops once a window
-    contributes less than tail_tol or less than 1e-9 of the tail summed so
-    far; each window is integrated to that same floor. Windows that keep
-    growing signal a divergent integral.
-    """
-    value = integrate(f, core, rel_tol, abs_tol).value
-    if extend_right:
-        value += _tail_sum(f, core.hi, +1, tail_tol)
-    if extend_left:
-        value += _tail_sum(f, core.lo, -1, tail_tol)
-    return value
-
-
 def _tail_sum(f, start: float, direction: int, tail_tol: float) -> float:
+    """Integral of f from start out to +inf (direction +1) or -inf (-1) over
+    doubling windows, the first 1 wide, up to one that adds less than tail_tol
+    or 1e-9 of the sum; windows that keep growing signal a divergent integral."""
     total = 0.0
     width = 1.0
     prev = math.inf

@@ -8,14 +8,9 @@ whole of every cell, the two unbounded outer cells out to the density's tails.
 A quantizer's state is two read-only arrays, its cell edges and codepoints.
 Cell passes work on them, a block of _BLOCK cells at a time: masses are cdf/sf
 differences over the block's edges, each edge evaluated once, and distortions
-one batched Gauss-Kronrod panel per piece of a cell. A cell is split only
-where its integrand |x - c|^r pdf has a kink: at the codepoint c unless r is
-an even integer, so at r = 2 a piece is the whole cell. A piece keeps its
-panel's value when an upper bound on the panel's error estimate meets the
-adaptive rule's first stopping test, so the value is what the adaptive rule
-would return; the rest, the pieces with a kink of the pdf inside, and the
-unbounded pieces go through `density.integrate_over`, cut at c and at the
-pdf's kinks.
+batched Gauss-Kronrod panels over the cells' pieces: cut where |x - c|^r pdf
+has a kink, an unbounded piece as doubling windows, and every piece whose
+panel does not settle halved, all in one batch, until it does.
 
 A rate point makes one `cell_table`: one pass of each, and the columns inside
 a region from it, evaluating again only the cells a region endpoint cuts.
@@ -29,14 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import Density, _finite_or, integrate_over
-from .errors import DomainError, EmptyConditioningError
+from .density import Density, _finite_or
+from .errors import DomainError, EmptyConditioningError, InfiniteIntegralError, NonConvergenceError
 from .intervals import Interval
 from . import quadrature
 
 _ALPHA_LIMIT_EPS = 1e-6  # alpha this close to an endpoint uses the limit formula
 _PIECE_ABS_TOL = 1e-16   # absolute tolerance of every cell distortion integral
-_TAIL_TOL = 1e-30        # an unbounded cell's tail ends at a window below this or 1e-9 of the tail
+_TAIL_WINDOWS = 64       # doubling windows an unbounded piece becomes, out from its finite end
+_MAX_HALVINGS = 64       # rounds of halving the pieces whose panel does not settle
 # Cells per array pass: per-call numpy overhead dominates smaller blocks, and a
 # split distortion block (2 x 4096 floats) keeps each temporary at 64 KiB, under
 # glibc's 128 KiB mmap threshold. Per-cell values do not depend on it.
@@ -175,52 +171,71 @@ def quantizer_entropy(q: Quantizer, d: Density, alpha: float) -> float:
 # --- distortion --------------------------------------------------------------
 
 
-def _piece_distortion(d: Density, r: float, lo: float, hi: float, c: float) -> float:
-    """Integral of |x - c|^r pdf over (lo, hi), split at c and at the pdf's
-    kinks; an unbounded end runs out to the density's tail."""
-    return integrate_over(
-        lambda x: abs(x - c) ** r * d.pdf(x), (d,), Interval(lo, hi), cuts=(c, *d.kinks),
-        abs_tol=_PIECE_ABS_TOL, tail_tol=_TAIL_TOL,
-    )
-
-
 def _batch_distortions(
     d: Density, r: float, lo: np.ndarray, hi: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
     """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi.
 
-    The pieces are split only at kinks of the integrand: at c unless r is an
-    even integer (then |x - c|^r is a polynomial and the piece stays whole),
-    and at the pdf's own kinks. One batched G7/K15 panel settles each finite
-    piece with no pdf kink inside whose error bound passes the adaptive rule's
-    first stopping test; the others, and the unbounded pieces, go through
-    _piece_distortion. A block of _BLOCK entries runs at a time.
+    Each (lo, hi) is clipped to the support and cut at c, unless r is an even
+    integer, and at the pdf's kinks. An unbounded piece becomes _TAIL_WINDOWS
+    windows out from its finite end e, the first |c - e| wide (1 where c = e),
+    each twice the one before; the last must add at most _PIECE_ABS_TOL. Each
+    round is one batched G7/K15 panel call; a piece whose error bound fails
+    the adaptive rule's first stopping test is halved into the next. An entry
+    sums its settled pieces round by round in array order, whatever the batch.
     """
     size = lo.size
     if size > _BLOCK:
-        parts = [_batch_distortions(d, r, lo[b], hi[b], c[b]) for b in _blocks(size)]
-        return np.concatenate(parts)
-    split = r % 2.0 != 0.0
-    if split:  # both sides of c in one batch; a side the piece does not reach is empty
+        return np.concatenate([_batch_distortions(d, r, lo[b], hi[b], c[b]) for b in _blocks(size)])
+    lo = np.maximum(lo, d.support.lo)
+    hi = np.maximum(np.minimum(hi, d.support.hi), lo)  # hi = lo: nothing inside the support
+    if r % 2.0 != 0.0:  # both sides of c; a side the entry does not reach is empty
         lo, hi = np.concatenate((lo, np.maximum(lo, c))), np.concatenate((np.minimum(hi, c), hi))
-        c = np.concatenate((c, c))
-    pieces = np.zeros(lo.shape)
-    todo = lo < hi
-    kinks = np.array(d.kinks)
-    smooth = np.searchsorted(kinks, lo, side="right") >= np.searchsorted(kinks, hi, side="left")
-    panel = np.flatnonzero(todo & smooth & np.isfinite(lo) & np.isfinite(hi))
-    # |x - c| in the panel's own coordinates, from the node's offset from lo
-    offset = c[panel] - lo[panel]
-    values, bounds = quadrature.kronrod_panels(
-        lambda x, from_lo: np.abs(from_lo - offset) ** r * d.pdf_array(x),
-        lo[panel], hi[panel],
-    )
-    settled = bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, _PIECE_ABS_TOL)
-    pieces[panel[settled]] = values[settled]
-    todo[panel[settled]] = False
-    for i in np.flatnonzero(todo).tolist():
-        pieces[i] = _piece_distortion(d, r, float(lo[i]), float(hi[i]), float(c[i]))
-    return pieces[:size] + pieces[size:] if split else pieces
+    entry = np.arange(lo.size) % size
+    for k in d.kinks:  # a piece keeps its part left of a kink inside it; the rest goes last
+        inside = np.flatnonzero((lo < k) & (k < hi))
+        if inside.size:
+            lo, entry = np.append(lo, np.full(inside.size, k)), np.append(entry, entry[inside])
+            hi = np.append(hi, hi[inside])
+            hi[inside] = k
+    live = np.flatnonzero(lo < hi)
+    a, b, entry = lo[live], hi[live], entry[live]
+    tail = np.flatnonzero(np.isinf(a) | np.isinf(b))
+    first_window, guard = a.size - tail.size, False
+    if tail.size:  # each unbounded piece's windows, nearest first, after the finite pieces
+        left = np.isinf(a[tail])
+        e = np.where(left, b[tail], a[tail])
+        width = np.abs(c[entry[tail]] - e)
+        step = np.where(left, -1.0, 1.0) * np.where(width > 0.0, width, 1.0)
+        ends = e[:, None] + step[:, None] * (2.0 ** np.arange(_TAIL_WINDOWS + 1) - 1.0)
+        # where |x - c|^r could overflow far out, form it only where the pdf is positive
+        guard = r * math.log2(np.max(np.abs(ends - c[entry[tail], None]))) > 1000.0
+        a = np.concatenate((np.delete(a, tail), np.minimum(ends[:, :-1], ends[:, 1:]).ravel()))
+        b = np.concatenate((np.delete(b, tail), np.maximum(ends[:, :-1], ends[:, 1:]).ravel()))
+        entry = np.concatenate((np.delete(entry, tail), np.repeat(entry[tail], _TAIL_WINDOWS)))
+
+    def integrand(x, from_lo):
+        # |x - c| from the node's offset from the piece's left end
+        pdf = d.pdf_array(x)
+        dist = np.abs(from_lo - offset)
+        np.power(dist, r, out=dist, where=pdf > 0.0 if guard else True)
+        return dist * pdf
+
+    total = np.zeros(size)
+    for halvings in range(_MAX_HALVINGS + 1):
+        offset = c[entry] - a
+        values, bounds = quadrature.kronrod_panels(integrand, a, b)
+        last = values[first_window + _TAIL_WINDOWS - 1::_TAIL_WINDOWS]
+        if halvings == 0 and np.any(last > _PIECE_ABS_TOL):
+            raise InfiniteIntegralError(f"distortion tail does not converge: {last.max():.3e}")
+        settled = bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, _PIECE_ABS_TOL)
+        total += np.bincount(entry[settled], weights=values[settled], minlength=size)
+        if settled.all():
+            return total
+        a, b, entry = a[~settled], b[~settled], np.repeat(entry[~settled], 2)
+        mid = 0.5 * (a + b)
+        a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
+    raise NonConvergenceError(f"cell pieces did not settle within {_MAX_HALVINGS} halvings")
 
 
 def cell_distortions(q: Quantizer, d: Density, r: float) -> np.ndarray:

@@ -156,6 +156,13 @@ def test_override_of_refine_codepoints_must_be_a_json_boolean(tmp_path, capsys):
     assert main(["predict", "--config", str(path), "--set", "refine_codepoints=false"]) == 0
 
 
+def test_override_of_a_number_must_be_a_json_number(tmp_path, capsys):
+    path = write_config(tmp_path, UNIFORM_CFG)
+    assert main(["predict", "--config", str(path), "--set", 'alpha="0.5"']) == 1
+    assert "alpha" in capsys.readouterr().err
+    assert main(["predict", "--config", str(path), "--set", "alpha=0.5"]) == 0
+
+
 def test_cli_and_from_json_name_a_config_alike(tmp_path, capsys):
     from renyi_quant.experiments import ExperimentConfig
 

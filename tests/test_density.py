@@ -17,7 +17,7 @@ from renyi_quant import (
 from renyi_quant.density import QUANTILE_WIDTH, TAIL_MASS, TiltedDensity, decreasing_roots
 from renyi_quant.errors import ConfigError, DomainError, EmptyConditioningError
 from renyi_quant.intervals import REAL_LINE
-from renyi_quant.quadrature import _tail_sum, integrate, integrate_with_tails, truncate_support
+from renyi_quant.quadrature import _tail_sum, integrate, truncate_support
 
 ALL_FAMILIES = [
     Uniform(0.0, 1.0),
@@ -411,6 +411,17 @@ def test_partial_power_integral_matches_quadrature():
 # half-line that starts past the window is its geometric tail from that start.
 
 
+def _with_tails(f, core, extend_left, extend_right):
+    """f over the core, then its right tail, then its left tail, added in the
+    order density.integrate_over adds them."""
+    value = integrate(f, core).value
+    if extend_right:
+        value += _tail_sum(f, core.hi, +1, 1e-13)
+    if extend_left:
+        value += _tail_sum(f, core.lo, -1, 1e-13)
+    return value
+
+
 def _window_power_integral(d, beta, interval):
     domain = d.support.intersect(interval)
     if domain is None:
@@ -426,7 +437,7 @@ def _window_power_integral(d, beta, interval):
         if math.isfinite(domain.lo):
             return _tail_sum(f, domain.lo, +1, 1e-13)
         return _tail_sum(f, domain.hi, -1, 1e-13)
-    return integrate_with_tails(
+    return _with_tails(
         f,
         window,
         extend_left=not math.isfinite(domain.lo) and window.lo == core.lo,
@@ -441,7 +452,7 @@ def _window_absolute_moment(d, r):
         pieces = [Interval(core.lo, 0.0), Interval(0.0, core.hi)]
     total = 0.0
     for piece in pieces:
-        total += integrate_with_tails(
+        total += _with_tails(
             lambda x: abs(x) ** r * d.pdf(x),
             piece,
             extend_left=piece.lo == core.lo and not math.isfinite(d.support.lo),

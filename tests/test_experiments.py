@@ -72,6 +72,40 @@ def test_config_from_dict_takes_only_integral_n_grid_entries():
     assert ExperimentConfig.from_dict({**base, "n_grid": [4, 8.0, 16]}).n_grid == (4, 8, 16)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", {"alpha": "0.5"}),
+        ("alpha", {"alpha": True}),
+        ("r", {"r": "2"}),
+        ("moment_slack", {"moment_slack": True}),
+        ("tolerances.ratio", {"tolerances": {"ratio": True}}),
+        ("tolerances.ratio", {"tolerances": {"ratio": "1e-3"}}),
+        ("name", {"name": 5}),
+        ("sanity_points", {"sanity_points": ["0.1"]}),
+        ("sanity_points", {"sanity_points": 0.1}),
+        ("interval", {"interval": ["0.2", 0.8]}),
+        ("interval", {"interval": [0.2, False]}),
+        ("interval", {"interval": [0.2]}),
+    ],
+)
+def test_config_from_dict_takes_only_json_numbers_and_a_string_name(field, value):
+    base = {"source": UNIFORM, "alpha": 0.5, "r": 2.0}
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        ExperimentConfig.from_dict({**base, **value})
+
+
+def test_config_from_dict_reads_json_numbers_as_floats():
+    cfg = ExperimentConfig.from_dict({
+        "source": UNIFORM, "alpha": 0, "r": 3, "moment_slack": 2, "name": "ints",
+        "tolerances": {"ratio": 1}, "sanity_points": [0, 0.5], "interval": [None, 1],
+    })
+    assert (cfg.alpha, cfg.r, cfg.moment_slack) == (0.0, 3.0, 2.0)
+    assert all(type(v) is float for v in (cfg.alpha, cfg.r, cfg.moment_slack))
+    assert cfg.tolerances == {"ratio": 1.0} and cfg.sanity_points == (0.0, 0.5)
+    assert cfg.interval == Interval(-math.inf, 1.0)
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"source": UNIFORM, "alpha": 0.5, "r": 2.0}))

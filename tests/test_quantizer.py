@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import warnings
 from bisect import bisect_left
 
 import numpy as np
@@ -20,13 +21,19 @@ from renyi_quant import (
     distortion,
     optimal_point_density,
     quantizer_entropy,
+    refine_codepoints,
     renyi_entropy_vec,
     restricted_metrics,
 )
 from renyi_quant import quadrature
 from renyi_quant.intervals import REAL_LINE
-from renyi_quant.density import TAIL_MASS, integrate_over
-from renyi_quant.errors import DomainError, EmptyConditioningError
+from renyi_quant.density import TAIL_MASS, Density, integrate_over
+from renyi_quant.errors import (
+    DomainError,
+    EmptyConditioningError,
+    InfiniteIntegralError,
+    NonConvergenceError,
+)
 from renyi_quant import quantizer
 from renyi_quant.quantizer import cell_distortions, cell_table, power_sum, region_metrics
 
@@ -457,57 +464,20 @@ def _split(r):
     return r % 2.0 != 0.0
 
 
-def _piece_panels(d, r, lo, hi, c):
-    """The batched panel's value and error bound of |x - c|^r pdf over every
-    finite, nonempty (lo, hi), |x - c| measured from the node's offset from lo."""
-    offset = c - lo
-    return quadrature.kronrod_panels(
-        lambda x, from_lo: np.abs(from_lo - offset) ** r * d.pdf_array(x), lo, hi,
-    )
-
-
 def _settles(values, bounds):
+    """The cell layer's stopping test for a batched panel's value and bound."""
     return bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, 1e-16)
-
-
-def _has_kink(d, lo, hi):
-    return any(lo < k < hi for k in d.kinks)
-
-
-def _oracle_pieces(d, r, lo, hi, c):
-    """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi: one
-    batched panel for a finite piece with no kink of the pdf inside, kept when
-    its error bound passes the adaptive rule's first stopping test, else the
-    adaptive rule cut at c and the kinks, out to the tails."""
-    out = np.zeros(lo.shape)
-    live = lo < hi
-    smooth = np.array([not _has_kink(d, a, b) for a, b in zip(lo, hi)], dtype=bool)
-    finite = np.flatnonzero(live & smooth & np.isfinite(lo) & np.isfinite(hi))
-    values, bounds = _piece_panels(d, r, lo[finite], hi[finite], c[finite])
-    settled = _settles(values, bounds)
-    out[finite[settled]] = values[settled]
-    for i in sorted(set(np.flatnonzero(live).tolist()) - set(finite[settled].tolist())):
-        out[i] = _adaptive_piece(d, r, float(c[i]), float(lo[i]), float(hi[i]))
-    return out
 
 
 def _oracle_region_distortions(q, d, r, region):
     """Per-cell distortion inside a region: a full pass per interval, every
-    cell clipped to the interval, each side of the codepoint integrated alone
-    unless r is an even integer."""
+    cell clipped to the interval, added in interval order."""
     lows, highs = q._edges[:-1], q._edges[1:]
     out = np.zeros(q.size)
-    for block in quantizer._blocks(q.size):
-        c = q._codepoint_array[block]
-        for part in region:
-            lo = np.maximum(lows[block], part.lo)
-            hi = np.minimum(highs[block], part.hi)
-            if _split(r):
-                left = _oracle_pieces(d, r, lo, np.minimum(hi, c), c)
-                right = _oracle_pieces(d, r, np.maximum(lo, c), hi, c)
-                out[block] += left + right
-            else:
-                out[block] += _oracle_pieces(d, r, lo, hi, c)
+    for part in region:
+        out += quantizer._batch_distortions(
+            d, r, np.maximum(lows, part.lo), np.minimum(highs, part.hi), q._codepoint_array
+        )
     return out
 
 
@@ -610,20 +580,14 @@ def test_power_sum_zero_convention():
 # --- batched cell distortion against the per-cell adaptive rule ----------------------
 
 
-def _smooth_pieces(q, d, region):
-    """(cell, lo, hi) of every cell piece inside the region, split at its
-    codepoint and at the pdf's kinks."""
+def _cell_parts(q, region):
+    """(cell, part) of every cell's part inside each interval of the region."""
     parts = [REAL_LINE] if region is None else region
     for k in range(q.size):
-        c = q.codepoints[k]
         for part in parts:
             piece = q.cell(k).intersect(part)
-            if piece is None:
-                continue
-            cuts = sorted({x for x in (c, *d.kinks) if piece.lo < x < piece.hi})
-            edges = [piece.lo, *cuts, piece.hi]
-            for lo, hi in zip(edges, edges[1:]):
-                yield k, lo, hi
+            if piece is not None:
+                yield k, piece
 
 
 def _integrate_piece(d, r, c, lo, hi):
@@ -651,14 +615,30 @@ def _adaptive_piece(d, r, c, lo, hi):
 def _oracle_cell_distortions(q, d, r, region):
     """The per-cell adaptive loop, one call per piece between the codepoint and
     the pdf's kinks: quadrature.integrate over a finite piece, integrate_over
-    out to the tail for an unbounded one."""
+    out to the tail for an unbounded one.
+
+    An unbounded cell part that the support clips to a finite one takes the
+    cell layer's own value. On the tilted piecewise-linear source, whose pdf
+    falls like (3 - x)^0.6 to the support end 3, the adaptive rule and the
+    layer differ there by up to 3.9e-20, more than 1e-13 of that cell, and a
+    40-digit value lies further from the adaptive rule than from the layer.
+    """
     out = np.zeros(q.size)
-    for k, lo, hi in _smooth_pieces(q, d, region):
+    for k, piece in _cell_parts(q, region):
         c = q.codepoints[k]
-        if math.isfinite(lo) and math.isfinite(hi):
-            out[k] += _integrate_piece(d, r, c, lo, hi).value
-        else:
-            out[k] += _adaptive_piece(d, r, c, lo, hi)
+        clipped = piece.intersect(d.support)
+        if not piece.bounded and clipped is not None and clipped.bounded:
+            out[k] += quantizer._batch_distortions(
+                d, r, np.array([piece.lo]), np.array([piece.hi]), np.array([c])
+            )[0]
+            continue
+        cuts = sorted({x for x in (c, *d.kinks) if piece.lo < x < piece.hi})
+        edges = [piece.lo, *cuts, piece.hi]
+        for lo, hi in zip(edges, edges[1:]):
+            if math.isfinite(lo) and math.isfinite(hi):
+                out[k] += _integrate_piece(d, r, c, lo, hi).value
+            else:
+                out[k] += _adaptive_piece(d, r, c, lo, hi)
     return out
 
 
@@ -694,16 +674,17 @@ def _count_integrate_calls(monkeypatch):
     return calls
 
 
-def _record_piece_calls(monkeypatch):
-    """{(lo, hi): value} of every _piece_distortion call."""
-    calls = {}
-    original = quantizer._piece_distortion
+def _record_panels(monkeypatch):
+    """(a, b, values, bounds) of every batched panel call."""
+    calls = []
+    original = quadrature.kronrod_panels
 
-    def recording(d, r, lo, hi, c):
-        calls[lo, hi] = original(d, r, lo, hi, c)
-        return calls[lo, hi]
+    def recording(f, a, b):
+        values, bounds = original(f, a, b)
+        calls.append((a, b, values, bounds))
+        return values, bounds
 
-    monkeypatch.setattr(quantizer, "_piece_distortion", recording)
+    monkeypatch.setattr(quadrature, "kronrod_panels", recording)
     return calls
 
 
@@ -716,62 +697,62 @@ def test_cell_distortions_batch_settles_almost_every_cell(monkeypatch):
     assert len(calls) < 0.01 * n
 
 
-def _panel_pieces(q, r):
-    """(cell, lo, hi) of every piece the cell layer integrates: the cell, or
-    its two sides of the codepoint unless r is an even integer."""
-    for k in range(q.size):
-        cell, c = q.cell(k), q.codepoints[k]
-        if _split(r):
-            yield k, cell.lo, c
-            yield k, c, cell.hi
-        else:
-            yield k, cell.lo, cell.hi
-
-
 @pytest.mark.parametrize("n", [4, 64])
 @pytest.mark.parametrize("r", [2.0, 3.0])
 @pytest.mark.parametrize("d", ORACLE_SOURCES[:4], ids=lambda d: repr(d))
-def test_cell_distortions_fall_back_where_one_panel_does_not_settle(monkeypatch, d, r, n):
+def test_cell_distortions_halve_the_pieces_a_panel_does_not_settle(monkeypatch, d, r, n):
     q = _compander_for(d, n, r)
-    pieces = list(_panel_pieces(q, r))
-    unbounded = {(lo, hi) for _, lo, hi in pieces if not (math.isfinite(lo) and math.isfinite(hi))}
-    kinked = {(lo, hi) for _, lo, hi in pieces if _has_kink(d, lo, hi)} - unbounded
-    finite = [(k, lo, hi) for k, lo, hi in pieces if (lo, hi) not in unbounded | kinked]
-    cells, lo, hi = (np.array(column) for column in zip(*finite))
-    values, bounds = _piece_panels(d, r, lo, hi, q._codepoint_array[cells])
-    settled = _settles(values, bounds)
-    calls = _record_piece_calls(monkeypatch)
-    cell_distortions(q, d, r)
-    # the two outer pieces run out to the tails; a finite one falls back only
-    # when a kink of the pdf lies inside or its panel's error bound does not
-    # settle it
-    assert len(unbounded) == 2
-    assert sorted(calls) == sorted(
-        unbounded | kinked | {(lo[i], hi[i]) for i in np.flatnonzero(~settled)}
-    )
-    # where the adaptive rule's own first panel settles a side of c, the
-    # fallback keeps the value the bound turned down
-    for i in np.flatnonzero(~settled).tolist():
-        c = q.codepoints[cells[i]]
-        if not lo[i] < c < hi[i] and _integrate_piece(d, r, c, lo[i], hi[i]).subdivisions == 1:
-            assert calls[lo[i], hi[i]] == pytest.approx(values[i], rel=1e-13, abs=0.0)
+    calls = _record_panels(monkeypatch)
+    got = cell_distortions(q, d, r)
+    # no panel straddles a kink of the pdf, nor a codepoint unless r is even
+    cuts = np.array([*d.kinks, *(q.codepoints if _split(r) else ())])
+    for a, b, _, _ in calls:
+        assert not np.any((a[:, None] < cuts) & (cuts < b[:, None]))
+    # the next call is the halves of every piece this one did not settle, in
+    # order, and the last call settles all of its pieces
+    for (a, b, values, bounds), (next_a, next_b, _, _) in zip(calls, calls[1:]):
+        failed = ~_settles(values, bounds)
+        mid = 0.5 * (a[failed] + b[failed])
+        assert np.array_equal(next_a, np.column_stack((a[failed], mid)).ravel())
+        assert np.array_equal(next_b, np.column_stack((mid, b[failed])).ravel())
+    assert _settles(*calls[-1][2:]).all()
+    np.testing.assert_allclose(got, _oracle_cell_distortions(q, d, r, None), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(
-    "r, pieces",
+    "r, pieces, left, right",
     [
-        # the cell (-1, 1.5] holds the pdf's kink at 0
-        (2.0, [(-math.inf, -1.0), (-1.0, 1.5), (1.5, math.inf)]),
-        # so does its side (-1, 0.5) of the codepoint
-        (3.0, [(-math.inf, -2.0), (-1.0, 0.5), (3.0, math.inf)]),
+        # the cell (-1, 1.5] holds the pdf's kink at 0; each tail doubles out
+        # from its piece's finite end e, the first window |c - e| wide
+        (
+            2.0,
+            [(-1.0, 0.0), (0.0, 1.5)],
+            [(-2.0, -1.0), (-4.0, -2.0), (-8.0, -4.0)],
+            [(1.5, 3.0), (3.0, 6.0), (6.0, 12.0)],
+        ),
+        # so does its side (-1, 0.5) of the codepoint; the tails start at the
+        # codepoints, 1 wide
+        (
+            3.0,
+            [(-2.0, -1.0), (-1.0, 0.0), (0.0, 0.5), (0.5, 1.5), (1.5, 3.0)],
+            [(-3.0, -2.0), (-5.0, -3.0), (-9.0, -5.0)],
+            [(3.0, 4.0), (4.0, 6.0), (6.0, 10.0)],
+        ),
     ],
 )
-def test_cell_distortions_fall_back_on_a_kink_inside_a_piece(monkeypatch, r, pieces):
+def test_cell_distortions_cut_at_kinks_and_run_the_tails_as_windows(
+    monkeypatch, r, pieces, left, right
+):
     d = Laplacian(0.0, 1.0)
     q = Quantizer((-1.0, 1.5), (-2.0, 0.5, 3.0))
-    calls = _record_piece_calls(monkeypatch)
+    calls = _record_panels(monkeypatch)
     got = cell_distortions(q, d, r)
-    assert sorted(calls) == pieces
+    first = list(zip(calls[0][0].tolist(), calls[0][1].tolist()))
+    windows = quantizer._TAIL_WINDOWS
+    assert len(first) == len(pieces) + 2 * windows
+    assert sorted(first[:len(pieces)]) == pieces
+    assert first[len(pieces):][:3] == left and first[-windows:][:3] == right
+    assert len(calls) > 1  # some windows are halved
     np.testing.assert_allclose(got, _oracle_cell_distortions(q, d, r, None), rtol=1e-13, atol=0.0)
 
 
@@ -779,30 +760,67 @@ def test_cell_distortions_fall_back_on_a_kink_inside_a_piece(monkeypatch, r, pie
     "d, n, rows_r2, rows_r3",
     [
         # one row per finite cell at r = 2; two at r = 3, and one for the
-        # finite side of each outer cell
-        (Gaussian(0.0, 1.0), 64, 62, 126),
+        # finite side of each outer cell; then the two tails' windows
+        (Gaussian(0.0, 1.0), 64, 62 + 128, 126 + 128),
         # the mean, the pdf's kink, is the codepoint of the middle cell: that
-        # cell falls back whole, its two sides do not
-        (Laplacian(0.0, 1.0), 65, 62, 128),
-        # equal-width cells: the knots 1 and 3 lie inside cells 12 and 36, on
-        # the left and right side of the codepoint
-        (PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)]), 49, 45, 94),
+        # cell is cut there at r = 2 too
+        (Laplacian(0.0, 1.0), 65, 64 + 128, 128 + 128),
+        # equal-width cells, the outer two clipped to the support: the knots 1
+        # and 3 lie inside cells 12 and 36, on the left and right side of the
+        # codepoint, and cut them
+        (PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)]), 49, 51, 100),
     ],
     ids=repr,
 )
 @pytest.mark.parametrize("r", [2.0, 3.0])
 def test_cell_distortions_panel_once_per_smooth_piece(monkeypatch, r, d, n, rows_r2, rows_r3):
     q = _compander_for(d, n, r)
-    rows = []
-    original = quadrature.kronrod_panels
-
-    def counting(f, a, b):
-        rows.append(a.size)
-        return original(f, a, b)
-
-    monkeypatch.setattr(quadrature, "kronrod_panels", counting)
+    calls = _record_panels(monkeypatch)
     cell_distortions(q, d, r)
-    assert rows == [rows_r2 if r == 2.0 else rows_r3]
+    assert calls[0][0].size == (rows_r2 if r == 2.0 else rows_r3)
+
+
+class _SlowTails(Density):
+    """pdf (1 + |x|)^-2 / 2: the mean of |X - c|^r diverges for r >= 1."""
+
+    support = REAL_LINE
+    kinks = (0.0,)
+
+    def pdf(self, x):
+        return 0.5 / (1.0 + abs(x)) ** 2
+
+    def cdf(self, x):
+        return 0.5 / (1.0 - x) if x < 0.0 else 1.0 - 0.5 / (1.0 + x)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_cell_distortions_raise_where_a_tail_diverges(r):
+    q = Quantizer((-1.0, 1.0), (-2.0, 0.5, 2.0))
+    with pytest.raises(InfiniteIntegralError, match="does not converge"):
+        cell_distortions(q, _SlowTails(), r)
+
+
+def test_cell_distortions_raise_where_halving_does_not_settle(monkeypatch):
+    # the pdf falls like (3 - x)^0.6 to the support end 3: the last cell's
+    # piece there is halved 27 times
+    d = ORACLE_SOURCES[-1]
+    q = _compander_for(d, 4)
+    calls = _record_panels(monkeypatch)
+    cell_distortions(q, d, 2.0)
+    assert len(calls) > 2
+    monkeypatch.setattr(quantizer, "_MAX_HALVINGS", 1)
+    with pytest.raises(NonConvergenceError, match="within 1 halvings"):
+        cell_distortions(q, d, 2.0)
+
+
+@pytest.mark.parametrize("r", [20.0, 40.0])
+@pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Laplacian(0.0, 1.0), Exponential(1.0)], ids=repr)
+def test_high_powers_stay_finite_in_far_windows(d, r):
+    q = _compander_for(d, 64, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = distortion(q, d, r)
+    assert math.isfinite(value) and value > 0.0
 
 
 # --- whole-cell distortion and entropy against closed-form cells at 40 digits -----------
@@ -936,6 +954,38 @@ def test_kinked_source_distortion_matches_closed_form_cells(r, n):
         want_d = mpmath.fsum(want)
         assert abs((got_d - want_d) / want_d) <= 1e-15
         assert max(abs((g - w) / w) for g, w in zip(got, want)) <= 1e-12
+
+
+def test_fractional_power_refinement_matches_closed_form_cells():
+    """At r = 1.5 the refinement's derivative integrates |x - c|^0.5 pdf, whose
+    slope is unbounded at c: the pieces next to c are halved until they settle."""
+    mpmath = pytest.importorskip("mpmath")
+    d, r = GENERAL_SOURCE, 1.5
+    q = build_compander(optimal_point_density(d, 0.5, r), 256)
+    refined = refine_codepoints(q, d, r)
+    for quant in (q, refined):
+        got_d = distortion(quant, d, r)
+        with mpmath.workdps(40):
+            want_d = mpmath.fsum(_piecewise_linear_cells(mpmath, d, quant, r))
+            assert abs((got_d - want_d) / want_d) <= 1e-14
+    assert distortion(refined, d, r) < distortion(q, d, r)
+
+
+def test_cell_passes_and_refinement_make_no_adaptive_quadrature_call(monkeypatch):
+    d = GENERAL_SOURCE
+    q = build_compander(optimal_point_density(d, 0.5, 2.0), 64)
+    regions = [(Interval(0.5, 3.5),), Interval(0.5, 3.5).complement()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature.integrate called")
+
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    for r in (1.5, 3.0):
+        table = cell_table(q, d, r, regions)
+        assert all(np.isfinite(columns.distortions).all() for columns in table.regions)
+        refine_codepoints(q, d, r)
+    table = cell_table(q, Gaussian(0.0, 1.0), 3.0, ((Interval(-0.3, 0.7),),))
+    assert table.regions[0].distortions.sum() > 0.0
 
 
 @pytest.mark.parametrize("n", [5, 257, 4097])
