@@ -43,10 +43,10 @@ def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
     Every cell counts whole, tails included. The minimizer is the root in c
     of G(c) = integral over the cell of sign(x - c)|x - c|^(r-1) pdf, which
     decreases in c: the median at r = 1, the conditional mean at r = 2. All
-    cells are solved at once by `decreasing_roots` over each cell's part of
-    the support, to QUANTILE_WIDTH, each step two unsigned cell passes (right
-    of c less left of c). Breakpoints are unchanged and distortion cannot
-    increase.
+    cells are solved at once by `decreasing_roots` for c / unit, unit a power
+    of 2 near the interquartile range, so its steps and QUANTILE_WIDTH scale
+    with d, each step two unsigned cell passes (right of c less left of c).
+    Breakpoints are unchanged and distortion cannot increase.
     """
     if r < 1.0:
         raise DomainError(f"refine_codepoints requires r >= 1, got {r}")
@@ -54,11 +54,11 @@ def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
     if dead.size:
         k = int(dead[0])
         raise DegenerateCellError(f"cell {k} = {q.cell(k)} has zero probability")
-    lo = np.maximum(q._edges[:-1], d.support.lo)
-    hi = np.minimum(q._edges[1:], d.support.hi)
-    c = decreasing_roots(  # G(c): each cell's part right of c less its part left of c
-        lambda c, idx: _batch_distortions(d, r - 1.0, c, hi[idx], c)
-        - _batch_distortions(d, r - 1.0, lo[idx], c, c), lo, hi
+    lo, hi = np.maximum(q._edges[:-1], d.support.lo), np.minimum(q._edges[1:], d.support.hi)
+    unit = 2.0 ** np.floor(np.log2(np.ptp(d.quantile_array(np.array([0.25, 0.75])))))
+    c = unit * decreasing_roots(  # G(c): each cell's part right of c less its part left of c
+        lambda u, idx: _batch_distortions(d, r - 1.0, unit * u, hi[idx], unit * u)
+        - _batch_distortions(d, r - 1.0, lo[idx], unit * u, unit * u), lo / unit, hi / unit
     )
     # keep strictly inside the open cell interior
     c = np.clip(c, np.nextafter(q._edges[:-1], np.inf), np.nextafter(q._edges[1:], -np.inf))

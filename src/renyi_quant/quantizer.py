@@ -178,10 +178,11 @@ def _batch_distortions(
 
     Each (lo, hi) is clipped to the support and cut at c, unless r is an even
     integer, and at the pdf's kinks. An unbounded piece becomes _TAIL_WINDOWS
-    windows out from its finite end e, the first |c - e| wide (1 where c = e),
-    each twice the one before; the last must add at most _PIECE_ABS_TOL. Each
-    round is one batched G7/K15 panel call; a piece whose error bound fails
-    the adaptive rule's first stopping test is halved into the next. An entry
+    windows out from its finite end e, the first |c - e| wide (where c = e,
+    the interquartile range), each twice the one before; the last must add at
+    most _PIECE_ABS_TOL. Each round is one batched G7/K15 panel call; a piece
+    whose error bound fails the adaptive rule's first stopping test is halved
+    into the next, and one whose bound is not finite raises at once. An entry
     sums its settled pieces round by round in array order, whatever the batch.
     """
     size = lo.size
@@ -194,22 +195,20 @@ def _batch_distortions(
     entry = np.arange(lo.size) % size
     for k in d.kinks:  # a piece keeps its part left of a kink inside it; the rest goes last
         inside = np.flatnonzero((lo < k) & (k < hi))
-        if inside.size:
-            lo, entry = np.append(lo, np.full(inside.size, k)), np.append(entry, entry[inside])
-            hi = np.append(hi, hi[inside])
-            hi[inside] = k
+        lo, entry = np.append(lo, np.full(inside.size, k)), np.append(entry, entry[inside])
+        hi = np.append(hi, hi[inside])
+        hi[inside] = k
     live = np.flatnonzero(lo < hi)
     a, b, entry = lo[live], hi[live], entry[live]
     tail = np.flatnonzero(np.isinf(a) | np.isinf(b))
-    first_window, guard = a.size - tail.size, False
+    first_window = a.size - tail.size
     if tail.size:  # each unbounded piece's windows, nearest first, after the finite pieces
         left = np.isinf(a[tail])
         e = np.where(left, b[tail], a[tail])
-        width = np.abs(c[entry[tail]] - e)
-        step = np.where(left, -1.0, 1.0) * np.where(width > 0.0, width, 1.0)
+        width = np.abs(c[entry[tail]] - e)  # 0 for a tail from c: start on d's own scale
+        width[width == 0.0] = np.ptp(d.quantile_array(np.array([0.25, 0.75])))
+        step = np.where(left, -1.0, 1.0) * width
         ends = e[:, None] + step[:, None] * (2.0 ** np.arange(_TAIL_WINDOWS + 1) - 1.0)
-        # where |x - c|^r could overflow far out, form it only where the pdf is positive
-        guard = r * math.log2(np.max(np.abs(ends - c[entry[tail], None]))) > 1000.0
         a = np.concatenate((np.delete(a, tail), np.minimum(ends[:, :-1], ends[:, 1:]).ravel()))
         b = np.concatenate((np.delete(b, tail), np.maximum(ends[:, :-1], ends[:, 1:]).ravel()))
         entry = np.concatenate((np.delete(entry, tail), np.repeat(entry[tail], _TAIL_WINDOWS)))
@@ -218,13 +217,15 @@ def _batch_distortions(
         # |x - c| from the node's offset from the piece's left end
         pdf = d.pdf_array(x)
         dist = np.abs(from_lo - offset)
-        np.power(dist, r, out=dist, where=pdf > 0.0 if guard else True)
+        np.power(dist, r, out=dist, where=pdf > 0.0)  # far out it overflows where the pdf is 0
         return dist * pdf
 
     total = np.zeros(size)
     for halvings in range(_MAX_HALVINGS + 1):
         offset = c[entry] - a
         values, bounds = quadrature.kronrod_panels(integrand, a, b)
+        if not np.isfinite(bounds).all():  # such a piece never settles: |x - c|^r overflowed
+            raise NonConvergenceError(f"cell piece integrand is not finite at r = {r}")
         last = values[first_window + _TAIL_WINDOWS - 1::_TAIL_WINDOWS]
         if halvings == 0 and np.any(last > _PIECE_ABS_TOL):
             raise InfiniteIntegralError(f"distortion tail does not converge: {last.max():.3e}")

@@ -719,6 +719,9 @@ def test_cell_distortions_halve_the_pieces_a_panel_does_not_settle(monkeypatch, 
     np.testing.assert_allclose(got, _oracle_cell_distortions(q, d, r, None), rtol=1e-13, atol=0.0)
 
 
+_LN4 = 2.0 * math.log(2.0)  # the interquartile range of Laplacian(0, 1)
+
+
 @pytest.mark.parametrize(
     "r, pieces, left, right",
     [
@@ -731,12 +734,12 @@ def test_cell_distortions_halve_the_pieces_a_panel_does_not_settle(monkeypatch, 
             [(1.5, 3.0), (3.0, 6.0), (6.0, 12.0)],
         ),
         # so does its side (-1, 0.5) of the codepoint; the tails start at the
-        # codepoints, 1 wide
+        # codepoints, as wide as the interquartile range 2 ln 2
         (
             3.0,
             [(-2.0, -1.0), (-1.0, 0.0), (0.0, 0.5), (0.5, 1.5), (1.5, 3.0)],
-            [(-3.0, -2.0), (-5.0, -3.0), (-9.0, -5.0)],
-            [(3.0, 4.0), (4.0, 6.0), (6.0, 10.0)],
+            [(-2.0 - _LN4, -2.0), (-2.0 - 3 * _LN4, -2.0 - _LN4), (-2.0 - 7 * _LN4, -2.0 - 3 * _LN4)],
+            [(3.0, 3.0 + _LN4), (3.0 + _LN4, 3.0 + 3 * _LN4), (3.0 + 3 * _LN4, 3.0 + 7 * _LN4)],
         ),
     ],
 )
@@ -751,7 +754,8 @@ def test_cell_distortions_cut_at_kinks_and_run_the_tails_as_windows(
     windows = quantizer._TAIL_WINDOWS
     assert len(first) == len(pieces) + 2 * windows
     assert sorted(first[:len(pieces)]) == pieces
-    assert first[len(pieces):][:3] == left and first[-windows:][:3] == right
+    np.testing.assert_allclose(first[len(pieces):][:3], left, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(first[-windows:][:3], right, rtol=1e-15, atol=0.0)
     assert len(calls) > 1  # some windows are halved
     np.testing.assert_allclose(got, _oracle_cell_distortions(q, d, r, None), rtol=1e-13, atol=0.0)
 
@@ -821,6 +825,38 @@ def test_high_powers_stay_finite_in_far_windows(d, r):
         warnings.simplefilter("error")
         value = distortion(q, d, r)
     assert math.isfinite(value) and value > 0.0
+
+
+def test_an_overflowing_integrand_raises_at_once():
+    # |x - c|^150 overflows far short of |x| = 745, where the Laplacian pdf
+    # underflows: such a piece never settles, and halving it would not help
+    q = _compander_for(Laplacian(0.0, 1.0), 16, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            cell_distortions(q, Laplacian(0.0, 1.0), 150.0)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+@pytest.mark.parametrize("n", [16, 64])
+def test_cells_and_refinement_scale_with_the_source(n, scale):
+    """Gaussian(0, s) and a quantizer scaled by s: each cell distortion is s^r
+    times the unit one, and each refined codepoint s times the unit one, to the
+    root finder's stopping width. The tails from c start on the density's scale."""
+    for r in (1.5, 2.0, 3.0):
+        q = build_compander(optimal_point_density(Gaussian(0.0, 1.0), 0.5, r), n)
+        scaled = Quantizer(np.multiply(q.breakpoints, scale), np.multiply(q.codepoints, scale))
+        d = Gaussian(0.0, scale)
+        if r != 1.5 or scale > 1.0:  # at r = 1.5, s = 1e-5 the cells are near 1e-16, the absolute tolerance
+            np.testing.assert_allclose(
+                cell_distortions(scaled, d, r) / scale**r,
+                cell_distortions(q, Gaussian(0.0, 1.0), r), rtol=1e-12, atol=0.0,
+            )
+        refined = refine_codepoints(scaled, d, r)
+        np.testing.assert_allclose(
+            np.divide(refined.codepoints, scale),
+            refine_codepoints(q, Gaussian(0.0, 1.0), r).codepoints, rtol=0.0, atol=1e-12,
+        )
+        assert distortion(refined, d, r) <= distortion(scaled, d, r)
 
 
 # --- whole-cell distortion and entropy against closed-form cells at 40 digits -----------
