@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .compander import build_compander, optimal_point_density, refine_codepoints
 from .density import Density, check_weak_unimodality, density_from_spec
@@ -25,6 +25,7 @@ from .intervals import Interval
 from .quantizer import (
     CellTable,
     Quantizer,
+    RestrictedMetrics,
     cell_table,
     power_sum,
     quantizer_entropy,
@@ -37,6 +38,18 @@ TREND_WINDOW = 4           # rate points over which deviations must not increase
 TREND_FLOOR = 1e-9         # deviations below this count as converged noise
 
 EXPERIMENTS = ("asymptotics", "entropy-density", "distortion-density", "mismatch", "sanity")
+
+# each experiment's tolerance keys and their defaults; a config may set only the
+# keys of the experiment it runs. shift_abs has no default: when set, it takes
+# the place of shift_rel
+TOLERANCES: dict[str, dict[str, float | None]] = {
+    "asymptotics": {"ratio": 0.05},
+    "entropy-density": {"ratio": 0.02, "normalization": 0.02, "restricted_distortion": 0.05},
+    "distortion-density": {"share": 0.02, "coincidence": 0.05, "mg": 0.05},
+    "mismatch": {"shift_abs": None, "shift_rel": 0.05, "distortion_rel": 0.05},
+    "sanity": {"single_cell": 0.05, "restricted_entropy_min": 3.0},
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -71,9 +84,6 @@ class ExperimentConfig:
         if self.mismatch_source is None:
             raise ConfigError("field 'mismatch_source' is required for mismatch runs")
         return density_from_spec(self.mismatch_source)
-
-    def tolerance(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -232,52 +242,66 @@ def _values_increasing(values: Sequence[float]) -> bool:
     return all(b >= a * (1.0 - 1e-9) for a, b in zip(tail, tail[1:]))
 
 
-def _hypothesis_checks(cfg: ExperimentConfig, need_mismatch: bool = False) -> dict:
-    """Weak unimodality, the r + delta moment, and (optionally) the f/g bound."""
+def _setup(cfg: ExperimentConfig, experiment: str) -> tuple[Density, Density | None, dict, dict]:
+    """The source density, the mismatch density (mismatch runs only), the
+    hypothesis checks (weak unimodality, the r + delta moment, the f/g bound)
+    and the effective tolerances of one run."""
+    defaults = TOLERANCES[experiment]
+    unknown = sorted(set(cfg.tolerances) - set(defaults))
+    if unknown:
+        raise ConfigError(
+            f"unknown tolerance key {unknown[0]!r} for {experiment} runs "
+            f"(known: {', '.join(defaults)})"
+        )
+    if experiment != "asymptotics" and cfg.alpha <= 0.0:
+        raise ConfigError(f"{experiment} runs need alpha strictly inside (0, 1)")
     d = cfg.source_density()
-    checks: dict = {}
     report = check_weak_unimodality(d)
     if not report.passed:
         raise HypothesisError(
             f"source density failed the weak-unimodality grid check "
             f"(level {report.failing_level})"
         )
-    checks["weakly_unimodal"] = True
+    checks: dict = {"weakly_unimodal": True}
     try:
         checks["moment_r_plus_delta"] = d.absolute_moment(cfg.r + cfg.moment_slack)
     except InfiniteIntegralError as exc:
         raise HypothesisError(f"moment condition fails at order "
                               f"{cfg.r + cfg.moment_slack}: {exc}") from None
-    if need_mismatch:
+    f = None
+    if experiment == "mismatch":
         f = cfg.mismatch_density()
         ratio = theory.check_density_ratio_bound(f, d)
         if not ratio.bounded:
-            raise HypothesisError(
-                f"density ratio f/g is unbounded near x = {ratio.argmax:.6g}"
-            )
+            raise HypothesisError(f"density ratio f/g is unbounded near x = {ratio.argmax:.6g}")
         checks["ratio_bound"] = ratio.max_ratio
-    return checks
+    return d, f, checks, {**defaults, **cfg.tolerances}
 
 
-def _quantizer_for(cfg: ExperimentConfig, d: Density, n: int) -> Quantizer:
-    h = optimal_point_density(d, cfg.alpha, cfg.r)
-    q = build_compander(h, n)
-    if cfg.refine_codepoints:
-        q = refine_codepoints(q, d, cfg.r)
-    return q
+def _sweep(cfg: ExperimentConfig, design: Density, interval: Interval | None = None,
+           evaluate: Density | None = None) -> Iterator[tuple[int, Quantizer, CellTable]]:
+    """Each rate point's n, the compander designed for `design` (refined if the
+    config asks) and its cell table under `evaluate`, by default `design`, with
+    columns inside `interval` and its complement when one is given."""
+    h = optimal_point_density(design, cfg.alpha, cfg.r)
+    regions = () if interval is None else ((interval,), interval.complement())
+    for n in cfg.n_grid:
+        q = build_compander(h, n)
+        if cfg.refine_codepoints:
+            q = refine_codepoints(q, design, cfg.r)
+        yield n, q, cell_table(q, design if evaluate is None else evaluate, cfg.r, regions)
 
 
-def _theorem_interval(cfg: ExperimentConfig, d: Density) -> Interval:
+def _theorem_interval(cfg: ExperimentConfig, d: Density) -> tuple[Interval, float]:
+    """The configured interval and its probability, which must lie in (0, 1)."""
     if cfg.interval is None:
         raise ConfigError("field 'interval' is required for this experiment")
     if not cfg.interval.bounded:
         raise ConfigError("field 'interval' must be bounded for density experiments")
     mass = d.interval_mass(cfg.interval)
     if not 0.0 < mass < 1.0:
-        raise HypothesisError(
-            f"interval probability must lie strictly in (0,1), got {mass}"
-        )
-    return cfg.interval
+        raise HypothesisError(f"interval probability must lie strictly in (0,1), got {mass}")
+    return cfg.interval, mass
 
 
 def _rate_point(n: int, table: CellTable, alpha: float, r: float, limit: float) -> dict:
@@ -289,12 +313,26 @@ def _rate_point(n: int, table: CellTable, alpha: float, r: float, limit: float) 
     return {"n": n, "H_alpha": entropy, "D": dist, "eRH_D": normalized, "ratio": normalized / limit}
 
 
+def _sides(
+    table: CellTable, alpha: float, dist: float
+) -> tuple[RestrictedMetrics, RestrictedMetrics, float]:
+    """The metrics of a table's interval A and of its complement, and the
+    partition identity gap |P(A) D_A + (1 - P(A)) D_Ac - D| for total D."""
+    inside, outside = table.regions
+    m1, m2 = table.metrics(inside, alpha), table.metrics(outside, alpha)
+    mass = inside.mass
+    gap = abs(mass * m1.distortion_restricted + (1.0 - mass) * m2.distortion_restricted - dist)
+    return m1, m2, gap
+
+
 def _report(cfg: ExperimentConfig, experiment: str, rows: list[dict], limits: dict,
-            flags: dict, diagnostics: dict) -> ConvergenceReport:
+            flags: dict, checks: dict, tolerances: dict, **diagnostics) -> ConvergenceReport:
     """A sweep's report: its CSV columns are the keys of its rows, in order,
     and it passes when every flag holds."""
     return ConvergenceReport(
-        experiment, cfg.name, tuple(rows[0]), rows, limits, flags, diagnostics, all(flags.values())
+        experiment, cfg.name, tuple(rows[0]), rows, limits, flags,
+        {"hypothesis_checks": checks, "tolerances": tolerances, **diagnostics},
+        all(flags.values()),
     )
 
 
@@ -303,92 +341,62 @@ def _report(cfg: ExperimentConfig, experiment: str, rows: list[dict], limits: di
 
 def run_asymptotics(cfg: ExperimentConfig) -> ConvergenceReport:
     """Normalized distortion e^{rH} D against the quantization coefficient."""
-    checks = _hypothesis_checks(cfg)
-    d = cfg.source_density()
+    d, _, checks, tol = _setup(cfg, "asymptotics")
     q_coeff = theory.quantization_coefficient(d, cfg.alpha, cfg.r)
     params = theory.rate_params(cfg.alpha, cfg.r)
-    rows = [
-        _rate_point(n, cell_table(_quantizer_for(cfg, d, n), d, cfg.r), cfg.alpha, cfg.r, q_coeff)
-        for n in cfg.n_grid
-    ]
+    rows = [_rate_point(n, table, cfg.alpha, cfg.r, q_coeff) for n, _, table in _sweep(cfg, d)]
     ratios = [row["ratio"] for row in rows]
-    tol = cfg.tolerance("ratio", 0.05)
     flags = {
-        "final_ratio_within_tolerance": abs(ratios[-1] - 1.0) <= tol,
+        "final_ratio_within_tolerance": abs(ratios[-1] - 1.0) <= tol["ratio"],
         "deviation_nonincreasing": _deviations_nonincreasing(ratios),
     }
     return _report(
         cfg, "asymptotics", rows,
         limits={"Q": q_coeff, "beta1": params.beta1, "beta2": params.beta2,
                 "C_r": params.c_r},
-        flags=flags,
-        diagnostics={"hypothesis_checks": checks, "tolerance": tol},
+        flags=flags, checks=checks, tolerances=tol,
     )
 
 
 def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
     """Entropy contribution of an interval and of its complement."""
-    checks = _hypothesis_checks(cfg)
-    d = cfg.source_density()
-    interval = _theorem_interval(cfg, d)
+    d, _, checks, tol = _setup(cfg, "entropy-density")
+    interval, mass_1 = _theorem_interval(cfg, d)
     alpha, r = cfg.alpha, cfg.r
-    if alpha <= 0.0:
-        raise ConfigError("entropy-density runs need alpha strictly inside (0, 1)")
     q_coeff = theory.quantization_coefficient(d, alpha, r)
     limit_1 = theory.entropy_density_limit(d, interval, alpha, r)
-    mass_1 = d.interval_mass(interval)
     mass_2 = 1.0 - mass_1
     tilted_mass = limit_1 * mass_1**alpha
     limit_2 = (1.0 - tilted_mass) * mass_2 ** (-alpha)
-    conditional = d.restrict(interval)
-    q_conditional = theory.quantization_coefficient(conditional, alpha, r)
-    sides = ((interval,), interval.complement())
+    q_conditional = theory.quantization_coefficient(d.restrict(interval), alpha, r)
 
-    def point(n: int) -> dict:
-        table = cell_table(_quantizer_for(cfg, d, n), d, r, sides)
+    rows = []
+    for n, _, table in _sweep(cfg, d, interval):
         row = _rate_point(n, table, alpha, r, q_coeff)
-        entropy, dist = row["H_alpha"], row["D"]
-        m1, m2 = (table.metrics(side, alpha) for side in table.regions)
-        ratio_1 = math.exp((1.0 - alpha) * (m1.entropy_restricted - entropy))
-        ratio_2 = math.exp((1.0 - alpha) * (m2.entropy_restricted - entropy))
-        normalization = ratio_1 * mass_1**alpha + ratio_2 * mass_2**alpha
+        m1, m2, gap = _sides(table, alpha, row["D"])
+        ratio_1 = math.exp((1.0 - alpha) * (m1.entropy_restricted - row["H_alpha"]))
+        ratio_2 = math.exp((1.0 - alpha) * (m2.entropy_restricted - row["H_alpha"]))
         restricted_nd = math.exp(r * m1.entropy_restricted) * m1.distortion_restricted
-        partition_gap = abs(
-            mass_1 * m1.distortion_restricted + mass_2 * m2.distortion_restricted - dist
-        )
-        return {
+        rows.append({
             **row,
             "entropy_density_ratio_A1": ratio_1,
             "entropy_density_ratio_A2": ratio_2,
-            "normalization": normalization,
+            "normalization": ratio_1 * mass_1**alpha + ratio_2 * mass_2**alpha,
             "restricted_eRH_D": restricted_nd,
             "restricted_ratio": restricted_nd / q_conditional,
-            "partition_identity_gap": partition_gap,
-        }
-
-    rows = [point(n) for n in cfg.n_grid]
+            "partition_identity_gap": gap,
+        })
     last = rows[-1]
-    tol_ratio = cfg.tolerance("ratio", 0.02)
-    tol_norm = cfg.tolerance("normalization", 0.02)
-    tol_restricted = cfg.tolerance("restricted_distortion", 0.05)
     flags = {
         "interval_ratio_within_tolerance": abs(
             last["entropy_density_ratio_A1"] - limit_1
-        ) <= tol_ratio,
-        "partition_normalization_ok": abs(last["normalization"] - 1.0) <= tol_norm,
-        "restricted_distortion_ok": abs(last["restricted_ratio"] - 1.0) <= tol_restricted,
+        ) <= tol["ratio"],
+        "partition_normalization_ok": abs(last["normalization"] - 1.0) <= tol["normalization"],
+        "restricted_distortion_ok": abs(last["restricted_ratio"] - 1.0)
+        <= tol["restricted_distortion"],
         "deviation_shrinks": _deviation_shrinks(
             [row["entropy_density_ratio_A1"] / limit_1 for row in rows]
         ),
-    }
-    diagnostics = {
-        "hypothesis_checks": checks,
-        "max_partition_identity_gap": max(row["partition_identity_gap"] for row in rows),
-        "tolerances": {
-            "ratio": tol_ratio,
-            "normalization": tol_norm,
-            "restricted_distortion": tol_restricted,
-        },
     }
     return _report(
         cfg, "entropy-density", rows,
@@ -400,69 +408,49 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
             "tilted_mass": tilted_mass,
             "Q_conditional": q_conditional,
         },
-        flags=flags,
-        diagnostics=diagnostics,
+        flags=flags, checks=checks, tolerances=tol,
+        max_partition_identity_gap=max(row["partition_identity_gap"] for row in rows),
     )
 
 
 def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
     """Distortion contribution of an interval and the coincidence identity."""
-    checks = _hypothesis_checks(cfg)
-    d = cfg.source_density()
-    interval = _theorem_interval(cfg, d)
+    d, _, checks, tol = _setup(cfg, "distortion-density")
+    interval, mass_1 = _theorem_interval(cfg, d)
     alpha, r = cfg.alpha, cfg.r
-    if alpha <= 0.0:
-        raise ConfigError("distortion-density runs need alpha strictly inside (0, 1)")
     q_coeff = theory.quantization_coefficient(d, alpha, r)
     params = theory.rate_params(alpha, r)
     tilted_mass = d.partial_power_integral(params.beta1, interval) / d.power_integral(
         params.beta1
     )
     mg_limit = theory.limit_distortion_measure(d, interval, alpha, r)
-    sides = ((interval,), interval.complement())
-    mass_1 = d.interval_mass(interval)
-    mass_2 = 1.0 - mass_1
 
-    def point(n: int) -> dict:
-        table = cell_table(_quantizer_for(cfg, d, n), d, r, sides)
+    rows = []
+    for n, _, table in _sweep(cfg, d, interval):
         row = _rate_point(n, table, alpha, r, q_coeff)
-        entropy, dist = row["H_alpha"], row["D"]
+        m1, _, gap = _sides(table, alpha, row["D"])
         dist_in = math.fsum(memoryview(table.regions[0].distortions))
-        m1, m2 = (table.metrics(side, alpha) for side in table.regions)
-        share = dist_in / dist
+        share = dist_in / row["D"]
         power_share = m1.restricted_power_sum / m1.entropy_power_sum
-        mg_n = math.exp(r * entropy) * dist_in
-        partition_gap = abs(
-            mass_1 * m1.distortion_restricted + mass_2 * m2.distortion_restricted - dist
-        )
-        return {
+        mg_n = math.exp(r * row["H_alpha"]) * dist_in
+        rows.append({
             **row,
             "distortion_share": share,
             "power_sum_share": power_share,
             "coincidence_ratio": share / power_share,
             "Mg_n": mg_n,
             "Mg_ratio": mg_n / mg_limit,
-            "partition_identity_gap": partition_gap,
-        }
-
-    rows = [point(n) for n in cfg.n_grid]
+            "partition_identity_gap": gap,
+        })
     last = rows[-1]
-    tol_share = cfg.tolerance("share", 0.02)
-    tol_coincidence = cfg.tolerance("coincidence", 0.05)
-    tol_mg = cfg.tolerance("mg", 0.05)
     flags = {
-        "share_within_tolerance": abs(last["distortion_share"] - tilted_mass) <= tol_share,
+        "share_within_tolerance": abs(last["distortion_share"] - tilted_mass) <= tol["share"],
         "coincidence_within_tolerance": abs(last["coincidence_ratio"] - 1.0)
-        <= tol_coincidence,
-        "limit_measure_within_tolerance": abs(last["Mg_ratio"] - 1.0) <= tol_mg,
+        <= tol["coincidence"],
+        "limit_measure_within_tolerance": abs(last["Mg_ratio"] - 1.0) <= tol["mg"],
         "deviation_shrinks": _deviation_shrinks(
             [row["distortion_share"] / tilted_mass for row in rows]
         ),
-    }
-    diagnostics = {
-        "hypothesis_checks": checks,
-        "max_partition_identity_gap": max(row["partition_identity_gap"] for row in rows),
-        "tolerances": {"share": tol_share, "coincidence": tol_coincidence, "mg": tol_mg},
     }
     return _report(
         cfg, "distortion-density", rows,
@@ -472,52 +460,44 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
             "Mg_limit": mg_limit,
             "interval_mass": mass_1,
         },
-        flags=flags,
-        diagnostics=diagnostics,
+        flags=flags, checks=checks, tolerances=tol,
+        max_partition_identity_gap=max(row["partition_identity_gap"] for row in rows),
     )
 
 
 def run_mismatch(cfg: ExperimentConfig) -> ConvergenceReport:
     """Companders designed for the source density, evaluated under another."""
-    checks = _hypothesis_checks(cfg, need_mismatch=True)
-    g = cfg.source_density()
-    f = cfg.mismatch_density()
+    g, f, checks, tol = _setup(cfg, "mismatch")
     alpha, r = cfg.alpha, cfg.r
-    if alpha <= 0.0:
-        raise ConfigError("mismatch runs need alpha strictly inside (0, 1)")
     shift_limit = theory.mismatch_entropy_shift(g, f, alpha, r)
     dist_limit = theory.mismatch_distortion_limit(g, f, alpha, r)
     loss_limit = theory.mismatch_loss(g, f, alpha, r)
     q_f = theory.quantization_coefficient(f, alpha, r)
     q_g = theory.quantization_coefficient(g, alpha, r)
 
-    def point(n: int) -> dict:
-        q = _quantizer_for(cfg, g, n)
+    rows = []
+    for n, q, table in _sweep(cfg, g, evaluate=f):
         h_mu = quantizer_entropy(q, g, alpha)
-        row = _rate_point(n, cell_table(q, f, r), alpha, r, dist_limit)
+        row = _rate_point(n, table, alpha, r, dist_limit)
         shift = math.exp((1.0 - alpha) * (row["H_alpha"] - h_mu))
-        normalized = row["eRH_D"]
-        return {
+        rows.append({
             **row,
             "H_mu": h_mu,
             "mismatch_entropy_shift_empirical": shift,
             "shift_ratio": shift / shift_limit,
-            "loss_empirical": normalized / q_f,
-            "loss_ratio": (normalized / q_f) / loss_limit,
-        }
-
-    rows = [point(n) for n in cfg.n_grid]
+            "loss_empirical": row["eRH_D"] / q_f,
+            "loss_ratio": (row["eRH_D"] / q_f) / loss_limit,
+        })
     last = rows[-1]
-    if "shift_abs" in cfg.tolerances:
-        shift_ok = abs(
-            last["mismatch_entropy_shift_empirical"] - shift_limit
-        ) <= cfg.tolerance("shift_abs", 0.02)
+    if tol["shift_abs"] is None:
+        del tol["shift_abs"]
+        shift_ok = abs(last["shift_ratio"] - 1.0) <= tol["shift_rel"]
     else:
-        shift_ok = abs(last["shift_ratio"] - 1.0) <= cfg.tolerance("shift_rel", 0.05)
+        del tol["shift_rel"]
+        shift_ok = abs(last["mismatch_entropy_shift_empirical"] - shift_limit) <= tol["shift_abs"]
     flags = {
         "shift_within_tolerance": shift_ok,
-        "distortion_within_tolerance": abs(last["ratio"] - 1.0)
-        <= cfg.tolerance("distortion_rel", 0.05),
+        "distortion_within_tolerance": abs(last["ratio"] - 1.0) <= tol["distortion_rel"],
         "deviation_shrinks": _deviation_shrinks(
             [row["ratio"] for row in rows]
         ),
@@ -531,48 +511,34 @@ def run_mismatch(cfg: ExperimentConfig) -> ConvergenceReport:
             "Q_mismatch_source": q_f,
             "Q_source": q_g,
         },
-        flags=flags,
-        diagnostics={"hypothesis_checks": checks, "tolerances": dict(cfg.tolerances)},
+        flags=flags, checks=checks, tolerances=tol,
     )
 
 
 def run_sanity(cfg: ExperimentConfig) -> ConvergenceReport:
     """Vanishing cell probabilities and diverging restricted entropies."""
-    checks = _hypothesis_checks(cfg)
-    d = cfg.source_density()
+    d, _, checks, tol = _setup(cfg, "sanity")
     alpha, r = cfg.alpha, cfg.r
-    if alpha <= 0.0:
-        raise ConfigError("sanity runs need alpha strictly inside (0, 1)")
     if cfg.interval is not None:
-        interval = _theorem_interval(cfg, d)
+        interval, _ = _theorem_interval(cfg, d)
     else:
         interval = Interval(d.quantile(0.25), d.quantile(0.75))
-    points = cfg.sanity_points
-    if points is None:
-        points = (d.quantile(0.5), d.mode())
+    points = cfg.sanity_points if cfg.sanity_points is not None else (d.quantile(0.5), d.mode())
     q_coeff = theory.quantization_coefficient(d, alpha, r)
-    sides = ((interval,), interval.complement())
     point_cols = tuple(f"single_cell_ratio_p{i}" for i in range(len(points)))
 
-    def point(n: int) -> dict:
-        q = _quantizer_for(cfg, d, n)
-        table = cell_table(q, d, r, sides)
+    rows = []
+    for n, q, table in _sweep(cfg, d, interval):
         total_power = power_sum(table.masses, alpha)
-        m1, m2 = (table.metrics(side, alpha) for side in table.regions)
-        row = {
-            **_rate_point(n, table, alpha, r, q_coeff),
-            "max_cell_probability": float(table.masses.max()),
-            "H_restricted_A1": m1.entropy_restricted,
-            "H_restricted_A2": m2.entropy_restricted,
-        }
-        for i, p in enumerate(points):
+        row = _rate_point(n, table, alpha, r, q_coeff)
+        m1, m2, _ = _sides(table, alpha, row["D"])
+        row["max_cell_probability"] = float(table.masses.max())
+        row["H_restricted_A1"] = m1.entropy_restricted
+        row["H_restricted_A2"] = m2.entropy_restricted
+        for col, p in zip(point_cols, points):
             mass_p = float(table.masses[q.cell_index(p)])
-            row[point_cols[i]] = (mass_p**alpha / total_power) if mass_p > 0.0 else 0.0
-        return row
-
-    rows = [point(n) for n in cfg.n_grid]
-    threshold = cfg.tolerance("single_cell", 0.05)
-    entropy_floor = cfg.tolerance("restricted_entropy_min", 3.0)
+            row[col] = (mass_p**alpha / total_power) if mass_p > 0.0 else 0.0
+        rows.append(row)
     flags = {
         "max_cell_probability_decreasing": _deviations_nonincreasing(
             [row["max_cell_probability"] for row in rows], target=0.0
@@ -580,20 +546,19 @@ def run_sanity(cfg: ExperimentConfig) -> ConvergenceReport:
         "restricted_entropies_diverging": (
             _values_increasing([row["H_restricted_A1"] for row in rows])
             and _values_increasing([row["H_restricted_A2"] for row in rows])
-            and rows[-1]["H_restricted_A1"] > entropy_floor
-            and rows[-1]["H_restricted_A2"] > entropy_floor
+            and rows[-1]["H_restricted_A1"] > tol["restricted_entropy_min"]
+            and rows[-1]["H_restricted_A2"] > tol["restricted_entropy_min"]
         ),
     }
-    for i in range(len(points)):
-        series = [row[point_cols[i]] for row in rows]
-        flags[f"single_cell_ratio_p{i}_vanishing"] = bool(
-            _deviations_nonincreasing(series, target=0.0) and series[-1] < threshold
+    for col in point_cols:
+        series = [row[col] for row in rows]
+        flags[f"{col}_vanishing"] = bool(
+            _deviations_nonincreasing(series, target=0.0) and series[-1] < tol["single_cell"]
         )
     return _report(
         cfg, "sanity", rows,
         limits={"Q": q_coeff, "interval": interval.to_json(), "points": list(points)},
-        flags=flags,
-        diagnostics={"hypothesis_checks": checks},
+        flags=flags, checks=checks, tolerances=tol,
     )
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from renyi_quant import cli
 from renyi_quant.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -235,6 +236,85 @@ def test_checked_in_predict_config(capsys):
     code = main(["predict", "--config", str(CONFIG_DIR / "uniform_predict.json")])
     assert code == 0
     assert "Q = 0.0833333333" in capsys.readouterr().out
+
+
+PREDICT_GAUSSIAN_INTERVAL = """\
+alpha = 0.5
+r = 2
+beta1 = 0.6
+beta2 = 5
+C_r = 0.0833333333
+Q = 1.87767531
+interval_mass = 0.341344746
+entropy_density_limit = 0.480466154
+limit_distortion_measure = 0.52708409
+tilted_mass = 0.280710987
+Q_conditional = 0.0822882609
+"""
+
+PREDICT_GAUSSIAN_MISMATCH = """\
+alpha = 0.5
+r = 2
+beta1 = 0.6
+beta2 = 5
+C_r = 0.0833333333
+Q = 7.51070125
+mismatch_entropy_shift = 0.755928946
+mismatch_distortion_limit = 2.00243654
+mismatch_loss = 1.06644451
+Q_mismatch_source = 1.87767531
+kl_divergence = 0.318147181
+renyi_divergence = 0.223143551
+fixed_rate_divergence = 0.464074498
+"""
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("gaussian_distortion_density", PREDICT_GAUSSIAN_INTERVAL),
+        ("mismatch_gaussian", PREDICT_GAUSSIAN_MISMATCH),
+    ],
+)
+def test_predict_prints_interval_and_mismatch_values(capsys, name, expected):
+    assert main(["predict", "--config", str(CONFIG_DIR / f"{name}.json")]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_predict_at_alpha_zero_drops_the_renyi_divergence(capsys):
+    path = str(CONFIG_DIR / "mismatch_gaussian.json")
+    assert main(["predict", "--config", path, "--set", "alpha=0"]) == 0
+    names = [line.partition(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    expected = [line.partition(" = ")[0] for line in PREDICT_GAUSSIAN_MISMATCH.splitlines()]
+    assert names == [name for name in expected if name != "renyi_divergence"]
+
+
+@pytest.mark.filterwarnings("ignore:density ratio f/g appears unbounded")
+def test_predict_prints_nothing_before_an_error(tmp_path, capsys):
+    # Uniform(0, 2) against Uniform(0, 1): the Renyi divergence is infinite
+    path = write_config(tmp_path, {
+        "source": UNIFORM_CFG["source"],
+        "mismatch_source": {"family": "uniform", "a": 0.0, "b": 2.0},
+        "alpha": 0.5,
+        "r": 2.0,
+    })
+    assert main(["predict", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vanishes" in captured.err
+
+
+def test_two_calls_build_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    path = str(CONFIG_DIR / "uniform_predict.json")
+    assert main(["predict", "--config", path]) == 0
+    plain = capsys.readouterr().out
+    assert main(["predict", "--config", path, "--set", "alpha=0.25"]) == 0
+    assert "alpha = 0.25" in capsys.readouterr().out
+    # the override of the second call does not stay in the shared parser
+    assert main(["predict", "--config", path]) == 0
+    assert capsys.readouterr().out == plain
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_cli_import_loads_no_scipy():

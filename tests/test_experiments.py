@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from renyi_quant import Interval, quantizer
+from renyi_quant import Interval, experiments, quantizer
 from renyi_quant.errors import ConfigError, HypothesisError
 from renyi_quant.experiments import (
     DEFAULT_N_GRID,
+    RUNNERS,
+    TOLERANCES,
     ExperimentConfig,
     run_asymptotics,
     run_distortion_density,
@@ -316,16 +318,28 @@ def test_sanity_default_interval_and_points():
 # --- cell passes per rate point ------------------------------------------------------------
 
 
-def _count_cell_passes(monkeypatch):
-    calls = {"cell_probabilities": 0, "cell_distortions": 0}
+# a config every experiment runs: an interval for the density runs and a
+# mismatched source whose ratio to the design source is bounded
+EVERY_RUN = dict(
+    source=GAUSSIAN,
+    mismatch_source={"family": "gaussian", "mean": 0.2, "sigma": 0.8},
+    alpha=0.5,
+    r=2.0,
+    interval=Interval(-0.3, 0.8),
+    n_grid=SMALL_GRID,
+)
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
     for name in calls:
-        original = getattr(quantizer, name)
+        original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(quantizer, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -341,22 +355,58 @@ def _count_cell_passes(monkeypatch):
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
 def test_one_cell_pass_each_per_rate_point(monkeypatch, runner, probabilities_per_point):
-    cfg = ExperimentConfig(
-        source=GAUSSIAN,
-        mismatch_source={"family": "gaussian", "mean": 0.2, "sigma": 0.8},
-        alpha=0.5,
-        r=2.0,
-        interval=Interval(-0.3, 0.8),
-        n_grid=SMALL_GRID,
-    )
-    calls = _count_cell_passes(monkeypatch)
-    report = runner(cfg)
+    calls = _count_calls(monkeypatch, quantizer, ("cell_probabilities", "cell_distortions"))
+    builds = _count_calls(monkeypatch, experiments, ("density_from_spec", "optimal_point_density"))
+    report = runner(ExperimentConfig(**EVERY_RUN))
     points = len(report.rows)
     assert points == len(SMALL_GRID)
     assert calls == {
         "cell_probabilities": probabilities_per_point * points,
         "cell_distortions": points,
     }
+    # one sweep builds each density once: the source, the mismatched source
+    # of a mismatch run and the point density
+    sources = 2 if runner is run_mismatch else 1
+    assert builds == {"density_from_spec": sources, "optimal_point_density": 1}
+
+
+# --- shared setup ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("experiment", list(RUNNERS))
+def test_unknown_tolerance_key_is_refused(experiment):
+    cfg = ExperimentConfig(**EVERY_RUN, tolerances={"ratoi": 1e-30})
+    with pytest.raises(ConfigError, match=f"'ratoi' for {experiment} runs"):
+        RUNNERS[experiment](cfg)
+
+
+@pytest.mark.parametrize("experiment", [e for e in RUNNERS if e != "asymptotics"])
+def test_alpha_zero_is_refused_outside_asymptotics(experiment):
+    cfg = ExperimentConfig(**{**EVERY_RUN, "alpha": 0.0})
+    with pytest.raises(ConfigError, match=f"{experiment} runs need alpha"):
+        RUNNERS[experiment](cfg)
+
+
+@pytest.mark.parametrize("experiment", list(RUNNERS))
+def test_summary_lists_the_tolerances_in_effect(experiment):
+    # with no tolerance set, every default the run reads
+    report = RUNNERS[experiment](ExperimentConfig(**EVERY_RUN))
+    defaults = {k: v for k, v in TOLERANCES[experiment].items() if v is not None}
+    assert report.diagnostics["tolerances"] == defaults
+
+
+def test_mismatch_reads_shift_abs_in_place_of_shift_rel():
+    # at n = 32 the shift is ~1e-4 off its limit: inside 1.0, outside 1e-12
+    loose_abs = ExperimentConfig(
+        **EVERY_RUN, tolerances={"shift_abs": 1.0, "shift_rel": 1e-12}
+    )
+    report = run_mismatch(loose_abs)
+    assert report.flags["shift_within_tolerance"]
+    assert report.diagnostics["tolerances"] == {"shift_abs": 1.0, "distortion_rel": 0.05}
+    strict_rel = ExperimentConfig(**EVERY_RUN, tolerances={"shift_rel": 1e-12})
+    report = run_mismatch(strict_rel)
+    assert not report.flags["shift_within_tolerance"]
+    assert report.diagnostics["tolerances"] == {"shift_rel": 1e-12, "distortion_rel": 0.05}
 
 
 # --- report serialization -----------------------------------------------------------------------------
