@@ -19,7 +19,7 @@ import numpy as np
 
 from .compander import optimal_point_density
 from .errors import DomainError, RenyiQuantError
-from .experiments import EXPERIMENTS, RUNNERS, ExperimentConfig, read_config
+from .experiments import EXPERIMENTS, RUNNERS, ExperimentConfig, bounded_ratio, read_config
 from . import theory
 
 EXIT_OK = 0
@@ -137,6 +137,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         values["Q_conditional"] = theory.quantization_coefficient(d.restrict(interval), alpha, r)
     if cfg.mismatch_source is not None:
         f = cfg.mismatch_density()
+        bounded_ratio(f, d)  # the hypothesis a mismatch run checks, named when it fails
         values["mismatch_entropy_shift"] = theory.mismatch_entropy_shift(d, f, alpha, r)
         values["mismatch_distortion_limit"] = theory.mismatch_distortion_limit(d, f, alpha, r)
         values["mismatch_loss"] = theory.mismatch_loss(d, f, alpha, r)

@@ -26,12 +26,12 @@ from .quantizer import (
     CellTable,
     Quantizer,
     RestrictedMetrics,
-    cell_table,
+    cell_tables,
     power_sum,
     quantizer_entropy,
     renyi_entropy_vec,
 )
-from . import theory
+from . import quantizer, theory
 
 DEFAULT_N_GRID = tuple(2**k for k in range(2, 13))
 TREND_WINDOW = 4           # rate points over which deviations must not increase
@@ -271,25 +271,47 @@ def _setup(cfg: ExperimentConfig, experiment: str) -> tuple[Density, Density | N
     f = None
     if experiment == "mismatch":
         f = cfg.mismatch_density()
-        ratio = theory.check_density_ratio_bound(f, d)
-        if not ratio.bounded:
-            raise HypothesisError(f"density ratio f/g is unbounded near x = {ratio.argmax:.6g}")
-        checks["ratio_bound"] = ratio.max_ratio
+        checks["ratio_bound"] = bounded_ratio(f, d)
     return d, f, checks, {**defaults, **cfg.tolerances}
+
+
+def bounded_ratio(f: Density, g: Density) -> float:
+    """The grid bound on f/g that mismatch limits assume, or a HypothesisError
+    naming where the ratio is unbounded."""
+    ratio = theory.check_density_ratio_bound(f, g)
+    if not ratio.bounded:
+        raise HypothesisError(f"density ratio f/g is unbounded near x = {ratio.argmax:.6g}")
+    return ratio.max_ratio
 
 
 def _sweep(cfg: ExperimentConfig, design: Density, interval: Interval | None = None,
            evaluate: Density | None = None) -> Iterator[tuple[int, Quantizer, CellTable]]:
     """Each rate point's n, the compander designed for `design` (refined if the
     config asks) and its cell table under `evaluate`, by default `design`, with
-    columns inside `interval` and its complement when one is given."""
+    columns inside `interval` and its complement when one is given.
+
+    Consecutive rate points share one `cell_tables` call, and so one
+    distortion pass, while their cells number at most quantizer._BLOCK; a
+    larger rate point goes alone. The tables do not depend on the grouping."""
     h = optimal_point_density(design, cfg.alpha, cfg.r)
     regions = () if interval is None else ((interval,), interval.complement())
-    for n in cfg.n_grid:
-        q = build_compander(h, n)
+    for group in _groups(cfg.n_grid):
+        qs = [build_compander(h, n) for n in group]
         if cfg.refine_codepoints:
-            q = refine_codepoints(q, design, cfg.r)
-        yield n, q, cell_table(q, design if evaluate is None else evaluate, cfg.r, regions)
+            qs = [refine_codepoints(q, design, cfg.r) for q in qs]
+        tables = cell_tables(qs, design if evaluate is None else evaluate, cfg.r, regions)
+        yield from zip(group, qs, tables)
+
+
+def _groups(n_grid: Sequence[int]) -> list[list[int]]:
+    """The grid in runs of consecutive n whose sum stays within quantizer._BLOCK."""
+    groups: list[list[int]] = []
+    for n in n_grid:
+        if groups and sum(groups[-1]) + n <= quantizer._BLOCK:
+            groups[-1].append(n)
+        else:
+            groups.append([n])
+    return groups
 
 
 def _theorem_interval(cfg: ExperimentConfig, d: Density) -> tuple[Interval, float]:

@@ -12,8 +12,11 @@ batched Gauss-Kronrod panels over the cells' pieces: cut where |x - c|^r pdf
 has a kink, an unbounded piece as doubling windows, and every piece whose
 panel does not settle halved, all in one batch, until it does.
 
-A rate point makes one `cell_table`: one pass of each, and the columns inside
-a region from it, evaluating again only the cells a region endpoint cuts.
+A rate point's `CellTable` holds one mass pass, its distortions and the
+columns inside each region, which evaluate again only the cell parts a region
+endpoint cuts. `cell_tables` builds the tables of several quantizers with one
+distortion pass over all their cells and cut parts, as a sweep does for its
+small rate points: a cell's value does not depend on the batch it rides in.
 """
 
 from __future__ import annotations
@@ -292,56 +295,78 @@ class CellTable:
         )
 
 
-def _restricted_columns(
-    q: Quantizer, d: Density, r: float, masses: np.ndarray, distortions: np.ndarray,
-    regions: Sequence[Sequence[Interval]],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The full-pass masses and distortions inside each region.
-
-    A cell wholly inside an interval keeps its full-pass values; a cell an
-    interval endpoint cuts is evaluated again over its part of the interval,
-    all such cells in one batch, in interval order.
-    """
+def _region_parts(
+    q: Quantizer, regions: Sequence[Sequence[Interval]]
+) -> tuple[list[tuple[int, slice]], list[tuple[int, int, float, float]]]:
+    """Where each region meets q's cells: the run of cells wholly inside each
+    interval as (region, slice), and the part of every cell an interval
+    endpoint cuts as (region, cell, lo, hi), both in region and interval order."""
     lows, highs = q._edges[:-1], q._edges[1:]
-    columns = [(np.zeros(q.size), np.zeros(q.size)) for _ in regions]
-    cuts = []
-    for (m, x), region in zip(columns, regions):
+    runs, cuts = [], []
+    for j, region in enumerate(regions):
         for iv in region:
             start = int(np.searchsorted(lows, iv.lo, side="left"))
             stop = int(np.searchsorted(highs, iv.hi, side="right"))
-            m[start:stop] += masses[start:stop]
-            x[start:stop] += distortions[start:stop]
+            runs.append((j, slice(start, stop)))
             # the cell on either side of that run holds an endpoint or lies outside
             for k in sorted({start - 1, stop} - {-1, q.size}):
                 lo, hi = max(lows[k], iv.lo), min(highs[k], iv.hi)
                 if lo < hi:
-                    cuts.append((m, x, k, lo, hi))
+                    cuts.append((j, k, lo, hi))
+    return runs, cuts
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def cell_tables(
+    qs: Sequence[Quantizer], d: Density, r: float, regions: Sequence[Sequence[Interval]] = ()
+) -> list[CellTable]:
+    """The cell_table of every quantizer in qs: one cell_probabilities pass
+    each, and one distortion pass over the cells of all of them and every cell
+    part a region endpoint cuts. An entry's distortion does not depend on the
+    batch, so each table is bit-equal to the one its quantizer gets alone."""
+    if r < 1.0:
+        raise DomainError(f"distortion requires r >= 1, got {r}")
+    parts = [_region_parts(q, regions) for q in qs]
+    lows = [q._edges[:-1] for q in qs]  # views: one quantizer with no cut passes no copy
+    highs = [q._edges[1:] for q in qs]
+    codepoints = [q._codepoint_array for q in qs]
+    cuts = [(lo, hi, q._codepoint_array[k])
+            for q, (_, q_cuts) in zip(qs, parts) for _, k, lo, hi in q_cuts]
     if cuts:
-        _, _, cells, lo, hi = zip(*cuts)
-        lo, hi = np.array(lo), np.array(hi)
-        cut_masses = d.interval_mass_array(lo, hi).tolist()
-        cut_distortions = _batch_distortions(
-            d, r, lo, hi, q._codepoint_array[list(cells)]
-        ).tolist()
-        for (m, x, k, _, _), mass, dist in zip(cuts, cut_masses, cut_distortions):
-            m[k] += mass
-            x[k] += dist
-    return columns
+        for arrays, column in zip((lows, highs, codepoints), zip(*cuts)):
+            arrays.append(np.array(column))
+    values = _batch_distortions(d, r, _joined(lows), _joined(highs), _joined(codepoints))
+    cells = sum(q.size for q in qs)
+    cut_masses = d.interval_mass_array(lows[-1], highs[-1]).tolist() if cuts else []
+    cut_values = iter(zip(cut_masses, values[cells:].tolist()))
+    region_masses = [math.fsum(d.interval_mass(iv) for iv in region) for region in regions]
+    tables, start = [], 0
+    for q, (runs, q_cuts) in zip(qs, parts):  # each region's columns, added in the parts' order
+        masses, distortions = cell_probabilities(q, d), values[start:start + q.size]
+        start += q.size
+        columns = [(np.zeros(q.size), np.zeros(q.size)) for _ in regions]
+        for j, run in runs:  # a cell wholly inside keeps its full-pass values
+            columns[j][0][run] += masses[run]
+            columns[j][1][run] += distortions[run]
+        for (j, k, _, _), (mass, dist) in zip(q_cuts, cut_values):  # takes len(q_cuts) values
+            columns[j][0][k] += mass
+            columns[j][1][k] += dist
+        tables.append(CellTable(masses, distortions, tuple(
+            RegionColumns(mass, m, x) for mass, (m, x) in zip(region_masses, columns)
+        )))
+    return tables
 
 
 def cell_table(
     q: Quantizer, d: Density, r: float, regions: Sequence[Sequence[Interval]] = ()
 ) -> CellTable:
-    """One cell_probabilities and one cell_distortions pass, and both columns
-    inside each region (a union of disjoint intervals), each over the cells'
-    parts inside its intervals."""
-    masses = cell_probabilities(q, d)
-    distortions = cell_distortions(q, d, r)
-    columns = _restricted_columns(q, d, r, masses, distortions, regions)
-    return CellTable(masses, distortions, tuple(
-        RegionColumns(math.fsum(d.interval_mass(iv) for iv in region), m, x)
-        for region, (m, x) in zip(regions, columns)
-    ))
+    """One cell_probabilities and one distortion pass, and both columns inside
+    each region (a union of disjoint intervals), each over the cells' parts
+    inside its intervals."""
+    return cell_tables((q,), d, r, regions)[0]
 
 
 def restricted_metrics(

@@ -260,9 +260,10 @@ def mismatch_distortion_limit(g: Density, f: Density, alpha: float, r: float) ->
     a_int = _joint_integral(_product(f, alpha, h, 1.0 - alpha), (f, h))
     b_int = _joint_integral(_product(f, 1.0, h, -r), (f,))
     value = p.c_r * a_int ** (r / (1.0 - alpha)) * b_int
-    # same quantity through the divergence form; a disagreement means the
-    # numerics (not the algebra) broke down
-    div = renyi_divergence(f, h, alpha) if alpha > 0.0 else -math.log(a_int)
+    # same quantity through the divergence form, D_alpha(f || h) from a_int as
+    # renyi_divergence forms it; a disagreement means the numerics (not the
+    # algebra) broke down
+    div = math.log(a_int) / (alpha - 1.0) if a_int > 0.0 else math.inf
     alt = p.c_r * math.exp(-r * div) * b_int
     if not math.isclose(value, alt, rel_tol=1e-8):
         raise RenyiQuantError(

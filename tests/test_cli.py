@@ -281,6 +281,24 @@ def test_predict_prints_interval_and_mismatch_values(capsys, name, expected):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize("command", ["predict", "mismatch"])
+def test_unbounded_density_ratio_names_the_hypothesis(tmp_path, capsys, command):
+    path = write_config(tmp_path, {
+        "source": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
+        "mismatch_source": {"family": "gaussian", "mean": 0.0, "sigma": 2.0},
+        "alpha": 0.5,
+        "r": 2.0,
+        "n_grid": [4, 8],
+    })
+    argv = [command, "--config", str(path)]
+    if command == "mismatch":
+        argv += ["--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: density ratio f/g is unbounded near x = -14.0662\n"
+
+
 def test_predict_at_alpha_zero_drops_the_renyi_divergence(capsys):
     path = str(CONFIG_DIR / "mismatch_gaussian.json")
     assert main(["predict", "--config", path, "--set", "alpha=0"]) == 0
@@ -289,9 +307,9 @@ def test_predict_at_alpha_zero_drops_the_renyi_divergence(capsys):
     assert names == [name for name in expected if name != "renyi_divergence"]
 
 
-@pytest.mark.filterwarnings("ignore:density ratio f/g appears unbounded")
 def test_predict_prints_nothing_before_an_error(tmp_path, capsys):
-    # Uniform(0, 2) against Uniform(0, 1): the Renyi divergence is infinite
+    # Uniform(0, 2) against Uniform(0, 1): f/g is unbounded, so the hypothesis
+    # check fails before any value is computed
     path = write_config(tmp_path, {
         "source": UNIFORM_CFG["source"],
         "mismatch_source": {"family": "uniform", "a": 0.0, "b": 2.0},
@@ -301,7 +319,7 @@ def test_predict_prints_nothing_before_an_error(tmp_path, capsys):
     assert main(["predict", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "vanishes" in captured.err
+    assert "density ratio f/g is unbounded" in captured.err
 
 
 def test_two_calls_build_the_parser_once(capsys):

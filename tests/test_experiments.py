@@ -355,19 +355,41 @@ def _count_calls(monkeypatch, module, names):
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
 def test_one_cell_pass_each_per_rate_point(monkeypatch, runner, probabilities_per_point):
-    calls = _count_calls(monkeypatch, quantizer, ("cell_probabilities", "cell_distortions"))
+    calls = _count_calls(monkeypatch, quantizer, ("cell_probabilities", "_batch_distortions"))
     builds = _count_calls(monkeypatch, experiments, ("density_from_spec", "optimal_point_density"))
     report = runner(ExperimentConfig(**EVERY_RUN))
     points = len(report.rows)
     assert points == len(SMALL_GRID)
+    # the whole of SMALL_GRID fits one block, so its rate points share one
+    # distortion pass
+    assert sum(SMALL_GRID) <= quantizer._BLOCK
     assert calls == {
         "cell_probabilities": probabilities_per_point * points,
-        "cell_distortions": points,
+        "_batch_distortions": 1,
     }
     # one sweep builds each density once: the source, the mismatched source
     # of a mismatch run and the point density
     sources = 2 if runner is run_mismatch else 1
     assert builds == {"density_from_spec": sources, "optimal_point_density": 1}
+
+
+def test_sweep_groups_rate_points_while_their_cells_fit_one_block(monkeypatch):
+    cfg = ExperimentConfig(**EVERY_RUN)
+    want = run_entropy_density(cfg).rows
+    groups = []
+    original = experiments.cell_tables
+
+    def recording(qs, *args):
+        groups.append([q.size for q in qs])
+        return original(qs, *args)
+
+    monkeypatch.setattr(experiments, "cell_tables", recording)
+    monkeypatch.setattr(quantizer, "_BLOCK", 16)
+    got = run_entropy_density(cfg).rows
+    # 4 + 8 fit; 16 would overflow that group and fills its own; 32 goes alone
+    assert groups == [[4, 8], [16], [32]]
+    assert got == want
+    assert experiments._groups((2, 3, 20, 5, 6, 5)) == [[2, 3], [20], [5, 6, 5]]
 
 
 # --- shared setup ---------------------------------------------------------------------------

@@ -566,10 +566,52 @@ def test_cell_table_reevaluates_only_the_cut_cells(monkeypatch):
 
     monkeypatch.setattr(quantizer, "_batch_distortions", recording)
     sides = cell_table(q, g, 2.0, ((interval,), interval.complement()))
-    # one batch for the full pass, one for the cells the two endpoints cut,
-    # once for the interval and once for its complement
-    assert pieces == [q.size, 4]
+    # one batch: the full pass and the cells the two endpoints cut, once for
+    # the interval and once for its complement
+    assert pieces == [q.size + 4]
     assert np.array_equal(sides.distortions, table.distortions)
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0])
+@pytest.mark.parametrize(
+    "d",
+    [
+        Gaussian(0.3, 1.7),
+        Laplacian(-0.5, 0.8),  # a kink
+        Exponential(1.5, 0.25),  # a support end
+        Uniform(-1.0, 2.0),
+        PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6),
+    ],
+    ids=repr,
+)
+def test_cell_tables_are_bit_equal_to_one_cell_table_each(monkeypatch, d, r):
+    qs = [_compander_for(d, n, r) for n in (4, 37, 256)]
+    interval = Interval(d.quantile(0.3), d.quantile(0.8))
+    regions = ((interval,), interval.complement())
+    assert all(interval.lo not in q.breakpoints and interval.hi not in q.breakpoints for q in qs)
+    passes = []
+    original = quantizer._batch_distortions
+
+    def recording(d, r, lo, hi, c):
+        passes.append(lo.size)
+        return original(d, r, lo, hi, c)
+
+    monkeypatch.setattr(quantizer, "_batch_distortions", recording)
+    tables = quantizer.cell_tables(qs, d, r, regions)
+    # one pass over every cell and every cut cell part: two per endpoint, one
+    # inside the interval and one inside its complement, one fewer where both
+    # endpoints cut the same cell
+    cuts = [len(quantizer._region_parts(q, regions)[1]) for q in qs]
+    assert all(3 <= k <= 4 for k in cuts)
+    assert passes == [sum(q.size for q in qs) + sum(cuts)]
+    for q, table in zip(qs, tables, strict=True):
+        alone = cell_table(q, d, r, regions)
+        assert np.array_equal(_bits(table.masses), _bits(alone.masses))
+        assert np.array_equal(_bits(table.distortions), _bits(alone.distortions))
+        for got, want in zip(table.regions, alone.regions, strict=True):
+            assert got.mass == want.mass
+            assert np.array_equal(_bits(got.masses), _bits(want.masses))
+            assert np.array_equal(_bits(got.distortions), _bits(want.distortions))
 
 
 def test_power_sum_zero_convention():

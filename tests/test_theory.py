@@ -179,6 +179,26 @@ def test_mismatch_distortion_limit_divergence_propagates():
         mismatch_distortion_limit(Gaussian(0.0, 1.0), Laplacian(0.0, 0.2), 0.5, 2.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_mismatch_distortion_limit_integrates_each_integral_once(monkeypatch, alpha):
+    from renyi_quant import theory
+
+    g, f = Gaussian(0.0, 2.0), Gaussian(0.0, 1.0)
+    calls = []
+    original = theory._joint_integral
+
+    def counting(fn, densities):
+        calls.append(len(densities))
+        return original(fn, densities)
+
+    monkeypatch.setattr(theory, "_joint_integral", counting)
+    value = mismatch_distortion_limit(g, f, alpha, 2.0)
+    # a_int over f and h, which the divergence cross-check reuses, and b_int over f
+    assert calls == [2, 1]
+    h = optimal_point_density(g, alpha, 2.0)
+    assert value == pytest.approx(compander_performance(f, h, alpha, 2.0), rel=1e-8)
+
+
 # --- tilted measure ------------------------------------------------------------------------
 
 
