@@ -3,7 +3,9 @@
 Breakpoints are the k/n quantiles of a point density h; codepoints sit at the
 odd quantiles (2k-1)/(2n), i.e. at cell midpoints in the companded domain.
 The midpoint rule is what makes the uniform-source normalized distortion hit
-the cell constant 1/(2^r (1+r)) exactly at every n. `refine_codepoints` can
+the cell constant 1/(2^r (1+r)) exactly at every n. Where h is symmetric
+about its center c, only the quantiles below 1/2 are evaluated: c is the
+middle one and the rest are their mirrors 2c - x. `refine_codepoints` can
 then move each codepoint to its cell's minimizer of the rth-power error, the
 root of the error's derivative, for all cells in one `decreasing_roots` call.
 """
@@ -33,7 +35,12 @@ def build_compander(h: Density, n: int) -> Quantizer:
     if n < 2:
         raise DomainError(f"compander needs n >= 2 cells, got {n}")
     # the j/(2n) quantiles: even j are the breakpoints k/n, odd j the codepoints
-    x = h.quantile_array(np.arange(1, 2 * n) / (2 * n))
+    c = h.center
+    if c is None:
+        x = h.quantile_array(np.arange(1, 2 * n) / (2 * n))
+    else:  # h is symmetric about c: the j < n quantiles, c, and their mirrors 2c - x
+        left = h.quantile_array(np.arange(1, n) / (2 * n))
+        x = np.concatenate((left, [c], 2.0 * c - left[::-1]))
     return Quantizer(x[1::2], x[0::2])
 
 
@@ -55,7 +62,7 @@ def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:
         k = int(dead[0])
         raise DegenerateCellError(f"cell {k} = {q.cell(k)} has zero probability")
     lo, hi = np.maximum(q._edges[:-1], d.support.lo), np.minimum(q._edges[1:], d.support.hi)
-    unit = 2.0 ** np.floor(np.log2(np.ptp(d.quantile_array(np.array([0.25, 0.75])))))
+    unit = d.quartile_scale[1]
     c = unit * decreasing_roots(  # G(c): each cell's part right of c less its part left of c
         lambda u, idx: _batch_distortions(d, r - 1.0, unit * u, hi[idx], unit * u)
         - _batch_distortions(d, r - 1.0, lo[idx], unit * u, unit * u), lo / unit, hi / unit

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -276,6 +277,20 @@ class Density:
         in increasing order; a quadrature panel should not straddle one."""
         return ()
 
+    @property
+    def center(self) -> float | None:
+        """The point c the pdf is symmetric about, pdf(c - t) = pdf(c + t),
+        for the families that are; None for every other."""
+        return None
+
+    @cached_property
+    def quartile_scale(self) -> tuple[float, float]:
+        """The interquartile range and the power of 2 at or below it, the scale
+        the cell layer sets its tail windows and floors by; computed once, as
+        for a source without a closed-form quantile it is a root solve."""
+        iqr = np.ptp(self.quantile_array(np.array([0.25, 0.75])))
+        return float(iqr), float(2.0 ** np.floor(np.log2(iqr)))
+
     def quantile(self, p: float) -> float:
         """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1); where cdf
         is flat at p, the generic fallback may return any point of that stretch."""
@@ -436,6 +451,10 @@ class Uniform(Density):
     def support(self) -> Interval:
         return Interval(self.a, self.b)
 
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.a + self.b)
+
     def pdf(self, x: float) -> float:
         return 1.0 / (self.b - self.a) if self.a < x <= self.b else 0.0
 
@@ -478,7 +497,7 @@ class Uniform(Density):
         return self
 
     def mode(self) -> float:
-        return 0.5 * (self.a + self.b)
+        return self.center
 
 
 @dataclass(frozen=True)
@@ -493,6 +512,10 @@ class Gaussian(Density):
     @property
     def support(self) -> Interval:
         return REAL_LINE
+
+    @property
+    def center(self) -> float:
+        return self.mean
 
     def pdf(self, x: float) -> float:
         z = (x - self.mean) / self.sigma
@@ -560,6 +583,10 @@ class Laplacian(Density):
     @property
     def kinks(self) -> tuple[float, ...]:
         return (self.mean,)
+
+    @property
+    def center(self) -> float:
+        return self.mean
 
     def logpdf(self, x: float) -> float:
         return -abs(x - self.mean) / self.scale - math.log(2.0 * self.scale)

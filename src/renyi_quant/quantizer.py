@@ -6,11 +6,20 @@ breakpoint maps to the cell on its left. Distortion integrals run over the
 whole of every cell, the two unbounded outer cells out to the density's tails.
 
 A quantizer's state is two read-only arrays, its cell edges and codepoints.
-Cell passes work on them, a block of _BLOCK cells at a time: masses are cdf/sf
-differences over the block's edges, each edge evaluated once, and distortions
-batched Gauss-Kronrod panels over the cells' pieces: cut where |x - c|^r pdf
-has a kink, an unbounded piece as doubling windows, and every piece whose
-panel does not settle halved, all in one batch, until it does.
+Cell passes work on them in near-equal blocks of about _BLOCK cells: masses
+are cdf/sf differences over the block's edges, each edge evaluated once, and
+distortions batched Gauss-Kronrod panels over the cells' pieces: cut where
+|x - c|^r pdf has a kink, an unbounded piece as doubling windows, and every
+piece whose panel does not settle halved, all in one batch, until it does.
+A piece settles at the adaptive rule's relative tolerance or at an absolute
+floor on the source's own scale.
+
+Where the source is symmetric about its center c (`Density.center`) and the
+quantizer's breakpoints and codepoints mirror about c exactly, as a compander
+for that source does, cell m - 1 - k is the mirror image of cell k: the mass
+and distortion passes evaluate the leading ceil(m / 2) cells and fill in the
+rest by reversal. Any other quantizer, a refined one among them, and every
+asymmetric source take all m cells.
 
 A rate point's `CellTable` holds one mass pass, its distortions and the
 columns inside each region, which evaluate again only the cell parts a region
@@ -33,12 +42,13 @@ from .intervals import Interval
 from . import quadrature
 
 _ALPHA_LIMIT_EPS = 1e-6  # alpha this close to an endpoint uses the limit formula
-_PIECE_ABS_TOL = 1e-16   # absolute tolerance of every cell distortion integral
+_PIECE_ABS_TOL = 1e-16   # absolute tolerance of a cell distortion integral, in units of u^r
 _TAIL_WINDOWS = 64       # doubling windows an unbounded piece becomes, out from its finite end
 _MAX_HALVINGS = 64       # rounds of halving the pieces whose panel does not settle
-# Cells per array pass: per-call numpy overhead dominates smaller blocks, and a
-# split distortion block (2 x 4096 floats) keeps each temporary at 64 KiB, under
-# glibc's 128 KiB mmap threshold. Per-cell values do not depend on it.
+# Cells per array pass, near enough: per-call numpy overhead dominates smaller
+# blocks, and a split distortion block (2 x 1.5 x 4096 floats at most) keeps
+# each temporary at 96 KiB, under glibc's 128 KiB mmap threshold. Per-cell
+# values do not depend on it.
 _BLOCK = 4096
 
 
@@ -144,17 +154,50 @@ def power_sum(p: Sequence[float], alpha: float) -> float:
     return float(np.sum(pos**alpha))
 
 
-def _blocks(size: int):
-    for start in range(0, size, _BLOCK):
-        yield slice(start, min(start + _BLOCK, size))
+def _blocks(size: int) -> list[slice]:
+    """range(size) as max(1, round(size / _BLOCK)) near-equal slices."""
+    count = max(1, round(size / _BLOCK))
+    return [slice(size * i // count, size * (i + 1) // count) for i in range(count)]
+
+
+def _mirrors(x: np.ndarray, c: float) -> bool:
+    """Whether the trailing half of x is 2c less its leading half reversed,
+    with c itself in the middle of an odd size, and no difference rounded."""
+    half = x.size // 2
+    twice, lead = 2.0 * c, -x[:half][::-1]
+    mirror = twice + lead
+    lead_part = mirror - twice  # TwoSum: the rounding error of twice + lead
+    error = (twice - (mirror - lead_part)) + (lead - lead_part)
+    middle = x.size % 2 == 0 or x[half] == c
+    return middle and np.array_equal(x[x.size - half:], mirror) and not error.any()
+
+
+def _evaluated(q: Quantizer, d: Density) -> int:
+    """How many leading cells a pass over q evaluates under d. Where d is
+    symmetric about its center c and q's breakpoints and codepoints mirror
+    about c exactly, cell m - 1 - k is cell k's mirror image, with its mass and
+    distortion: ceil(m / 2) then, all m cells otherwise."""
+    c = d.center
+    if c is None or not (_mirrors(q._edges[1:-1], c) and _mirrors(q._codepoint_array, c)):
+        return q.size
+    return (q.size + 1) // 2
+
+
+def _mirrored(values: np.ndarray, size: int) -> np.ndarray:
+    """The values of a size-cell quantizer's leading cells, the rest filled in
+    by reversal; values itself when it holds every cell."""
+    if values.size == size:
+        return values
+    return np.concatenate((values, values[:size - values.size][::-1]))
 
 
 def cell_probabilities(q: Quantizer, d: Density) -> np.ndarray:
     """Source probability of every cell, bit-equal to `d.interval_mass_array`
-    over the cells, but evaluating the cdf once per edge and the sf once per
-    edge of a cell on its sf branch, where cdf(lo) > 1/2."""
-    masses = np.empty(q.size)
-    for block in _blocks(q.size):
+    over the cells `_evaluated` names, the rest their mirrors, but evaluating
+    the cdf once per edge and the sf once per edge of a cell on its sf branch,
+    where cdf(lo) > 1/2."""
+    masses = np.empty(_evaluated(q, d))
+    for block in _blocks(masses.size):
         edges = q._edges[block.start:block.stop + 1]
         cdf = _finite_or(d.cdf_array, edges, 1.0)
         cdf[edges == -math.inf] = 0.0
@@ -163,7 +206,7 @@ def cell_probabilities(q: Quantizer, d: Density) -> np.ndarray:
         sf = np.zeros(edges.shape)
         sf[sf_edge] = _finite_or(d.sf_array, edges[sf_edge], 0.0)
         masses[block] = np.where(right, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
-    return np.maximum(masses, 0.0, out=masses)
+    return _mirrored(np.maximum(masses, 0.0, out=masses), q.size)
 
 
 def quantizer_entropy(q: Quantizer, d: Density, alpha: float) -> float:
@@ -183,14 +226,19 @@ def _batch_distortions(
     integer, and at the pdf's kinks. An unbounded piece becomes _TAIL_WINDOWS
     windows out from its finite end e, the first |c - e| wide (where c = e,
     the interquartile range), each twice the one before; the last must add at
-    most _PIECE_ABS_TOL. Each round is one batched G7/K15 panel call; a piece
-    whose error bound fails the adaptive rule's first stopping test is halved
-    into the next, and one whose bound is not finite raises at once. An entry
-    sums its settled pieces round by round in array order, whatever the batch.
+    most the floor _PIECE_ABS_TOL u^r, u the power of 2 at or below that range
+    (`d.quartile_scale`). Each round is one batched G7/K15 panel call; a piece
+    whose error bound fails the adaptive rule's first stopping test, with that
+    floor, is halved into the next, and one whose bound is not finite raises
+    at once. An entry sums its settled pieces round by round in array order,
+    whatever the batch.
     """
     size = lo.size
-    if size > _BLOCK:
-        return np.concatenate([_batch_distortions(d, r, lo[b], hi[b], c[b]) for b in _blocks(size)])
+    blocks = _blocks(size)
+    if len(blocks) > 1:
+        return np.concatenate([_batch_distortions(d, r, lo[b], hi[b], c[b]) for b in blocks])
+    iqr, unit = d.quartile_scale
+    floor = _PIECE_ABS_TOL * unit**r
     lo = np.maximum(lo, d.support.lo)
     hi = np.maximum(np.minimum(hi, d.support.hi), lo)  # hi = lo: nothing inside the support
     if r % 2.0 != 0.0:  # both sides of c; a side the entry does not reach is empty
@@ -209,7 +257,7 @@ def _batch_distortions(
         left = np.isinf(a[tail])
         e = np.where(left, b[tail], a[tail])
         width = np.abs(c[entry[tail]] - e)  # 0 for a tail from c: start on d's own scale
-        width[width == 0.0] = np.ptp(d.quantile_array(np.array([0.25, 0.75])))
+        width[width == 0.0] = iqr
         step = np.where(left, -1.0, 1.0) * width
         ends = e[:, None] + step[:, None] * (2.0 ** np.arange(_TAIL_WINDOWS + 1) - 1.0)
         a = np.concatenate((np.delete(a, tail), np.minimum(ends[:, :-1], ends[:, 1:]).ravel()))
@@ -230,9 +278,9 @@ def _batch_distortions(
         if not np.isfinite(bounds).all():  # such a piece never settles: |x - c|^r overflowed
             raise NonConvergenceError(f"cell piece integrand is not finite at r = {r}")
         last = values[first_window + _TAIL_WINDOWS - 1::_TAIL_WINDOWS]
-        if halvings == 0 and np.any(last > _PIECE_ABS_TOL):
+        if halvings == 0 and np.any(last > floor):
             raise InfiniteIntegralError(f"distortion tail does not converge: {last.max():.3e}")
-        settled = bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, _PIECE_ABS_TOL)
+        settled = bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, floor)
         total += np.bincount(entry[settled], weights=values[settled], minlength=size)
         if settled.all():
             return total
@@ -243,10 +291,13 @@ def _batch_distortions(
 
 
 def cell_distortions(q: Quantizer, d: Density, r: float) -> np.ndarray:
-    """Per-cell distortion contributions, each over the whole cell."""
+    """Per-cell distortion contributions, each over the whole cell: the cells
+    `_evaluated` names, the rest their mirrors."""
     if r < 1.0:
         raise DomainError(f"distortion requires r >= 1, got {r}")
-    return _batch_distortions(d, r, q._edges[:-1], q._edges[1:], q._codepoint_array)
+    k = _evaluated(q, d)
+    values = _batch_distortions(d, r, q._edges[:k], q._edges[1:k + 1], q._codepoint_array[:k])
+    return _mirrored(values, q.size)
 
 
 def distortion(q: Quantizer, d: Density, r: float) -> float:
@@ -324,29 +375,32 @@ def cell_tables(
     qs: Sequence[Quantizer], d: Density, r: float, regions: Sequence[Sequence[Interval]] = ()
 ) -> list[CellTable]:
     """The cell_table of every quantizer in qs: one cell_probabilities pass
-    each, and one distortion pass over the cells of all of them and every cell
-    part a region endpoint cuts. An entry's distortion does not depend on the
-    batch, so each table is bit-equal to the one its quantizer gets alone."""
+    each, and one distortion pass over the cells `_evaluated` names of all of
+    them, their mirrors filled in, and every cell part a region endpoint cuts.
+    An entry's distortion does not depend on the batch, so each table is
+    bit-equal to the one its quantizer gets alone."""
     if r < 1.0:
         raise DomainError(f"distortion requires r >= 1, got {r}")
     parts = [_region_parts(q, regions) for q in qs]
-    lows = [q._edges[:-1] for q in qs]  # views: one quantizer with no cut passes no copy
-    highs = [q._edges[1:] for q in qs]
-    codepoints = [q._codepoint_array for q in qs]
+    counts = [_evaluated(q, d) for q in qs]
+    # views: one quantizer with no cut passes no copy
+    lows = [q._edges[:k] for q, k in zip(qs, counts)]
+    highs = [q._edges[1:k + 1] for q, k in zip(qs, counts)]
+    codepoints = [q._codepoint_array[:k] for q, k in zip(qs, counts)]
     cuts = [(lo, hi, q._codepoint_array[k])
             for q, (_, q_cuts) in zip(qs, parts) for _, k, lo, hi in q_cuts]
     if cuts:
         for arrays, column in zip((lows, highs, codepoints), zip(*cuts)):
             arrays.append(np.array(column))
     values = _batch_distortions(d, r, _joined(lows), _joined(highs), _joined(codepoints))
-    cells = sum(q.size for q in qs)
+    cells = sum(counts)
     cut_masses = d.interval_mass_array(lows[-1], highs[-1]).tolist() if cuts else []
     cut_values = iter(zip(cut_masses, values[cells:].tolist()))
     region_masses = [math.fsum(d.interval_mass(iv) for iv in region) for region in regions]
     tables, start = [], 0
-    for q, (runs, q_cuts) in zip(qs, parts):  # each region's columns, added in the parts' order
-        masses, distortions = cell_probabilities(q, d), values[start:start + q.size]
-        start += q.size
+    for q, k, (runs, q_cuts) in zip(qs, counts, parts):  # each region's columns, in the parts' order
+        masses, distortions = cell_probabilities(q, d), _mirrored(values[start:start + k], q.size)
+        start += k
         columns = [(np.zeros(q.size), np.zeros(q.size)) for _ in regions]
         for j, run in runs:  # a cell wholly inside keeps its full-pass values
             columns[j][0][run] += masses[run]

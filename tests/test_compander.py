@@ -71,6 +71,20 @@ def test_build_compander_gaussian_quartiles():
     assert q.codepoints[1] == pytest.approx(0.6744897501960817, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 4, 64, 4096])
+@pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Laplacian(0.0, 1.0), Uniform(0.0, 1.0)], ids=repr)
+def test_mirrored_build_compander_equals_the_direct_quantiles(d, n):
+    """A symmetric point density's compander evaluates the j < n quantiles of
+    j / (2n) and mirrors them about its center; where j / (2n) is exact, as
+    at every n = 2^k the sweeps use, the result is the direct one bit for bit."""
+    h = optimal_point_density(d, 0.5, 2.0)
+    assert h.center is not None
+    q = build_compander(h, n)
+    x = h.quantile_array(np.arange(1, 2 * n) / (2 * n))
+    assert np.array_equal(q._edges[1:-1].view(np.int64), x[1::2].view(np.int64))
+    assert np.array_equal(q._codepoint_array.view(np.int64), x[0::2].view(np.int64))
+
+
 def test_build_compander_needs_two_cells():
     with pytest.raises(DomainError):
         build_compander(Uniform(0.0, 1.0), 1)

@@ -464,9 +464,12 @@ def _split(r):
     return r % 2.0 != 0.0
 
 
-def _settles(values, bounds):
-    """The cell layer's stopping test for a batched panel's value and bound."""
-    return bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, 1e-16)
+def _settles(values, bounds, d, r):
+    """The cell layer's stopping test for a batched panel's value and bound:
+    the absolute floor is 1e-16 u^r, u the power of 2 at or below d's
+    interquartile range."""
+    unit = 2.0 ** math.floor(math.log2(d.quantile(0.75) - d.quantile(0.25)))
+    return bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, 1e-16 * unit**r)
 
 
 def _oracle_region_distortions(q, d, r, region):
@@ -481,12 +484,22 @@ def _oracle_region_distortions(q, d, r, region):
     return out
 
 
-def _oracle_region_metrics(q, d, region, alpha, r):
+def _mirrored_runs(q, d, region, want, full):
+    """want, but with every cell past the ones q evaluates under d that lies
+    wholly inside the region holding its full-pass value, its mirror's."""
+    lows, highs = q._edges[:-1], q._edges[1:]
+    inside = np.zeros(q.size, dtype=bool)
+    for iv in region:
+        inside |= (iv.lo <= lows) & (highs <= iv.hi)
+    inside[:quantizer._evaluated(q, d)] = False
+    return np.where(inside, full, want)
+
+
+def _oracle_region_metrics(q, d, region, alpha, masses_in, distortions_in):
     mass_total = math.fsum(d.interval_mass(iv) for iv in region)
-    masses_in = _oracle_region_masses(q, d, region)
     conditional = masses_in / mass_total
     conditional = conditional / conditional.sum()
-    dist_in = float(math.fsum(_oracle_region_distortions(q, d, r, region)))
+    dist_in = float(math.fsum(distortions_in))
     return quantizer.RestrictedMetrics(
         entropy_restricted=renyi_entropy_vec(conditional, alpha),
         distortion_restricted=dist_in / mass_total,
@@ -524,21 +537,33 @@ def _table_intervals(d, q):
 @pytest.mark.parametrize("n", [4, 16, 257, 2048])
 @pytest.mark.parametrize("d", TABLE_SOURCES, ids=lambda d: repr(d))
 def test_cell_table_is_bit_equal_to_the_per_region_passes(d, n):
+    """Bit-equal on the cells the table evaluates and on every cut cell part;
+    a mirrored cell holds its mirror's value. Gaussian(0.3, 1.7), on which
+    2c - x rounds, and the asymmetric sources evaluate every cell."""
     r = 3.0 if isinstance(d, Laplacian) else 2.0
     q = _compander_for(d, n, r)
+    k = quantizer._evaluated(q, d)
+    mirrors = isinstance(d, Laplacian) or (isinstance(d, Uniform) and n != 257)
+    assert k == ((q.size + 1) // 2 if mirrors else q.size)
     cases = _table_intervals(d, q)
     regions = [region for iv in cases.values() for region in ((iv,), iv.complement())]
     table = cell_table(q, d, r, regions)
     assert np.array_equal(table.masses, cell_probabilities(q, d))
-    assert np.array_equal(table.distortions, _oracle_region_distortions(q, d, r, [REAL_LINE]))
+    full = _oracle_region_distortions(q, d, r, [REAL_LINE])
+    assert np.array_equal(table.distortions[:k], full[:k])
+    assert np.array_equal(table.distortions[k:], table.distortions[:q.size - k][::-1])
     for region, columns in zip(regions, table.regions):
-        assert np.array_equal(columns.masses, _oracle_region_masses(q, d, region)), region
-        assert np.array_equal(
-            columns.distortions, _oracle_region_distortions(q, d, r, region)
-        ), region
+        masses = _mirrored_runs(q, d, region, _oracle_region_masses(q, d, region), table.masses)
+        distortions = _mirrored_runs(
+            q, d, region, _oracle_region_distortions(q, d, r, region), table.distortions
+        )
+        assert np.array_equal(columns.masses, masses), region
+        assert np.array_equal(columns.distortions, distortions), region
         assert columns.mass == math.fsum(d.interval_mass(iv) for iv in region)
         if columns.mass > 0.0:
-            assert table.metrics(columns, 0.5) == _oracle_region_metrics(q, d, region, 0.5, r)
+            assert table.metrics(columns, 0.5) == _oracle_region_metrics(
+                q, d, region, 0.5, masses, distortions
+            )
             assert region_metrics(q, d, region, 0.5, r) == table.metrics(columns, 0.5)
 
 
@@ -566,26 +591,29 @@ def test_cell_table_reevaluates_only_the_cut_cells(monkeypatch):
 
     monkeypatch.setattr(quantizer, "_batch_distortions", recording)
     sides = cell_table(q, g, 2.0, ((interval,), interval.complement()))
-    # one batch: the full pass and the cells the two endpoints cut, once for
-    # the interval and once for its complement
-    assert pieces == [q.size + 4]
+    # one batch: the leading half of the cells, whose mirrors fill in the
+    # rest, and the cells the two endpoints cut, once for the interval and
+    # once for its complement
+    assert pieces == [(q.size + 1) // 2 + 4]
     assert np.array_equal(sides.distortions, table.distortions)
 
 
 @pytest.mark.parametrize("r", [2.0, 3.0])
 @pytest.mark.parametrize(
-    "d",
+    "d, evaluated",
     [
-        Gaussian(0.3, 1.7),
-        Laplacian(-0.5, 0.8),  # a kink
-        Exponential(1.5, 0.25),  # a support end
-        Uniform(-1.0, 2.0),
-        PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6),
+        # 2c - x rounds for c = 0.3: no quantizer mirrors exactly
+        (Gaussian(0.3, 1.7), (4, 37, 256)),
+        (Laplacian(-0.5, 0.8), (2, 19, 128)),  # a kink; every quantizer mirrors
+        (Exponential(1.5, 0.25), (4, 37, 256)),  # a support end
+        (Uniform(-1.0, 2.0), (2, 37, 128)),  # at n = 37, 2c - x rounds
+        (PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6), (4, 37, 256)),
     ],
     ids=repr,
 )
-def test_cell_tables_are_bit_equal_to_one_cell_table_each(monkeypatch, d, r):
+def test_cell_tables_are_bit_equal_to_one_cell_table_each(monkeypatch, d, evaluated, r):
     qs = [_compander_for(d, n, r) for n in (4, 37, 256)]
+    assert [quantizer._evaluated(q, d) for q in qs] == list(evaluated)
     interval = Interval(d.quantile(0.3), d.quantile(0.8))
     regions = ((interval,), interval.complement())
     assert all(interval.lo not in q.breakpoints and interval.hi not in q.breakpoints for q in qs)
@@ -598,12 +626,13 @@ def test_cell_tables_are_bit_equal_to_one_cell_table_each(monkeypatch, d, r):
 
     monkeypatch.setattr(quantizer, "_batch_distortions", recording)
     tables = quantizer.cell_tables(qs, d, r, regions)
-    # one pass over every cell and every cut cell part: two per endpoint, one
-    # inside the interval and one inside its complement, one fewer where both
+    # one pass over the cells each quantizer evaluates (the leading half of
+    # one that mirrors) and every cut cell part: two per endpoint, one inside
+    # the interval and one inside its complement, one fewer where both
     # endpoints cut the same cell
     cuts = [len(quantizer._region_parts(q, regions)[1]) for q in qs]
     assert all(3 <= k <= 4 for k in cuts)
-    assert passes == [sum(q.size for q in qs) + sum(cuts)]
+    assert passes == [sum(evaluated) + sum(cuts)]
     for q, table in zip(qs, tables, strict=True):
         alone = cell_table(q, d, r, regions)
         assert np.array_equal(_bits(table.masses), _bits(alone.masses))
@@ -612,6 +641,108 @@ def test_cell_tables_are_bit_equal_to_one_cell_table_each(monkeypatch, d, r):
             assert got.mass == want.mass
             assert np.array_equal(_bits(got.masses), _bits(want.masses))
             assert np.array_equal(_bits(got.distortions), _bits(want.distortions))
+
+
+# (source, n) where the compander mirrors exactly: for Uniform(-1, 2) at odd
+# n > 5, 2c - x rounds
+MIRROR_CASES = [
+    *((d, n) for d in (Gaussian(0.0, 1.0), Laplacian(-0.5, 0.8), Uniform(-1.0, 2.0))
+      for n in (4, 5, 64, 4096)),
+    (Gaussian(0.0, 1.0), 1025),
+    (Laplacian(-0.5, 0.8), 1025),
+]
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d, n", MIRROR_CASES, ids=repr)
+def test_a_mirrored_table_agrees_with_every_cell_evaluated(d, n, r):
+    """A mirrored cell's mass and distortion differ from its own evaluation
+    only by the rounding of each: the cells are the same up to the sign."""
+    q = build_compander(optimal_point_density(d, 0.5, r), n)
+    k = quantizer._evaluated(q, d)
+    assert k == (n + 1) // 2
+    table = cell_table(q, d, r)
+    lows, highs, codepoints = q._edges[:-1], q._edges[1:], q._codepoint_array
+    distortions = quantizer._batch_distortions(d, r, lows, highs, codepoints)
+    np.testing.assert_allclose(table.distortions, distortions, rtol=4e-15, atol=0.0)
+    np.testing.assert_allclose(table.masses, d.interval_mass_array(lows, highs), rtol=2e-13, atol=0.0)
+    assert math.fsum(table.distortions) == pytest.approx(math.fsum(distortions), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("d, n", MIRROR_CASES, ids=repr)
+def test_mirrored_cells_hold_their_mirrors_values_bit_for_bit(monkeypatch, d, n):
+    q = build_compander(optimal_point_density(d, 0.5, 3.0), n)
+    rows = []
+    original = quantizer._batch_distortions
+
+    def recording(d, r, lo, hi, c):
+        rows.append((lo, hi, c))
+        return original(d, r, lo, hi, c)
+
+    monkeypatch.setattr(quantizer, "_batch_distortions", recording)
+    values = cell_distortions(q, d, 3.0)
+    masses = cell_probabilities(q, d)
+    k = (n + 1) // 2
+    # the leading cells, up to the middle one of an odd n, once each
+    [(lo, hi, c)] = rows
+    assert np.array_equal(lo, q._edges[:k]) and np.array_equal(hi, q._edges[1:k + 1])
+    assert np.array_equal(c, q._codepoint_array[:k])
+    for got in (values, masses):
+        assert np.array_equal(_bits(got[k:]), _bits(got[:n - k][::-1]))
+    assert np.array_equal(_bits(masses[:k]), _bits(d.interval_mass_array(lo, hi)))
+
+
+@pytest.mark.parametrize(
+    "d, refined, evaluated",
+    [
+        (Gaussian(0.0, 1.0), False, 32),
+        (Exponential(1.0), False, 64),
+        (PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6), False, 64),
+        (Gaussian(0.0, 1.0), True, 64),  # refined codepoints do not mirror exactly
+    ],
+    ids=repr,
+)
+def test_a_pass_evaluates_half_the_cells_of_a_mirrored_quantizer(monkeypatch, d, refined, evaluated):
+    q = _compander_for(d, 64, 3.0)
+    if refined:
+        q = refine_codepoints(q, d, 3.0)
+    interval = Interval(d.quantile(0.3), d.quantile(0.8))
+    regions = ((interval,), interval.complement())
+    cuts = len(quantizer._region_parts(q, regions)[1])
+    assert cuts >= 3
+    rows = []
+    original = quantizer._batch_distortions
+
+    def recording(d, r, lo, hi, c):
+        rows.append(lo.size)
+        return original(d, r, lo, hi, c)
+
+    monkeypatch.setattr(quantizer, "_batch_distortions", recording)
+    cell_table(q, d, 3.0, regions)
+    assert rows == [evaluated + cuts]
+
+
+def test_blocks_are_near_equal():
+    block = quantizer._BLOCK
+    sizes = {size: [s.stop - s.start for s in quantizer._blocks(size)]
+             for size in (0, 5, block + 4, 3 * block // 2 - 1, 3 * block // 2 + 1, 5 * block)}
+    assert sizes == {
+        0: [0], 5: [5], block + 4: [block + 4], 3 * block // 2 - 1: [3 * block // 2 - 1],
+        3 * block // 2 + 1: [3 * block // 4, 3 * block // 4 + 1], 5 * block: [block] * 5,
+    }
+
+
+def test_a_block_and_its_cut_parts_share_one_panel_call(monkeypatch):
+    """Exponential(1) at n = _BLOCK has no mirror: its cells and the cell parts
+    an interval cuts go to one block, not a block of their own."""
+    d = Exponential(1.0)
+    q = build_compander(optimal_point_density(d, 0.5, 2.0), quantizer._BLOCK)
+    interval = Interval(d.quantile(0.3), d.quantile(0.8))
+    regions = ((interval,), interval.complement())
+    assert len(quantizer._region_parts(q, regions)[1]) == 4
+    calls = _record_panels(monkeypatch)
+    cell_table(q, d, 2.0, regions)
+    assert len(calls) == 1
 
 
 def test_power_sum_zero_convention():
@@ -753,11 +884,11 @@ def test_cell_distortions_halve_the_pieces_a_panel_does_not_settle(monkeypatch, 
     # the next call is the halves of every piece this one did not settle, in
     # order, and the last call settles all of its pieces
     for (a, b, values, bounds), (next_a, next_b, _, _) in zip(calls, calls[1:]):
-        failed = ~_settles(values, bounds)
+        failed = ~_settles(values, bounds, d, r)
         mid = 0.5 * (a[failed] + b[failed])
         assert np.array_equal(next_a, np.column_stack((a[failed], mid)).ravel())
         assert np.array_equal(next_b, np.column_stack((mid, b[failed])).ravel())
-    assert _settles(*calls[-1][2:]).all()
+    assert _settles(*calls[-1][2:], d, r).all()
     np.testing.assert_allclose(got, _oracle_cell_distortions(q, d, r, None), rtol=1e-13, atol=0.0)
 
 
@@ -805,12 +936,13 @@ def test_cell_distortions_cut_at_kinks_and_run_the_tails_as_windows(
 @pytest.mark.parametrize(
     "d, n, rows_r2, rows_r3",
     [
-        # one row per finite cell at r = 2; two at r = 3, and one for the
-        # finite side of each outer cell; then the two tails' windows
-        (Gaussian(0.0, 1.0), 64, 62 + 128, 126 + 128),
-        # the mean, the pdf's kink, is the codepoint of the middle cell: that
-        # cell is cut there at r = 2 too
-        (Laplacian(0.0, 1.0), 65, 64 + 128, 128 + 128),
+        # the 32 cells left of the mean, which the right ones mirror: one row
+        # per finite cell at r = 2; two at r = 3, and one for the finite side
+        # of the outer cell; then its tail's windows
+        (Gaussian(0.0, 1.0), 64, 31 + 64, 63 + 64),
+        # the 33 cells up to the middle one, whose codepoint is the mean, the
+        # pdf's kink: that cell is cut there at r = 2 too
+        (Laplacian(0.0, 1.0), 65, 33 + 64, 65 + 64),
         # equal-width cells, the outer two clipped to the support: the knots 1
         # and 3 lie inside cells 12 and 36, on the left and right side of the
         # codepoint, and cut them
@@ -888,11 +1020,10 @@ def test_cells_and_refinement_scale_with_the_source(n, scale):
         q = build_compander(optimal_point_density(Gaussian(0.0, 1.0), 0.5, r), n)
         scaled = Quantizer(np.multiply(q.breakpoints, scale), np.multiply(q.codepoints, scale))
         d = Gaussian(0.0, scale)
-        if r != 1.5 or scale > 1.0:  # at r = 1.5, s = 1e-5 the cells are near 1e-16, the absolute tolerance
-            np.testing.assert_allclose(
-                cell_distortions(scaled, d, r) / scale**r,
-                cell_distortions(q, Gaussian(0.0, 1.0), r), rtol=1e-12, atol=0.0,
-            )
+        np.testing.assert_allclose(
+            cell_distortions(scaled, d, r) / scale**r,
+            cell_distortions(q, Gaussian(0.0, 1.0), r), rtol=1e-12, atol=0.0,
+        )
         refined = refine_codepoints(scaled, d, r)
         np.testing.assert_allclose(
             np.divide(refined.codepoints, scale),
