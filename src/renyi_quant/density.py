@@ -3,7 +3,8 @@
 Closed forms cover the Uniform/Gaussian/Laplacian/Exponential families (pdf,
 cdf, quantile, power integrals and their tilted relatives); everything else
 falls back to adaptive quadrature on a quantile-truncated support, and its
-quantiles to one batched root solver, `decreasing_roots`. Densities
+quantiles to one batched root solver, `decreasing_roots`. The weak-unimodality
+grid check runs in one array pass over its grid, not one per level. Densities
 are immutable after construction and every operation is a pure function, so
 instances can be shared across threads.
 """
@@ -985,7 +986,10 @@ def check_weak_unimodality(d: Density) -> UnimodalityReport:
 
     Diagnostic only: UNIMODALITY_LEVELS level sets are sampled on a log grid
     below the maximum pdf value seen on UNIMODALITY_GRID interior points of
-    the support, truncated to its 1e-9 quantile window.
+    the support, truncated to its 1e-9 quantile window. It reports the
+    lowest level whose set splits, the same as testing the levels one by one,
+    from one pass over the grid: its prefix and suffix maxima, and each
+    point's lowest level above it (`np.searchsorted`).
     """
     window = quadrature.truncate_support(d, 1e-9)
     xs = np.linspace(window.lo, window.hi, UNIMODALITY_GRID + 2)[1:-1]
@@ -994,12 +998,16 @@ def check_weak_unimodality(d: Density) -> UnimodalityReport:
     if vmax <= 0.0:
         return UnimodalityReport(False, None)
     levels = np.geomspace(vmax * 1e-6, vmax * (1.0 - 1e-9), UNIMODALITY_LEVELS)
-    for level in levels:
-        idx = np.flatnonzero(vals >= level)
-        if idx.size == 0:
-            continue
-        if idx[-1] - idx[0] + 1 != idx.size:
-            return UnimodalityReport(False, float(level))
+    # {vals >= l} splits exactly where a point below l has values >= l on both
+    # sides (the lower side maximum, its wall); if any level splits at a point,
+    # the lowest level above the point does
+    walls = np.minimum(np.maximum.accumulate(vals)[:-2],
+                       np.maximum.accumulate(vals[::-1])[-3::-1])
+    dips = vals[1:-1] < walls
+    lowest = np.append(levels, np.inf)[np.searchsorted(levels, vals[1:-1][dips], side="right")]
+    splits = lowest[lowest <= walls[dips]]
+    if splits.size:
+        return UnimodalityReport(False, float(splits.min()))
     return UnimodalityReport(True, None)
 
 

@@ -27,6 +27,7 @@ from .quantizer import (
     Quantizer,
     RestrictedMetrics,
     cell_tables,
+    fsum_array,
     power_sum,
     quantizer_entropy,
     renyi_entropy_vec,
@@ -330,7 +331,7 @@ def _rate_point(n: int, table: CellTable, alpha: float, r: float, limit: float) 
     """The columns every sweep starts with: the entropy and distortion of the
     table, the normalized distortion e^{rH} D and its ratio to the limit."""
     entropy = renyi_entropy_vec(table.masses, alpha)
-    dist = math.fsum(memoryview(table.distortions))
+    dist = fsum_array(table.distortions)
     normalized = math.exp(r * entropy) * dist
     return {"n": n, "H_alpha": entropy, "D": dist, "eRH_D": normalized, "ratio": normalized / limit}
 
@@ -451,7 +452,7 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
     for n, _, table in _sweep(cfg, d, interval):
         row = _rate_point(n, table, alpha, r, q_coeff)
         m1, _, gap = _sides(table, alpha, row["D"])
-        dist_in = math.fsum(memoryview(table.regions[0].distortions))
+        dist_in = fsum_array(table.regions[0].distortions)
         share = dist_in / row["D"]
         power_share = m1.restricted_power_sum / m1.entropy_power_sum
         mg_n = math.exp(r * row["H_alpha"]) * dist_in

@@ -26,6 +26,11 @@ columns inside each region, which evaluate again only the cell parts a region
 endpoint cuts. `cell_tables` builds the tables of several quantizers with one
 distortion pass over all their cells and cut parts, as a sweep does for its
 small rate points: a cell's value does not depend on the batch it rides in.
+
+A column of cell distortions sums exactly (`fsum_array`: math.fsum's double,
+from a few array passes), and at r = 2 the integrand squares x - c by a
+product, which equals the power bit for bit, unless a piece reaches
+|x - c| >= 2^511.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ _MAX_HALVINGS = 64       # rounds of halving the pieces whose panel does not set
 # each temporary at 96 KiB, under glibc's 128 KiB mmap threshold. Per-cell
 # values do not depend on it.
 _BLOCK = 4096
+_SQUARE_BELOW = 2.0**511  # |x - c| under which the r = 2 integrand squares by a product
+_FSUM_MIN_SIZE = 512  # below this many values math.fsum itself is faster than fsum_array
 
 
 class Quantizer:
@@ -57,7 +64,9 @@ class Quantizer:
     is the edges and codepoints as read-only arrays, copied at construction;
     the tuple fields, ==, hash and repr are built from them."""
 
-    __slots__ = ("_edges", "_codepoint_array")
+    # _mirror memoizes _evaluated's verdict as (center, count); __reduce__ goes
+    # through __init__, so a copy or an unpickled quantizer starts without it
+    __slots__ = ("_edges", "_codepoint_array", "_mirror")
 
     def __init__(self, breakpoints: Sequence[float], codepoints: Sequence[float]):
         bps = np.asarray(breakpoints, dtype=float)
@@ -82,6 +91,7 @@ class Quantizer:
             )
         edges.flags.writeable = cps.flags.writeable = False
         self._edges, self._codepoint_array = edges, cps
+        self._mirror: tuple[float, int] | None = None
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -154,6 +164,40 @@ def power_sum(p: Sequence[float], alpha: float) -> float:
     return float(np.sum(pos**alpha))
 
 
+def fsum_array(x: np.ndarray) -> float:
+    """math.fsum of a 1-d float array, bit for bit, in a few array passes.
+
+    Rump, Ogita and Oishi's error-free extraction ("Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31(1), 2008): with sigma = 2^(m+e),
+    2^m >= size + 2 and 2^e > max|x|, q = (sigma + x) - sigma is x rounded to
+    a multiple of 2^-53 sigma, and x - q is exact and at most 2^-53 sigma.
+    Every partial sum of the q is such a multiple below sigma, so np.sum(q)
+    is exact in any order. Each level keeps that sum and goes on with x - q
+    and sigma lowered by 2^(m - 52) until x is all zero; math.fsum of the
+    levels' sums then rounds the same exact sum as math.fsum of x. Below
+    _FSUM_MIN_SIZE values, on an infinity or a NaN, on all zeros (whose sign
+    is math.fsum's own) and where sigma would overflow, it is math.fsum
+    itself, with its result or its exception.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.size < _FSUM_MIN_SIZE:
+        return math.fsum(memoryview(x))
+    top = float(np.abs(x).max())  # a NaN propagates
+    m, e = (x.size + 1).bit_length(), math.frexp(top)[1]
+    if not 0.0 < top < math.inf or m + e > 1023:
+        return math.fsum(memoryview(x))
+    sigma, step = math.ldexp(1.0, m + e), math.ldexp(1.0, m - 52)
+    parts, q, rest = [], x + sigma, None
+    while True:
+        q -= sigma
+        parts.append(q.sum())
+        rest = x - q if rest is None else np.subtract(rest, q, out=rest)  # x stays the caller's
+        if not rest.any():
+            return math.fsum(parts)
+        sigma *= step
+        np.add(rest, sigma, out=q)
+
+
 def _blocks(size: int) -> list[slice]:
     """range(size) as max(1, round(size / _BLOCK)) near-equal slices."""
     count = max(1, round(size / _BLOCK))
@@ -178,9 +222,12 @@ def _evaluated(q: Quantizer, d: Density) -> int:
     about c exactly, cell m - 1 - k is cell k's mirror image, with its mass and
     distortion: ceil(m / 2) then, all m cells otherwise."""
     c = d.center
-    if c is None or not (_mirrors(q._edges[1:-1], c) and _mirrors(q._codepoint_array, c)):
+    if c is None:
         return q.size
-    return (q.size + 1) // 2
+    if q._mirror is None or q._mirror[0] != c:  # -0.0 and 0.0 give one verdict
+        mirrors = _mirrors(q._edges[1:-1], c) and _mirrors(q._codepoint_array, c)
+        q._mirror = (c, (q.size + 1) // 2 if mirrors else q.size)
+    return q._mirror[1]
 
 
 def _mirrored(values: np.ndarray, size: int) -> np.ndarray:
@@ -231,7 +278,9 @@ def _batch_distortions(
     whose error bound fails the adaptive rule's first stopping test, with that
     floor, is halved into the next, and one whose bound is not finite raises
     at once. An entry sums its settled pieces round by round in array order,
-    whatever the batch.
+    whatever the batch. The integrand takes |x - c|^r only where the pdf is
+    positive, except at r = 2 with every piece within _SQUARE_BELOW of its c:
+    there it is (x - c) (x - c) pdf, the same bits.
     """
     size = lo.size
     blocks = _blocks(size)
@@ -264,12 +313,21 @@ def _batch_distortions(
         b = np.concatenate((np.delete(b, tail), np.maximum(ends[:, :-1], ends[:, 1:]).ravel()))
         entry = np.concatenate((np.delete(entry, tail), np.repeat(entry[tail], _TAIL_WINDOWS)))
 
+    # at r = 2, t * t is |t|^2 correctly rounded, as pow gives it, and finite
+    # while every piece keeps |x - c| below _SQUARE_BELOW
+    square = r == 2.0 and np.max(b - a + np.abs(c[entry] - a), initial=0.0) < _SQUARE_BELOW
+
     def integrand(x, from_lo):
-        # |x - c| from the node's offset from the piece's left end
+        # x - c from the node's offset from the piece's left end
         pdf = d.pdf_array(x)
-        dist = np.abs(from_lo - offset)
-        np.power(dist, r, out=dist, where=pdf > 0.0)  # far out it overflows where the pdf is 0
-        return dist * pdf
+        dist = from_lo - offset
+        if square:
+            dist *= dist
+        else:
+            np.abs(dist, out=dist)
+            np.power(dist, r, out=dist, where=pdf > 0.0)  # far out it overflows where the pdf is 0
+        dist *= pdf
+        return dist
 
     total = np.zeros(size)
     for halvings in range(_MAX_HALVINGS + 1):
@@ -302,7 +360,7 @@ def cell_distortions(q: Quantizer, d: Density, r: float) -> np.ndarray:
 
 def distortion(q: Quantizer, d: Density, r: float) -> float:
     """Expected |X - q(X)|^r under the density."""
-    return math.fsum(memoryview(cell_distortions(q, d, r)))
+    return fsum_array(cell_distortions(q, d, r))
 
 
 # --- the cell table ------------------------------------------------------------
@@ -340,7 +398,7 @@ class CellTable:
         conditional = conditional / conditional.sum()
         return RestrictedMetrics(
             entropy_restricted=renyi_entropy_vec(conditional, alpha),
-            distortion_restricted=math.fsum(memoryview(region.distortions)) / region.mass,
+            distortion_restricted=fsum_array(region.distortions) / region.mass,
             entropy_power_sum=power_sum(self.masses, alpha),
             restricted_power_sum=power_sum(region.masses, alpha),
         )

@@ -14,7 +14,14 @@ from renyi_quant import (
     check_weak_unimodality,
     density_from_spec,
 )
-from renyi_quant.density import QUANTILE_WIDTH, TAIL_MASS, TiltedDensity, decreasing_roots
+from renyi_quant.density import (
+    QUANTILE_WIDTH,
+    TAIL_MASS,
+    UNIMODALITY_GRID,
+    UNIMODALITY_LEVELS,
+    TiltedDensity,
+    decreasing_roots,
+)
 from renyi_quant.errors import ConfigError, DomainError, EmptyConditioningError
 from renyi_quant.intervals import REAL_LINE
 from renyi_quant.quadrature import _tail_sum, integrate, truncate_support
@@ -573,6 +580,61 @@ def test_weak_unimodality_detects_two_bumps():
     report = check_weak_unimodality(mixture)
     assert not report.passed
     assert report.failing_level is not None
+
+
+def _unimodality_by_level(d):
+    """The check as a loop over its levels, lowest first: the first level
+    whose points >= it are not one run of the grid fails."""
+    window = truncate_support(d, 1e-9)
+    vals = d.pdf_array(np.linspace(window.lo, window.hi, UNIMODALITY_GRID + 2)[1:-1])
+    vmax = float(vals.max())
+    if vmax <= 0.0:
+        return (False, None)
+    for level in np.geomspace(vmax * 1e-6, vmax * (1.0 - 1e-9), UNIMODALITY_LEVELS):
+        idx = np.flatnonzero(vals >= level)
+        if idx.size and idx[-1] - idx[0] + 1 != idx.size:
+            return (False, float(level))
+    return (True, None)
+
+
+def test_weak_unimodality_matches_the_loop_over_levels():
+    """300 random piecewise-linear sources, zeros and plateaus among their
+    knots, a third or more of them failing, and the bimodal example."""
+    rng = np.random.default_rng(5)
+    sources = [PiecewiseLinear([(0, 0), (1, 1), (2, 0.1), (3, 1), (4, 0)])]
+    for _ in range(300):
+        k = int(rng.integers(3, 10))
+        xs = np.cumsum(rng.integers(1, 9, k) / 4.0)
+        ys = rng.integers(0, 17, k) / 16.0
+        ys[int(rng.integers(k))] += 0.25  # never all zero
+        sources.append(PiecewiseLinear(list(zip(xs.tolist(), ys.tolist()))))
+    verdicts = []
+    for d in sources:
+        report = check_weak_unimodality(d)
+        verdicts.append((report.passed, report.failing_level))
+        assert verdicts[-1] == _unimodality_by_level(d)
+    assert verdicts[0] == (False, pytest.approx(0.0513, abs=5e-5))
+    assert 100 <= sum(not passed for passed, _ in verdicts) <= 250
+
+
+def test_weak_unimodality_matches_the_loop_where_values_tie_with_levels(monkeypatch):
+    """Grid values drawn from the levels themselves, the points between them
+    and zero: a point equal to a level is inside its level set."""
+    rng = np.random.default_rng(6)
+    levels = np.geomspace(1e-6, 1.0 - 1e-9, UNIMODALITY_LEVELS)
+    choices = np.sort(np.concatenate(([0.0], levels, np.sqrt(levels[1:] * levels[:-1]))))
+    failing = 0
+    for _ in range(200):
+        runs = int(rng.integers(3, 25))  # from a few neighbouring values, so walls tie with levels
+        low = int(rng.integers(choices.size - 3))
+        run_values = rng.choice(choices[low:low + int(rng.integers(3, choices.size - low + 1))], runs)
+        vals = np.repeat(run_values, UNIMODALITY_GRID // runs + 1)[:UNIMODALITY_GRID]
+        vals[int(rng.integers(UNIMODALITY_GRID))] = 1.0  # the levels above are vmax's
+        monkeypatch.setattr(Uniform, "pdf_array", lambda self, x: vals.copy())
+        report = check_weak_unimodality(Uniform(0.0, 1.0))
+        assert (report.passed, report.failing_level) == _unimodality_by_level(Uniform(0.0, 1.0))
+        failing += report.failing_level in levels
+    assert failing >= 100
 
 
 # --- JSON specs ------------------------------------------------------------------------

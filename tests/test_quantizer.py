@@ -3,6 +3,7 @@ import math
 import pickle
 import warnings
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1210,3 +1211,152 @@ def test_laplacian_with_its_kink_on_a_codepoint_matches_closed_form_cells(n):
         want_d = mpmath.fsum(want)
         assert abs((got_d - want_d) / want_d) <= 1e-15
         assert max(abs((g - w) / w) for g, w in zip(got, want)) <= 1e-12
+
+
+# --- the hot path bit for bit: exact array sums, the r = 2 product, the mirror memo --------
+
+
+def _assert_fsum_equal(x):
+    """fsum_array(x) is math.fsum's result or exception, and leaves x alone."""
+    x = np.asarray(x, dtype=float)
+    kept = x.copy()
+    assert _fsum_outcome(quantizer.fsum_array, x) == _fsum_outcome(math.fsum, x.tolist())
+    assert np.array_equal(_bits(x), _bits(kept))
+
+
+def _fsum_outcome(fn, x):
+    """fn(x) as a float's hex, or the type and message of what it raised."""
+    try:
+        return float(fn(x)).hex()
+    except (OverflowError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("size", [0, 1, 511, 512, 513, 4096, 20_000])
+def test_fsum_array_fixed_cases(size):
+    tiny = math.ldexp(1.0, -1074)
+    big = math.ldexp(1.0, 1022 - (size + 1).bit_length())  # the largest power of 2 extracted
+    cases = [
+        np.zeros(size), np.full(size, -0.0), np.full(size, tiny), np.full(size, 0.1),
+        np.resize([1e300, 1e-300, -1e300, tiny], size),  # every exponent between
+        np.resize([1.0, -1.0, 1e-16, -1e-16], size),  # sums to an exact zero
+        np.resize([1.0, 2.0**-53, 2.0**-105], size),  # just past a halfway point
+        np.full(size, big), np.full(size, 2.0 * big), np.full(size, 1e308),  # 2 big on: math.fsum
+        np.resize([1e308, 1e308, -1e308], size),  # an intermediate overflow
+    ]
+    for x in cases:
+        _assert_fsum_equal(x)
+    for bad in (math.inf, -math.inf, math.nan):
+        for at in {0, size // 2, size - 1} if size else ():
+            x = np.full(size, 1.0)
+            x[at] = bad
+            _assert_fsum_equal(x)
+    if size >= 2:
+        _assert_fsum_equal(np.resize([math.inf, -math.inf], size))  # fsum's ValueError
+
+
+def test_fsum_array_takes_the_extraction_past_the_switch(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quantizer.math, "fsum", lambda xs: calls.append(len(xs)) or 0.0)
+    quantizer.fsum_array(np.full(quantizer._FSUM_MIN_SIZE, 0.1))
+    quantizer.fsum_array(np.full(quantizer._FSUM_MIN_SIZE - 1, 0.1))
+    assert calls[0] <= 8 and calls[1] == quantizer._FSUM_MIN_SIZE - 1  # the levels' sums, then x
+
+
+R2_SOURCES = [
+    Gaussian(0.0, 1.0),
+    Gaussian(0.3, 1.7),
+    Laplacian(0.0, 1.0),
+    Laplacian(-0.5, 0.8),
+    Exponential(1.5, 0.25),
+    Uniform(-1.0, 2.0),
+    PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6),
+]
+
+
+@pytest.mark.parametrize("n", [4, 64, 1025])
+@pytest.mark.parametrize("d", R2_SOURCES, ids=repr)
+def test_r2_product_is_the_masked_power_bit_for_bit(monkeypatch, d, n):
+    """At r = 2 the integrand t * t * pdf gives what |t|^2 * pdf, the power
+    taken only where the pdf is positive, gives: over whole cells with their
+    tails and kinks, over a refined quantizer's cells, and over the cell parts
+    an interval cuts."""
+    q = _compander_for(d, n)
+    interval = Interval(d.quantile(0.3), d.quantile(0.8))
+    regions = ((interval,), interval.complement())
+    tables = []
+    for below in (quantizer._SQUARE_BELOW, 0.0, math.inf):  # the default, masked, product
+        monkeypatch.setattr(quantizer, "_SQUARE_BELOW", below)
+        table = cell_table(q, d, 2.0, regions)
+        tables.append(np.concatenate([table.distortions] + [
+            region.distortions for region in table.regions]))
+    default, masked, product = tables
+    assert np.array_equal(_bits(default), _bits(masked))
+    assert np.array_equal(_bits(product), _bits(masked))
+
+
+@pytest.mark.parametrize("d", [Gaussian(0.0, 1e150), Laplacian(0.0, 1e150), Exponential(1e-150)],
+                         ids=repr)
+def test_huge_scales_keep_the_masked_power(monkeypatch, d):
+    """The tail windows of these sources reach |x - c| >= 2^511, where t * t
+    overflows: their cells take the masked power, silently, and only it."""
+    q = build_compander(optimal_point_density(d, 0.5, 2.0), 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = cell_distortions(q, d, 2.0)
+        monkeypatch.setattr(quantizer, "_SQUARE_BELOW", 0.0)
+        masked = cell_distortions(q, d, 2.0)
+    assert np.array_equal(_bits(values), _bits(masked))
+    assert np.all(np.isfinite(values)) and values.sum() > 0.0
+    monkeypatch.setattr(quantizer, "_SQUARE_BELOW", math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            cell_distortions(q, d, 2.0)
+
+
+def test_the_mirror_is_decided_once_per_quantizer_and_center(monkeypatch):
+    q = build_compander(optimal_point_density(Gaussian(0.0, 1.0), 0.5, 2.0), 64)
+    calls = []
+    original = quantizer._mirrors
+    monkeypatch.setattr(quantizer, "_mirrors", lambda x, c: calls.append(c) or original(x, c))
+    cell_table(q, Gaussian(0.0, 1.0), 2.0)
+    cell_probabilities(q, Laplacian(0.0, 2.0))  # the same center
+    assert calls == [0.0, 0.0]  # the breakpoints and the codepoints, once
+    assert quantizer._evaluated(q, Laplacian(0.5, 1.0)) == 64  # another center decides again
+    assert quantizer._evaluated(q, Exponential(1.0)) == 64  # no center, no memo
+    assert quantizer._evaluated(q, Gaussian(0.0, 3.0)) == 32
+    assert calls == [0.0, 0.0, 0.5, 0.0, 0.0]
+    assert q._mirror == (0.0, 32)
+    fresh = Quantizer(q._edges[1:-1], q._codepoint_array)
+    assert fresh._mirror is None
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+    for again in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
+        assert again == q and again._mirror is None
+    assert pickle.dumps(q) == pickle.dumps(fresh)
+
+
+def _levels(monkeypatch, x):
+    """The level sums fsum_array hands math.fsum for x."""
+    handed = []
+    monkeypatch.setattr(quantizer.math, "fsum", lambda xs: handed.append(list(xs)) or 0.0)
+    quantizer.fsum_array(x)
+    monkeypatch.undo()
+    return handed[0]
+
+
+@pytest.mark.parametrize("m", [10, 14])
+def test_fsum_array_levels_add_up_exactly(monkeypatch, m):
+    """Each level's np.sum is exact: the levels add up to the sum of x as
+    rationals. The adversarial x leaves every first-level remainder just short
+    of -2^-53 sigma with 54 - m bits more, so the second level's partial sums
+    reach 2^(1 - m) sigma' n, where an extraction that lowered sigma too far
+    would round them."""
+    rng = np.random.default_rng(m)
+    size, e = 2**m - 2, 7
+    unit = math.ldexp(1.0, m + e - 52)  # the first level's rounding unit, 2^-52 sigma
+    x = 0.5 * unit + np.ldexp(rng.integers(1, 2**52, size - 1).astype(float), m + e - 105)
+    for x in (np.append(math.ldexp(1.0, e - 1), x),
+              np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(-60, 60, size))):
+        levels = _levels(monkeypatch, x)
+        assert len(levels) >= 2
+        assert sum(map(Fraction, levels)) == sum(map(Fraction, x.tolist()))
