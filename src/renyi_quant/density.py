@@ -422,6 +422,11 @@ class Density:
     def _tilt_closed(self, beta: float) -> "Density | None":
         return None
 
+    def tilt_exponent(self, other: "Density") -> float | None:
+        """The gamma with other == self.tilt(gamma), for the pairs a family
+        knows in closed form (same family, same location); None for any other."""
+        return None
+
     def mode(self) -> float:
         """A representative maximizer of the pdf (diagnostic use)."""
         return self.quantile(0.5)
@@ -497,6 +502,9 @@ class Uniform(Density):
     def _tilt_closed(self, beta: float) -> Density:
         return self
 
+    def tilt_exponent(self, other: Density) -> float | None:
+        return 1.0 if other == self else None
+
     def mode(self) -> float:
         return self.center
 
@@ -560,6 +568,11 @@ class Gaussian(Density):
 
     def _tilt_closed(self, beta: float) -> Density:
         return Gaussian(self.mean, self.sigma / math.sqrt(beta))
+
+    def tilt_exponent(self, other: Density) -> float | None:
+        if isinstance(other, Gaussian) and other.mean == self.mean:
+            return (self.sigma / other.sigma) ** 2
+        return None
 
     def mode(self) -> float:
         return self.mean
@@ -640,6 +653,11 @@ class Laplacian(Density):
     def _tilt_closed(self, beta: float) -> Density:
         return Laplacian(self.mean, self.scale / beta)
 
+    def tilt_exponent(self, other: Density) -> float | None:
+        if isinstance(other, Laplacian) and other.mean == self.mean:
+            return self.scale / other.scale
+        return None
+
     def mode(self) -> float:
         return self.mean
 
@@ -707,6 +725,11 @@ class Exponential(Density):
 
     def _tilt_closed(self, beta: float) -> Density:
         return Exponential(self.rate * beta, self.shift)
+
+    def tilt_exponent(self, other: Density) -> float | None:
+        if isinstance(other, Exponential) and other.shift == self.shift:
+            return other.rate / self.rate
+        return None
 
     def mode(self) -> float:
         return self.shift

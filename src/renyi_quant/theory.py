@@ -4,8 +4,12 @@ divergences, density limits, mismatch formulas, and the split-bound minimizer.
 Conventions: alpha in [0, 1) is the entropy order, r > 1 the distortion power,
 beta1 = (1 - alpha + alpha r) / (1 - alpha + r), beta2 = (1 - alpha + r) / (1 - alpha),
 and the cell constant is 1 / (2^r (1 + r)). Everything here is a pure function
-of immutable densities; predictor integrals run through
-density.integrate_over, and their integrands work in log space.
+of immutable densities. A predictor integral of u^a v^b, where v is u's
+closed-form tilt by gamma (same family, same location), is closed:
+P_u(a + gamma b) / P_u(gamma)^b with P_u = u.power_integral. Every other pair
+(mixed families, shifted locations, different uniform supports, piecewise or
+numerically tilted densities, a + gamma b <= 0) and the KL integral run
+through density.integrate_over, with integrands in log space.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ def _joint_integral(fn: Callable[[float], float], densities: Sequence[Density]) 
     return integrate_over(fn, densities, rel_tol=1e-10, abs_tol=1e-14, tail_tol=1e-14)
 
 
-def _support_within(inner: Interval, outer: Interval, tol: float = 1e-12) -> bool:
+def _support_within(inner: Interval, outer: Interval, rel_tol: float = 1e-12) -> bool:
+    """inner lies in outer, up to rel_tol times the narrower finite width."""
+    width = min(inner.hi - inner.lo, outer.hi - outer.lo)
+    tol = rel_tol * width if math.isfinite(width) else 0.0
     return inner.lo >= outer.lo - tol and inner.hi <= outer.hi + tol
 
 
@@ -97,6 +104,24 @@ def _product(u: Density, a: float, v: Density, b: float) -> Callable[[float], fl
             raise InfiniteIntegralError(f"integrand overflows at x = {x:.6g}") from None
 
     return fn
+
+
+def _power_product(
+    u: Density, a: float, v: Density, b: float, densities: Sequence[Density]
+) -> float:
+    """The integral of u^a v^b, over the densities' common support.
+
+    Closed when v = u.tilt(gamma) and a + gamma b > 0: then u^a v^b is
+    u^(a + gamma b) / P_u(gamma)^b. Otherwise, or when a power integral leaves
+    the float range, `_product` by quadrature.
+    """
+    gamma = u.tilt_exponent(v)
+    if gamma is not None and a + gamma * b > 0.0:
+        try:
+            return u.power_integral(a + gamma * b) / u.power_integral(gamma) ** b
+        except (OverflowError, ZeroDivisionError):
+            pass
+    return _joint_integral(_product(u, a, v, b), densities)
 
 
 # --- quantization coefficient and density limits -----------------------------
@@ -156,8 +181,8 @@ def compander_performance(d: Density, h: Density, alpha: float, r: float) -> flo
             f"point density support {h.support} does not cover the source support "
             f"{d.support}"
         )
-    a_int = _joint_integral(_product(d, alpha, h, 1.0 - alpha), (d, h))
-    b_int = _joint_integral(_product(d, 1.0, h, -r), (d,))
+    a_int = _power_product(d, alpha, h, 1.0 - alpha, (d, h))
+    b_int = _power_product(d, 1.0, h, -r, (d,))
     return p.c_r * a_int ** (r / (1.0 - alpha)) * b_int
 
 
@@ -178,7 +203,7 @@ def renyi_divergence(u: Density, v: Density, alpha: float) -> float:
         return math.inf
     densities = (u, v) if alpha < 1.0 else (u,)
     try:
-        total = _joint_integral(_product(u, alpha, v, 1.0 - alpha), densities)
+        total = _power_product(u, alpha, v, 1.0 - alpha, densities)
     except InfiniteIntegralError:
         return math.inf
     if total <= 0.0:
@@ -245,7 +270,7 @@ def mismatch_entropy_shift(g: Density, f: Density, alpha: float, r: float) -> fl
             "the mismatch hypothesis fails and the limit formula may not apply",
             stacklevel=2,
         )
-    num = _joint_integral(_product(f, alpha, g, p.beta1 - alpha), (f,))
+    num = _power_product(f, alpha, g, p.beta1 - alpha, (f,))
     return num / g.power_integral(p.beta1)
 
 
@@ -257,8 +282,8 @@ def mismatch_distortion_limit(g: Density, f: Density, alpha: float, r: float) ->
     """
     p = rate_params(alpha, r)
     h = optimal_point_density(g, alpha, r)
-    a_int = _joint_integral(_product(f, alpha, h, 1.0 - alpha), (f, h))
-    b_int = _joint_integral(_product(f, 1.0, h, -r), (f,))
+    a_int = _power_product(f, alpha, h, 1.0 - alpha, (f, h))
+    b_int = _power_product(f, 1.0, h, -r, (f,))
     value = p.c_r * a_int ** (r / (1.0 - alpha)) * b_int
     # same quantity through the divergence form, D_alpha(f || h) from a_int as
     # renyi_divergence forms it; a disagreement means the numerics (not the

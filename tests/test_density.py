@@ -553,6 +553,36 @@ def test_tilt_closed_forms():
     assert Uniform(0.0, 1.0).tilt(0.3) == Uniform(0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "d, gamma",
+    [(Gaussian(0.3, 1.0), 0.6), (Laplacian(-0.2, 1.5), 0.5), (Exponential(2.0, 1.0), 3.0)],
+    ids=repr,
+)
+def test_tilt_exponent_inverts_tilt(d, gamma):
+    assert d.tilt_exponent(d.tilt(gamma)) == pytest.approx(gamma, rel=1e-15)
+    assert d.tilt(gamma).tilt_exponent(d) == pytest.approx(1.0 / gamma, rel=1e-15)
+    assert d.tilt_exponent(d) == 1.0
+
+
+def test_tilt_exponent_none_off_the_closed_pairs():
+    assert Uniform(0.0, 1.0).tilt_exponent(Uniform(0.0, 1.0)) == 1.0
+    for d, other in (
+        (Uniform(0.0, 1.0), Uniform(0.0, 2.0)),  # a uniform's tilts are itself
+        (Gaussian(0.0, 1.0), Gaussian(0.5, 1.0)),  # shifted
+        (Laplacian(0.0, 1.0), Laplacian(1.0, 2.0)),
+        (Exponential(1.0, 0.0), Exponential(1.0, 0.5)),
+        (Gaussian(0.0, 1.0), Laplacian(0.0, 1.0)),  # mixed families
+        (Laplacian(0.0, 1.0), Gaussian(0.0, 1.0)),
+        (Exponential(1.0, 0.0), Uniform(0.0, 1.0)),
+        (Uniform(0.0, 1.0), PiecewiseLinear([(0.0, 1.0), (1.0, 1.0)])),
+    ):
+        assert d.tilt_exponent(other) is None
+    # numerically tilted and piecewise densities know no closed tilt
+    p = PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)])
+    assert p.tilt_exponent(p) is None
+    assert p.tilt(0.5).tilt_exponent(p.tilt(0.5)) is None
+
+
 def test_tilt_numeric_matches_pointwise_power():
     d = PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)])
     t = d.tilt(0.5)

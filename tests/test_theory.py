@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from renyi_quant import (
+    Exponential,
     Gaussian,
     Interval,
     Laplacian,
@@ -24,7 +25,8 @@ from renyi_quant import (
     split_bound,
     tilted_measure,
 )
-from renyi_quant.errors import DomainError
+from renyi_quant import quadrature, theory
+from renyi_quant.errors import DomainError, InfiniteIntegralError
 from renyi_quant.density import TAIL_MASS
 from renyi_quant.quadrature import truncate_support
 from renyi_quant.theory import RATIO_CAP, check_density_ratio_bound
@@ -179,11 +181,8 @@ def test_mismatch_distortion_limit_divergence_propagates():
         mismatch_distortion_limit(Gaussian(0.0, 1.0), Laplacian(0.0, 0.2), 0.5, 2.0)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.5])
-def test_mismatch_distortion_limit_integrates_each_integral_once(monkeypatch, alpha):
-    from renyi_quant import theory
-
-    g, f = Gaussian(0.0, 2.0), Gaussian(0.0, 1.0)
+def _count_joint_integrals(monkeypatch):
+    """The densities count of each theory._joint_integral call, as they happen."""
     calls = []
     original = theory._joint_integral
 
@@ -192,11 +191,29 @@ def test_mismatch_distortion_limit_integrates_each_integral_once(monkeypatch, al
         return original(fn, densities)
 
     monkeypatch.setattr(theory, "_joint_integral", counting)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_mismatch_distortion_limit_integrates_each_integral_once(monkeypatch, alpha):
+    # a Gaussian source under a Laplacian design: h is no tilt of f, so both integrate
+    g, f = Laplacian(0.0, 1.5), Gaussian(0.0, 1.0)
+    calls = _count_joint_integrals(monkeypatch)
     value = mismatch_distortion_limit(g, f, alpha, 2.0)
     # a_int over f and h, which the divergence cross-check reuses, and b_int over f
     assert calls == [2, 1]
     h = optimal_point_density(g, alpha, 2.0)
     assert value == pytest.approx(compander_performance(f, h, alpha, 2.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_mismatch_distortion_limit_closed_for_a_tilt_pair(monkeypatch, alpha):
+    # h is a tilt of f (both zero-mean Gaussians): no integral runs
+    calls = _count_joint_integrals(monkeypatch)
+    value = mismatch_distortion_limit(Gaussian(0.0, 2.0), Gaussian(0.0, 1.0), alpha, 2.0)
+    assert calls == []
+    if alpha == 0.5:
+        assert value == pytest.approx(DIST_GAUSS_PAIR, rel=1e-14)
 
 
 # --- tilted measure ------------------------------------------------------------------------
@@ -294,6 +311,19 @@ def test_compander_performance_at_optimum(d):
 def test_compander_performance_uniform_identity():
     u = Uniform(0.0, 1.0)
     assert compander_performance(u, u, 0.5, 2.0) == pytest.approx(1.0 / 12.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e13])
+def test_compander_performance_support_check_scales_with_the_source(scale):
+    # a point density covering only half of the source is refused by name at
+    # every scale; an end off by rounding (5e-13 of the width) still passes
+    with pytest.raises(DomainError, match="does not cover"):
+        compander_performance(Uniform(0.0, scale), Uniform(0.0, 0.5 * scale), 0.5, 2.0)
+    assert theory._support_within(Interval(0.0, scale * (1.0 + 5e-13)), Interval(0.0, scale))
+    assert not theory._support_within(Interval(0.0, scale * (1.0 + 5e-12)), Interval(0.0, scale))
+    # unbounded supports compare their finite ends exactly
+    assert theory._support_within(Interval(0.0, math.inf), Interval(0.0, math.inf))
+    assert not theory._support_within(Interval(-1e-300, math.inf), Interval(0.0, math.inf))
 
 
 def test_compander_performance_strictly_above_for_other_h():
@@ -433,6 +463,9 @@ def _mp_pdf(mpmath, d):
     if isinstance(d, Laplacian):
         m, b = mpmath.mpf(d.mean), mpmath.mpf(d.scale)
         return (lambda x: mpmath.exp(-abs(x - m) / b) / (2 * b)), [-mpmath.inf, m, mpmath.inf]
+    if isinstance(d, Exponential):
+        lam, s = mpmath.mpf(d.rate), mpmath.mpf(d.shift)
+        return (lambda x: lam * mpmath.exp(-lam * (x - s)) if x > s else mpmath.mpf(0)), [s, mpmath.inf]
     a, b = mpmath.mpf(d.a), mpmath.mpf(d.b)
     return (lambda x: 1 / (b - a) if a < x <= b else mpmath.mpf(0)), [a, b]
 
@@ -476,6 +509,123 @@ def test_mismatch_loss_matches_mpmath_oracle(g, f, alpha):
     with mpmath.workdps(20):
         want = float(_mp_mismatch_loss(mpmath, g, f, alpha, 2.0))
     assert mismatch_loss(g, f, alpha, 2.0) == pytest.approx(want, rel=1e-8)
+
+
+def _mp_power_product(mpmath, u, a, v, b):
+    """The integral of u^a v^b over u's support by mpmath.quad; u, v > 0 inside it."""
+    up, points = _mp_pdf(mpmath, u)
+    vp, _ = _mp_pdf(mpmath, v)
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    return mpmath.quad(lambda x: up(x) ** a * vp(x) ** b, points)
+
+
+# same-family, same-location (g, f): every predictor integral takes the closed route
+TILT_PAIRS = [
+    (Gaussian(0.3, 2.0), Gaussian(0.3, 1.0)),
+    (Laplacian(-0.5, 2.0), Laplacian(-0.5, 1.0)),
+    (Exponential(0.5, 1.0), Exponential(1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("alpha", ALPHA_GRID)
+@pytest.mark.parametrize("g, f", TILT_PAIRS, ids=repr)
+def test_closed_predictors_match_mpmath_oracle(monkeypatch, g, f, alpha):
+    mpmath = pytest.importorskip("mpmath")
+
+    def no_quadrature(fn, densities):
+        raise AssertionError("a tilt pair integrated numerically")
+
+    monkeypatch.setattr(theory, "_joint_integral", no_quadrature)
+    r = 2.0
+    p = rate_params(alpha, r)
+    h = optimal_point_density(g, alpha, r)
+    f_star, g_star = f.tilt(1.0 / (1.0 + r)), g.tilt(1.0 / (1.0 + r))
+    got = {
+        "compander": compander_performance(f, h, alpha, r),
+        "shift": mismatch_entropy_shift(g, f, alpha, r),
+        "loss": mismatch_loss(g, f, alpha, r),
+        "divergence_1+r": renyi_divergence(f_star, g_star, 1.0 + r),
+    }
+    with mpmath.workdps(30):
+        mpf = mpmath.mpf
+        a_int = _mp_power_product(mpmath, f, alpha, h, 1.0 - alpha)
+        b_int = _mp_power_product(mpmath, f, 1.0, h, -r)
+        compander = mpf(p.c_r) * a_int ** (mpf(r) / (1 - mpf(alpha))) * b_int
+        beta1 = (1 - mpf(alpha) + mpf(alpha) * r) / (1 - mpf(alpha) + r)
+        beta2 = (1 - mpf(alpha) + r) / (1 - mpf(alpha))
+        want = {
+            "compander": compander,
+            "shift": _mp_power_product(mpmath, f, alpha, g, beta1 - mpf(alpha))
+            / _mp_power_product(mpmath, g, beta1, g, 0.0),
+            # g's optimal point density h applied to f, over f's quantization coefficient
+            "loss": compander
+            / (mpf(p.c_r) * _mp_power_product(mpmath, f, beta1, f, 0.0) ** beta2),
+            "divergence_1+r": mpmath.log(_mp_power_product(mpmath, f_star, 1.0 + r, g_star, -r))
+            / r,
+        }
+        if alpha > 0.0:
+            got["divergence"] = renyi_divergence(f, g, alpha)
+            want["divergence"] = mpmath.log(
+                _mp_power_product(mpmath, f, alpha, g, 1.0 - alpha)
+            ) / (mpf(alpha) - 1)
+    for key, value in got.items():
+        assert value == pytest.approx(float(want[key]), rel=1e-13), key
+
+
+@pytest.mark.parametrize(
+    "d, h",
+    [
+        (Gaussian(0.0, 1.0), Gaussian(0.0, 0.5)),
+        (Laplacian(0.0, 1.0), Laplacian(0.0, 0.4)),
+        (Exponential(1.0), Exponential(3.0)),
+    ],
+    ids=repr,
+)
+def test_divergent_tilt_pairs_keep_the_quadrature_outcome(monkeypatch, d, h):
+    # h narrower than d: the Bennett integral of d h^-r has a + gamma b <= 0 and
+    # diverges, which only the quadrature route reports
+    calls = _count_joint_integrals(monkeypatch)
+    with pytest.raises(InfiniteIntegralError):
+        compander_performance(d, h, 0.5, 2.0)
+    assert calls == [1]  # a_int closed, b_int integrated until it fails
+
+
+def test_divergent_tilt_pair_divergence_is_infinite():
+    assert renyi_divergence(Gaussian(0.0, 1.0), Gaussian(0.0, 0.5), 2.0) == math.inf
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        (Gaussian(0.0, 1.0), Laplacian(0.0, 2.0)),  # mixed families
+        (Gaussian(0.0, 1.0), Gaussian(0.2, 2.0)),  # shifted
+        (Uniform(0.0, 1.0), Uniform(0.0, 2.0)),  # different supports
+    ],
+    ids=repr,
+)
+def test_non_tilt_pairs_integrate(monkeypatch, u, v):
+    calls = []
+    original = quadrature.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    assert math.isfinite(renyi_divergence(u, v, 0.5))
+    assert calls
+
+
+def test_power_product_out_of_float_range_integrates(monkeypatch):
+    # at sigma = 1e-120 the power integral of u at gamma = 4 overflows, while
+    # the integral of u^alpha v^(1 - alpha) itself stays near 1
+    u, v = Gaussian(0.0, 1e-120), Gaussian(0.0, 0.5e-120)
+    with pytest.raises(OverflowError):
+        u.power_integral(u.tilt_exponent(v))
+    calls = _count_joint_integrals(monkeypatch)
+    value = renyi_divergence(u, v, 0.5)
+    assert calls == [2]
+    assert value == pytest.approx(gaussian_renyi_divergence(0.5, 1.0, 0.5), rel=1e-9)
 
 
 def test_ratio_bound_report():
