@@ -5,9 +5,11 @@ odd quantiles (2k-1)/(2n), i.e. at cell midpoints in the companded domain.
 The midpoint rule is what makes the uniform-source normalized distortion hit
 the cell constant 1/(2^r (1+r)) exactly at every n. Where h is symmetric
 about its center c, only the quantiles below 1/2 are evaluated: c is the
-middle one and the rest are their mirrors 2c - x. `refine_codepoints` can
-then move each codepoint to its cell's minimizer of the rth-power error, the
-root of the error's derivative, for all cells in one `decreasing_roots` call.
+middle one and the rest are their mirrors 2c - x. Every library density has
+a closed-form quantile, so no build calls the root solver. `refine_codepoints`
+can then move each codepoint to its cell's minimizer of the rth-power error,
+the root of the error's derivative, for all cells in one `decreasing_roots`
+call.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Probability density models with analytic functionals where available.
 
-Closed forms cover the Uniform/Gaussian/Laplacian/Exponential families (pdf,
-cdf, quantile, power integrals and their tilted relatives); everything else
-falls back to adaptive quadrature on a quantile-truncated support, and its
-quantiles to one batched root solver, `decreasing_roots`. The weak-unimodality
-grid check runs in one array pass over its grid, not one per level. Densities
-are immutable after construction and every operation is a pure function, so
-instances can be shared across threads.
+Every library family is closed: pdf, cdf, quantile, power integrals and tilts
+of the Uniform/Gaussian/Laplacian/Exponential families, and of a piecewise-
+linear source, whose tilts are piecewise powers over its knots. A restriction
+is closed through its base. Only a density defined outside the library falls
+back to adaptive quadrature on a quantile-truncated support, and its quantiles
+to one batched root solver, `decreasing_roots`; it has no tilt. The
+weak-unimodality grid check runs in one array pass over its grid, not one per
+level. Densities are immutable after construction and every operation is a
+pure function, so instances can be shared across threads.
 """
 
 from __future__ import annotations
@@ -21,13 +23,11 @@ from .errors import (
     ConfigError,
     DomainError,
     EmptyConditioningError,
-    InfiniteIntegralError,
 )
 from .intervals import Interval, REAL_LINE
 from . import quadrature
 
 TAIL_MASS = 1e-12           # unbounded supports integrate over the 1e-12 quantile window
-NORMALIZATION_TOL = 1e-9
 QUANTILE_WIDTH = 1e-12      # bracket width at which decreasing_roots stops
 UNIMODALITY_LEVELS = 32     # level sets check_weak_unimodality samples
 UNIMODALITY_GRID = 4096     # interior grid points it samples them on
@@ -241,8 +241,9 @@ def integrate_over(
 class Density:
     """Common surface for all density families.
 
-    Subclasses must provide `support`, `pdf`, and `cdf`; everything else has
-    a generic implementation that closed-form families override. The public
+    Subclasses must provide `support`, `pdf`, and `cdf`; everything else but
+    `tilt` has a generic implementation that closed-form families override,
+    and `tilt` raises `DomainError` for a family without `_tilt_closed`. The public
     `quantile`, `isf`, `power_integral` and `partial_power_integral` check the
     domain (p in (0, 1), beta > 0) and then call the hooks `_quantile`,
     `_isf`, `_power_integral` and `_partial_power_integral`, which are what
@@ -310,8 +311,8 @@ class Density:
             raise DomainError(f"isf requires p in (0,1), got {p}")
         return self._isf(p)
 
-    def _quantile(self, p: float) -> float:
-        return float(self.quantile_array(p))
+    def _quantile(self, p: float) -> float:  # on one entry, as 0-d arrays may round otherwise
+        return float(self.quantile_array(np.array([p]))[0])
 
     def _isf(self, p: float) -> float:
         # on sf itself: 1 - p rounds away a right tail below 1e-16
@@ -411,13 +412,13 @@ class Density:
         return RestrictedDensity(self, interval)
 
     def tilt(self, beta: float) -> "Density":
-        """Normalized pdf**beta as a density."""
+        """Normalized pdf**beta as a density, for the families whose tilt is closed."""
         if beta <= 0.0:
             raise DomainError(f"tilt requires a positive exponent, got {beta}")
         closed = self._tilt_closed(beta)
-        if closed is not None:
-            return closed
-        return TiltedDensity(self, beta)
+        if closed is None:
+            raise DomainError(f"{type(self).__name__} has no closed-form tilt")
+        return closed
 
     def _tilt_closed(self, beta: float) -> "Density | None":
         return None
@@ -430,16 +431,6 @@ class Density:
     def mode(self) -> float:
         """A representative maximizer of the pdf (diagnostic use)."""
         return self.quantile(0.5)
-
-    # --- housekeeping ---------------------------------------------------------
-
-    def _check_normalization(self) -> None:
-        total = integrate_over(self.pdf, (self,))
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise DomainError(
-                f"{type(self).__name__} pdf integrates to {total!r}, expected 1 "
-                f"within {NORMALIZATION_TOL}"
-            )
 
 
 @dataclass(frozen=True)
@@ -735,8 +726,45 @@ class Exponential(Density):
         return self.shift
 
 
+def _power_primitive(y, s, t, p):
+    """The integral from 0 to t of (y + s u)^p du, per entry: the mass of a
+    segment's piece measured from a knot of ordinate y, s the slope away from
+    that knot. s = 0 and y = 0 are the limits; s t / y is clamped at -1, which
+    a segment falling to a zero knot would otherwise round past to NaN. Powers
+    are taken as y**p y, since q = p + 1 rounds and a rounded exponent costs
+    ~|log y| ulp."""
+    q = p + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = y**p * y * np.expm1(q * np.log1p(np.maximum(s * t / y, -1.0))) / (s * q)
+        out = np.where(y == 0.0, (s * t) ** p * t / q, out)
+    return np.where(s == 0.0, y**p * t, out)
+
+
+def _power_inverse(y, s, m, p):
+    """The t with _power_primitive(y, s, t, p) = m, per entry of positive mass."""
+    q = p + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = y * np.expm1(np.log1p(np.maximum(m * s * q / (y**p * y), -1.0)) / q) / s
+        # from a zero knot (s t)^q = m s q; 1/q rounds, which costs ~|log m| ulp
+        # of t, so one Newton step on t^q follows
+        t0 = (m * s * q) ** (1.0 / q) / s
+        t0 = np.where(m > 0.0, t0 * (1.0 - ((s * t0) ** p * t0 / (m * q) - 1.0) / q), t0)
+        t = np.where(y == 0.0, t0, t)
+        return np.where(s == 0.0, m / y**p, t)
+
+
 class PiecewiseLinear(Density):
-    """Piecewise-linear density from (x, y) knots, normalized at construction."""
+    """Piecewise-linear density l from (x, y) knots, normalized at construction.
+
+    The density is l**p over the same knots, renormalized. p is 1 for a source
+    built from knots and is set only by `tilt`, since the tilt of l**p by beta
+    is l**(p beta). Every functional comes in closed form from the per-segment
+    primitive of (y + s u)**p and its inverse: cdf, sf, quantile and isf take
+    one `searchsorted` over the knots, each side measured from its own knot.
+    The scalar cdf, sf, quantile and isf evaluate 1-element arrays, so they
+    are bit-equal to the array forms; the scalar pdf is within an ulp of
+    `pdf_array`, and bit-equal to it at p = 1.
+    """
 
     def __init__(self, knots):
         pts = [(float(x), float(y)) for x, y in knots]
@@ -751,16 +779,19 @@ class PiecewiseLinear(Density):
         area = float(np.sum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs)))
         if area <= 0.0:
             raise DomainError("piecewise linear density has zero total mass")
-        self._xs = xs
-        self._ys = ys / area
-        seg = 0.5 * (self._ys[1:] + self._ys[:-1]) * np.diff(xs)
-        self._cum = np.concatenate(([0.0], np.cumsum(seg)))
+        self._set_power(xs, ys / area, 1.0)
+
+    def _set_power(self, xs: np.ndarray, ys: np.ndarray, p: float) -> None:
+        self._xs, self._ys, self._p = xs, ys, p
+        self._slopes = np.diff(ys) / np.diff(xs)
+        seg = self._segment_masses(p)
+        self._norm = float(seg.sum())
+        self._cum = np.concatenate(([0.0], np.cumsum(seg))) / self._norm
         self._cum[-1] = 1.0
         # the mass right of each knot, summed from the right end
-        self._tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+        self._tail = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0])) / self._norm
         self._tail[0] = 1.0
         self._support = Interval(float(xs[0]), float(xs[-1]))
-        self._check_normalization()
 
     @property
     def support(self) -> Interval:
@@ -768,66 +799,69 @@ class PiecewiseLinear(Density):
 
     @property
     def knots(self) -> tuple[tuple[float, float], ...]:
+        """The knots of l, the density at power 1."""
         return tuple(zip(self._xs.tolist(), self._ys.tolist()))
 
     @property
     def kinks(self) -> tuple[float, ...]:
         return tuple(self._xs[1:-1].tolist())
 
-    def pdf(self, x: float) -> float:
+    def pdf(self, x: float) -> float:  # on floats, as quadrature calls it once per node
         if not self._support.contains(x):
             return 0.0
-        return float(np.interp(x, self._xs, self._ys))
+        return float(np.interp(x, self._xs, self._ys)) ** self._p / self._norm
 
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         inside = (self._xs[0] < x) & (x <= self._xs[-1])
-        return np.where(inside, np.interp(x, self._xs, self._ys), 0.0)
+        return np.where(inside, np.interp(x, self._xs, self._ys) ** self._p / self._norm, 0.0)
 
     def cdf(self, x: float) -> float:
-        if x <= self._xs[0]:
-            return 0.0
-        if x >= self._xs[-1]:
-            return 1.0
-        i = int(np.searchsorted(self._xs, x, side="right")) - 1
-        x0, y0 = self._xs[i], self._ys[i]
-        slope = (self._ys[i + 1] - y0) / (self._xs[i + 1] - x0)
-        dx = x - x0
-        return float(self._cum[i] + y0 * dx + 0.5 * slope * dx * dx)
+        return float(self.cdf_array(np.array([x]))[0])
 
     def sf(self, x: float) -> float:
-        if x <= self._xs[0]:
-            return 1.0
-        if x >= self._xs[-1]:
-            return 0.0
-        i = int(np.searchsorted(self._xs, x, side="left"))
-        x1, y1 = self._xs[i], self._ys[i]
-        slope = (y1 - self._ys[i - 1]) / (x1 - self._xs[i - 1])
-        dx = x1 - x
-        return float(self._tail[i] + y1 * dx - 0.5 * slope * dx * dx)
+        return float(self.sf_array(np.array([x]))[0])
+
+    def cdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        xs = self._xs
+        t = np.clip(x, xs[0], xs[-1])
+        i = np.minimum(np.searchsorted(xs, t, side="right"), xs.size - 1) - 1
+        piece = _power_primitive(self._ys[i], self._slopes[i], t - xs[i], self._p)
+        below = self._cum[i] + piece / self._norm
+        return np.where(x <= xs[0], 0.0, np.where(x >= xs[-1], 1.0, np.minimum(below, 1.0)))
+
+    def sf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        xs = self._xs
+        t = np.clip(x, xs[0], xs[-1])
+        i = np.maximum(np.searchsorted(xs, t, side="left"), 1)
+        piece = _power_primitive(self._ys[i], -self._slopes[i - 1], xs[i] - t, self._p)
+        above = self._tail[i] + piece / self._norm
+        return np.where(x <= xs[0], 1.0, np.where(x >= xs[-1], 0.0, np.minimum(above, 1.0)))
+
+    def quantile_array(self, p) -> np.ndarray:
+        p = _check_probabilities(p)
+        i = np.searchsorted(self._cum, p, side="left") - 1  # cum[i] < p <= cum[i + 1]
+        t = _power_inverse(self._ys[i], self._slopes[i], (p - self._cum[i]) * self._norm, self._p)
+        return np.minimum(self._xs[i] + t, self._xs[i + 1])
+
+    def _isf(self, p: float) -> float:
+        p = np.array([p])
+        i = np.searchsorted(-self._tail, -p, side="right")  # tail[i] < p <= tail[i - 1]
+        m = (p - self._tail[i]) * self._norm
+        t = _power_inverse(self._ys[i], -self._slopes[i - 1], m, self._p)
+        return float(np.maximum(self._xs[i] - t, self._xs[i - 1])[0])
+
+    def _segment_masses(self, p: float) -> np.ndarray:
+        """The integral of l**p over each segment."""
+        return _power_primitive(self._ys[:-1], self._slopes, np.diff(self._xs), p)
 
     def _power_integral(self, beta: float) -> float:
-        return self._partial_power_integral(beta, self.support)
+        return float(self._segment_masses(self._p * beta).sum()) / self._norm**beta
 
-    def _partial_power_integral(self, beta: float, interval: Interval) -> float:
-        total = 0.0
-        for i in range(len(self._xs) - 1):
-            lo = max(float(self._xs[i]), interval.lo)
-            hi = min(float(self._xs[i + 1]), interval.hi)
-            if lo < hi:
-                total += self._segment_power(i, lo, hi, beta)
-        return total
-
-    def _segment_power(self, i: int, a: float, b: float, beta: float) -> float:
-        x0, x1 = float(self._xs[i]), float(self._xs[i + 1])
-        y0, y1 = float(self._ys[i]), float(self._ys[i + 1])
-        slope = (y1 - y0) / (x1 - x0)
-        # each end's pdf from the nearer knot: from the other it cancels near a zero
-        ya, yb = (y0 + slope * (t - x0) if t - x0 <= x1 - t else y1 - slope * (x1 - t)
-                  for t in (a, b))
-        if slope == 0.0:
-            return ya**beta * (b - a) if ya > 0.0 else 0.0
-        return (yb ** (beta + 1.0) - ya ** (beta + 1.0)) / (slope * (beta + 1.0))
+    def _tilt_closed(self, beta: float) -> Density:
+        return TiltedDensity(self, beta)
 
     def mode(self) -> float:
         return float(self._xs[int(np.argmax(self._ys))])
@@ -854,7 +888,6 @@ class RestrictedDensity(Density):
         self.interval = interval
         self._window = window
         self._mass = mass
-        self._check_normalization()
 
     @property
     def support(self) -> Interval:
@@ -927,69 +960,21 @@ class RestrictedDensity(Density):
         return f"Restricted({self.base!r}, {self.interval})"
 
 
-class TiltedDensity(Density):
-    """Normalized pdf**exponent of a base density, evaluated numerically."""
+class TiltedDensity(PiecewiseLinear):
+    """Normalized pdf**exponent of a piecewise-linear base: the base's knots at
+    its power times exponent."""
 
-    def __init__(self, base: Density, exponent: float):
+    def __init__(self, base: PiecewiseLinear, exponent: float):
+        if not isinstance(base, PiecewiseLinear):
+            raise DomainError(f"{type(base).__name__} has no piecewise-linear tilt")
         if exponent <= 0.0:
             raise DomainError(f"tilt exponent must be positive, got {exponent}")
-        normalizer = base.power_integral(exponent)
-        if not math.isfinite(normalizer) or normalizer <= 0.0:
-            raise InfiniteIntegralError(
-                f"tilted normalizer diverges (exponent {exponent})"
-            )
         self.base = base
         self.exponent = exponent
-        self._normalizer = normalizer
-        self._check_normalization()
-
-    @property
-    def support(self) -> Interval:
-        return self.base.support
-
-    @property
-    def kinks(self) -> tuple[float, ...]:
-        return self.base.kinks
-
-    def pdf(self, x: float) -> float:
-        g = self.base.pdf(x)
-        return g**self.exponent / self._normalizer if g > 0.0 else 0.0
-
-    def logpdf(self, x: float) -> float:
-        lp = self.base.logpdf(x)
-        if lp == -math.inf:
-            return -math.inf
-        return self.exponent * lp - math.log(self._normalizer)
-
-    def cdf(self, x: float) -> float:
-        if x <= self.support.lo:
-            return 0.0
-        if x >= self.support.hi:
-            return 1.0
-        below = self.base.partial_power_integral(self.exponent, Interval(-math.inf, x))
-        return min(1.0, below / self._normalizer)
-
-    def sf(self, x: float) -> float:
-        if x <= self.support.lo:
-            return 1.0
-        if x >= self.support.hi:
-            return 0.0
-        above = self.base.partial_power_integral(self.exponent, Interval(x, math.inf))
-        return min(1.0, above / self._normalizer)
-
-    def _power_integral(self, beta: float) -> float:
-        return self._normalizer ** (-beta) * self.base.power_integral(self.exponent * beta)
-
-    def _partial_power_integral(self, beta: float, interval: Interval) -> float:
-        return self._normalizer ** (-beta) * self.base.partial_power_integral(
-            self.exponent * beta, interval
-        )
+        self._set_power(base._xs, base._ys, base._p * exponent)
 
     def _tilt_closed(self, beta: float) -> Density:
         return self.base.tilt(self.exponent * beta)
-
-    def mode(self) -> float:
-        return self.base.mode()
 
     def __repr__(self) -> str:
         return f"Tilted({self.base!r}, beta={self.exponent})"

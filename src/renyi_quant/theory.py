@@ -7,8 +7,8 @@ and the cell constant is 1 / (2^r (1 + r)). Everything here is a pure function
 of immutable densities. A predictor integral of u^a v^b, where v is u's
 closed-form tilt by gamma (same family, same location), is closed:
 P_u(a + gamma b) / P_u(gamma)^b with P_u = u.power_integral. Every other pair
-(mixed families, shifted locations, different uniform supports, piecewise or
-numerically tilted densities, a + gamma b <= 0) and the KL integral run
+(mixed families, shifted locations, different uniform supports, piecewise
+densities and their tilts, a + gamma b <= 0) and the KL integral run
 through density.integrate_over, with integrands in log space.
 """
 

@@ -7,6 +7,7 @@ from renyi_quant import (
     Gaussian,
     Interval,
     Laplacian,
+    PiecewiseLinear,
     Uniform,
     build_compander,
     cell_probabilities,
@@ -15,6 +16,7 @@ from renyi_quant import (
     quantizer_entropy,
     refine_codepoints,
 )
+from renyi_quant import compander, density, quadrature, quantizer, theory
 from renyi_quant.density import QUANTILE_WIDTH
 from renyi_quant.errors import DomainError
 from renyi_quant.quantizer import Quantizer, cell_distortions
@@ -83,6 +85,42 @@ def test_mirrored_build_compander_equals_the_direct_quantiles(d, n):
     x = h.quantile_array(np.arange(1, 2 * n) / (2 * n))
     assert np.array_equal(q._edges[1:-1].view(np.int64), x[1::2].view(np.int64))
     assert np.array_equal(q._codepoint_array.view(np.int64), x[0::2].view(np.int64))
+
+
+@pytest.mark.parametrize("s", [1e-5, 1e5])
+def test_tilted_piecewise_compander_scales_with_the_source(s):
+    knots = [(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]
+    unit = build_compander(PiecewiseLinear(knots).tilt(0.6), 64)
+    scaled = build_compander(PiecewiseLinear([(x * s, y) for x, y in knots]).tilt(0.6), 64)
+    for got, want in ((scaled.breakpoints, unit.breakpoints), (scaled.codepoints, unit.codepoints)):
+        np.testing.assert_allclose(np.array(got) / s, want, rtol=0.0, atol=1e-14)
+
+
+def _recording(fn, calls):
+    def recorded(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return recorded
+
+
+def test_tilted_piecewise_compander_and_masses_are_closed(monkeypatch):
+    calls = []
+    numeric = (density.decreasing_roots, density.integrate_over, quadrature.integrate)
+    for module in (compander, density, quadrature, quantizer, theory):
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in numeric):
+                monkeypatch.setattr(module, name, _recording(value, calls))
+    d = PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)])
+    h = d.tilt(0.6)
+    q = build_compander(h, 4096)
+    for source in (h, d):
+        assert cell_probabilities(q, source).sum() == pytest.approx(1.0, abs=1e-12)
+    assert calls == []
+    # the wrappers do see the solver and the quadrature where they still run
+    refine_codepoints(build_compander(h, 4), d, 3.0)
+    d.absolute_moment(2.0)
+    assert set(calls) == {"decreasing_roots", "integrate_over", "integrate"}
 
 
 def test_build_compander_needs_two_cells():

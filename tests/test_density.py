@@ -19,8 +19,10 @@ from renyi_quant.density import (
     TAIL_MASS,
     UNIMODALITY_GRID,
     UNIMODALITY_LEVELS,
+    Density,
     TiltedDensity,
     decreasing_roots,
+    integrate_over,
 )
 from renyi_quant.errors import ConfigError, DomainError, EmptyConditioningError
 from renyi_quant.intervals import REAL_LINE
@@ -178,24 +180,84 @@ def test_piecewise_pdf_array_is_the_scalar_pdf():
     assert d.pdf_array(xs[:450].reshape(-1, 2)).shape == (225, 2)
 
 
-def test_piecewise_partial_power_integral_sums_the_clipped_segments():
-    d = PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0), (3.5, 0.4)])
-    knots = [x for x, _ in d.knots]
-    for iv in (
-        Interval(-math.inf, 1.0),
-        Interval(0.5, 3.2),
-        Interval(1.0, 3.0),
-        Interval(-1.0, 5.0),
-        Interval(3.4, math.inf),
-        Interval(1.2, 1.3),
-        Interval(4.0, 5.0),
-    ):
-        want = 0.0
-        for i in range(len(knots) - 1):
-            seg = Interval(knots[i], knots[i + 1]).intersect(iv)
-            if seg is not None:
-                want += d._segment_power(i, seg.lo, seg.hi, 0.6)
-        assert d.partial_power_integral(0.6, iv) == want
+# zero knots at both ends and a slope-0 segment between them
+_POWER_SOURCE = PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (2.0, 2.0), (3.0, 0.5), (4.0, 0.0)])
+
+
+def _mp_piecewise_power(mpmath, d, p):
+    """For l the knots of d, at the working precision: the integrals of l**p
+    left and right of x, and the x left of which that integral is m."""
+    xs = [mpmath.mpf(x) for x, _ in d.knots]
+    ys = [mpmath.mpf(y) for _, y in d.knots]
+    segments = list(zip(xs, xs[1:], ys, ys[1:]))
+
+    def piece(y0, s, t):  # the integral of (y0 + s u)**p over u in (0, t)
+        return y0**p * t if s == 0 else ((y0 + s * t) ** (p + 1) - y0 ** (p + 1)) / (s * (p + 1))
+
+    def below(x):
+        x = mpmath.mpf(x)
+        return mpmath.fsum(piece(y0, (y1 - y0) / (x1 - x0), min(x, x1) - x0)
+                           for x0, x1, y0, y1 in segments if x > x0)
+
+    def above(x):
+        x = mpmath.mpf(x)
+        return mpmath.fsum(piece(y1, (y0 - y1) / (x1 - x0), x1 - max(x, x0))
+                           for x0, x1, y0, y1 in segments if x < x1)
+
+    def inverse(m):
+        for x0, x1, y0, y1 in segments:
+            s = (y1 - y0) / (x1 - x0)
+            mass = piece(y0, s, x1 - x0)
+            if m <= mass:
+                if s == 0:
+                    return x0 + m / y0**p
+                return x0 + ((y0 ** (p + 1) + s * (p + 1) * m) ** (1 / (p + 1)) - y0) / s
+            m -= mass
+        raise AssertionError("mass past the support")
+
+    return below, above, inverse
+
+
+def _rel(got, want):
+    want = float(want)
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.6, 1.0, 3.0])
+def test_piecewise_power_matches_mpmath_oracle(p):
+    mpmath = pytest.importorskip("mpmath")
+    d = _POWER_SOURCE if p == 1.0 else _POWER_SOURCE.tilt(p)
+    xs = np.array([-1.0, 0.0, 1e-300, 1e-9, 0.5, 1.0, 1.5, 2.0, math.nextafter(2.0, 3.0), 2.5,
+                   3.0 - 1e-12, 3.7, 4.0 - 1e-6, 4.0 - 1e-9, 4.0, 5.0])
+    # the left tail by quantile, the right one by isf; each stays within a few ulp
+    ps = np.array([1e-300, 1e-20, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9])
+    tails = (1e-20, 1e-6, 0.3, 0.8)
+    with mpmath.workdps(40):
+        below, above, inverse = _mp_piecewise_power(mpmath, _POWER_SOURCE, mpmath.mpf(p))
+        total = below(4.0)
+        for x in xs:
+            assert _rel(d.cdf(x), below(x) / total) <= 1e-15, x
+            assert _rel(d.sf(x), above(x) / total) <= 1e-15, x
+        for q in ps:
+            want = float(inverse(mpmath.mpf(q) * total))
+            assert abs(d.quantile(q) - want) <= 8 * math.ulp(want), q
+        for q in tails:
+            want = float(inverse(total - mpmath.mpf(q) * total))
+            assert abs(d.isf(q) - want) <= 8 * math.ulp(want), q
+        for beta in (0.5, 2.0):
+            below_b, _, _ = _mp_piecewise_power(mpmath, _POWER_SOURCE, mpmath.mpf(p) * beta)
+            scale = total**beta
+            assert _rel(d.power_integral(beta), below_b(4.0) / scale) <= 2e-15
+            for iv in (Interval(-math.inf, 1.5), Interval(0.5, 3.2), Interval(1.2, 1.8),
+                       Interval(3.9, math.inf), Interval(-1.0, 1e-3), Interval(5.0, 6.0)):
+                want = (below_b(min(iv.hi, 4.0)) - below_b(max(iv.lo, 0.0))) / scale
+                assert _rel(d.partial_power_integral(beta, iv), want) <= 2e-15, iv
+    # the scalar masses and quantiles are the array forms on one entry, bit for bit
+    for method in ("cdf", "sf"):
+        want = np.array([getattr(d, method)(float(x)) for x in xs])
+        assert np.array_equal(getattr(d, method + "_array")(xs), want), method
+    assert np.array_equal(d.quantile_array(ps), [d.quantile(float(q)) for q in ps])
+    np.testing.assert_array_max_ulp(d.pdf_array(xs), [d.pdf(float(x)) for x in xs], maxulp=1)
 
 
 def test_piecewise_and_tilted_right_tails_keep_relative_precision():
@@ -577,7 +639,7 @@ def test_tilt_exponent_none_off_the_closed_pairs():
         (Uniform(0.0, 1.0), PiecewiseLinear([(0.0, 1.0), (1.0, 1.0)])),
     ):
         assert d.tilt_exponent(other) is None
-    # numerically tilted and piecewise densities know no closed tilt
+    # piecewise densities and their tilts name no tilt exponent
     p = PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)])
     assert p.tilt_exponent(p) is None
     assert p.tilt(0.5).tilt_exponent(p.tilt(0.5)) is None
@@ -590,6 +652,50 @@ def test_tilt_numeric_matches_pointwise_power():
     for x in (0.2, 0.9, 1.7, 2.5):
         assert t.pdf(x) == pytest.approx(d.pdf(x) ** 0.5 / z, rel=1e-9)
     assert t.power_integral(1.0) == pytest.approx(1.0, abs=1e-9)
+
+
+# every density the library builds: the families, a restriction of each, their
+# tilts, and tilts and restrictions of tilts
+NORMALIZED = [
+    *ALL_FAMILIES,
+    _POWER_SOURCE,
+    *(d.restrict(Interval(d.quantile(0.2), d.quantile(0.7))) for d in ALL_FAMILIES),
+    *(d.tilt(beta) for d in ALL_FAMILIES + [_POWER_SOURCE] for beta in (0.25, 0.6, 3.0)),
+    _POWER_SOURCE.tilt(0.6).tilt(3.0),
+    Laplacian(0.0, 1.0).tilt(0.6).tilt(3.0),
+    _POWER_SOURCE.tilt(0.25).restrict(Interval(0.5, 3.5)),
+]
+
+
+@pytest.mark.parametrize("d", NORMALIZED, ids=repr)
+def test_every_library_density_integrates_to_one(d):
+    # no density checks this when it is built: every normalizer is closed
+    assert abs(integrate_over(d.pdf, (d,), cuts=d.kinks) - 1.0) <= 1e-12
+
+
+class _SlowTails(Density):
+    """pdf (1 + |x|)^-2 / 2, a density from outside the library."""
+
+    support = REAL_LINE
+    kinks = (0.0,)
+
+    def pdf(self, x):
+        return 0.5 / (1.0 + abs(x)) ** 2
+
+    def cdf(self, x):
+        return 0.5 / (1.0 - x) if x < 0.0 else 1.0 - 0.5 / (1.0 + x)
+
+
+def test_tilt_without_a_closed_form_raises():
+    with pytest.raises(DomainError, match="_SlowTails has no closed-form tilt"):
+        _SlowTails().tilt(0.5)
+    with pytest.raises(DomainError, match="_SlowTails has no closed-form tilt"):
+        _SlowTails().restrict(Interval(0.0, 1.0)).tilt(0.5)
+    with pytest.raises(DomainError, match="Gaussian has no piecewise-linear tilt"):
+        TiltedDensity(Gaussian(0.0, 1.0), 0.5)
+    # the quadrature fallbacks still serve such a density
+    assert _SlowTails().quantile(0.75) == pytest.approx(1.0, abs=QUANTILE_WIDTH)
+    assert _SlowTails().power_integral(1.0) == pytest.approx(1.0, abs=1e-9)
 
 
 # --- weak unimodality ---------------------------------------------------------------

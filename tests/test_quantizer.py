@@ -204,7 +204,6 @@ ORACLE_SOURCES = [
 
 def _compander_for(d, n, r=2.0):
     if d.support.bounded:
-        # equal-width cells; a numerically tilted point density is slow to invert
         return build_compander(Uniform(d.support.lo, d.support.hi), n)
     return build_compander(optimal_point_density(d, 0.5, r), n)
 

@@ -472,12 +472,14 @@ def _mp_pdf(mpmath, d):
 
 def _mp_mismatch_loss(mpmath, g, f, alpha, r):
     """a^(r/(1-alpha)) b / (int f^beta1)^beta2 with a = int f^alpha h^(1-alpha),
-    b = int f h^-r and h the normalized g^(1/beta2), every integral by mpmath.quad."""
+    b = int f h^-r and h the normalized g^(1/beta2), every integral by mpmath.quad,
+    split at the points of both densities inside f's support (h has g's kink)."""
     alpha, r = mpmath.mpf(alpha), mpmath.mpf(r)
     beta1 = (1 - alpha + alpha * r) / (1 - alpha + r)
     beta2 = (1 - alpha + r) / (1 - alpha)
     gp, g_pts = _mp_pdf(mpmath, g)
     fp, f_pts = _mp_pdf(mpmath, f)
+    f_pts = sorted({*f_pts, *(x for x in g_pts if f_pts[0] < x < f_pts[-1])})
     norm = mpmath.quad(lambda x: gp(x) ** (1 / beta2), g_pts)
 
     def h(x):
@@ -500,6 +502,7 @@ def _mp_mismatch_loss(mpmath, g, f, alpha, r):
         (Laplacian(0.0, 1.5), Gaussian(0.0, 1.0)),
         (Gaussian(0.0, 2.0), Gaussian(0.0, 1.0)),
         (Uniform(0.0, 1.0), Uniform(0.0, 0.5)),
+        (Laplacian(0.0, 2.0), Uniform(-1.0, 1.0)),  # g's kink inside f's support
     ],
     ids=repr,
 )
