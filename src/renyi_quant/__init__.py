@@ -33,7 +33,6 @@ from .density import (
 from .quadrature import IntegrationResult, integrate, truncate_support
 from .quantizer import (
     Quantizer,
-    RestrictedMetrics,
     cell_probabilities,
     distortion,
     quantizer_entropy,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -166,9 +165,9 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
         suffix = f" ({detail})" if detail else ""
         print(f"lemma-check {name}: {'PASS' if ok else 'FAIL'}{suffix}")
 
-    # split-bound strict minimizer on random inputs
-    worst_gap = math.inf
-    ok = True
+    # split-bound strict minimizer on random inputs, and at the symmetric point
+    symmetric = theory.split_bound(1.0, 1.0, 2.0, 0.5)
+    ok = abs(symmetric.z0 - 0.5) < 1e-15 and abs(symmetric.f_min - 8.0) < 1e-12
     for _ in range(args.trials):
         a = float(rng.uniform(0.05, 10.0))
         b = float(rng.uniform(0.05, 10.0))
@@ -179,10 +178,6 @@ def _cmd_lemma_check(args: argparse.Namespace) -> int:
         if abs(at_min.f_value - res.f_min) > 1e-9 * res.f_min:
             ok = False
         if abs(z - res.z0) > 1e-6 and not res.f_value > res.f_min:
-            ok = False
-        worst_gap = min(worst_gap, res.f_value - res.f_min)
-        symmetric = theory.split_bound(1.0, 1.0, 2.0, 0.5)
-        if not (abs(symmetric.z0 - 0.5) < 1e-15 and abs(symmetric.f_min - 8.0) < 1e-12):
             ok = False
     report("split-bound-strict-minimizer", ok, f"{args.trials} random cases")
 

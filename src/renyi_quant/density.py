@@ -371,14 +371,14 @@ class Density:
 
     def power_integral(self, beta: float) -> float:
         """Integral of pdf**beta over the support."""
-        if beta <= 0.0:
-            raise DomainError(f"power_integral requires beta > 0, got {beta}")
+        if not 0.0 < beta < math.inf:
+            raise DomainError(f"power_integral requires a finite beta > 0, got {beta}")
         return self._power_integral(beta)
 
     def partial_power_integral(self, beta: float, interval: Interval) -> float:
         """Integral of pdf**beta over an interval."""
-        if beta <= 0.0:
-            raise DomainError(f"partial_power_integral requires beta > 0, got {beta}")
+        if not 0.0 < beta < math.inf:
+            raise DomainError(f"partial_power_integral requires a finite beta > 0, got {beta}")
         return self._partial_power_integral(beta, interval)
 
     def _power_integral(self, beta: float) -> float:
@@ -413,8 +413,8 @@ class Density:
 
     def tilt(self, beta: float) -> "Density":
         """Normalized pdf**beta as a density, for the families whose tilt is closed."""
-        if beta <= 0.0:
-            raise DomainError(f"tilt requires a positive exponent, got {beta}")
+        if not 0.0 < beta < math.inf:
+            raise DomainError(f"tilt requires a finite positive exponent, got {beta}")
         closed = self._tilt_closed(beta)
         if closed is None:
             raise DomainError(f"{type(self).__name__} has no closed-form tilt")
@@ -506,8 +506,8 @@ class Gaussian(Density):
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and self.sigma > 0.0):
-            raise DomainError(f"gaussian requires sigma > 0, got {self.sigma}")
+        if not (math.isfinite(self.mean) and 0.0 < self.sigma < math.inf):
+            raise DomainError(f"gaussian requires a finite sigma > 0, got {self.sigma}")
 
     @property
     def support(self) -> Interval:
@@ -575,8 +575,8 @@ class Laplacian(Density):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and self.scale > 0.0):
-            raise DomainError(f"laplacian requires scale > 0, got {self.scale}")
+        if not (math.isfinite(self.mean) and 0.0 < self.scale < math.inf):
+            raise DomainError(f"laplacian requires a finite scale > 0, got {self.scale}")
 
     @property
     def support(self) -> Interval:
@@ -659,8 +659,8 @@ class Exponential(Density):
     shift: float = 0.0
 
     def __post_init__(self):
-        if not (self.rate > 0.0 and math.isfinite(self.shift)):
-            raise DomainError(f"exponential requires rate > 0, got {self.rate}")
+        if not (0.0 < self.rate < math.inf and math.isfinite(self.shift)):
+            raise DomainError(f"exponential requires a finite rate > 0, got {self.rate}")
 
     @property
     def support(self) -> Interval:
@@ -772,6 +772,8 @@ class PiecewiseLinear(Density):
             raise DomainError("piecewise linear density needs at least two knots")
         xs = np.array([p[0] for p in pts])
         ys = np.array([p[1] for p in pts])
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise DomainError("piecewise linear knots must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise DomainError("piecewise linear knots must have strictly increasing x")
         if np.any(ys < 0.0):
@@ -967,8 +969,8 @@ class TiltedDensity(PiecewiseLinear):
     def __init__(self, base: PiecewiseLinear, exponent: float):
         if not isinstance(base, PiecewiseLinear):
             raise DomainError(f"{type(base).__name__} has no piecewise-linear tilt")
-        if exponent <= 0.0:
-            raise DomainError(f"tilt exponent must be positive, got {exponent}")
+        if not 0.0 < exponent < math.inf:
+            raise DomainError(f"tilt exponent must be finite and positive, got {exponent}")
         self.base = base
         self.exponent = exponent
         self._set_power(base._xs, base._ys, base._p * exponent)

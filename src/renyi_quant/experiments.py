@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -25,7 +26,6 @@ from .intervals import Interval
 from .quantizer import (
     CellTable,
     Quantizer,
-    RestrictedMetrics,
     cell_tables,
     fsum_array,
     power_sum,
@@ -146,9 +146,13 @@ class ExperimentConfig:
 
 
 def _number(field_name: str, value) -> float:
-    """A JSON number (an int or a float, never a bool) as a float."""
+    """A finite JSON number (an int or a float, never a bool) as a float.
+    Python's json reads NaN and Infinity, and an int may pass the largest float:
+    all are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field_name!r} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # exact for an int; false for NaN
+        raise ConfigError(f"field {field_name!r} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -336,16 +340,11 @@ def _rate_point(n: int, table: CellTable, alpha: float, r: float, limit: float) 
     return {"n": n, "H_alpha": entropy, "D": dist, "eRH_D": normalized, "ratio": normalized / limit}
 
 
-def _sides(
-    table: CellTable, alpha: float, dist: float
-) -> tuple[RestrictedMetrics, RestrictedMetrics, float]:
-    """The metrics of a table's interval A and of its complement, and the
-    partition identity gap |P(A) D_A + (1 - P(A)) D_Ac - D| for total D."""
+def _partition_gap(table: CellTable, inside_distortion: float, dist: float) -> float:
+    """The partition identity gap |P(A) D_A + (1 - P(A)) D_Ac - D| of a table's
+    interval A and its complement, for D_A and the total D."""
     inside, outside = table.regions
-    m1, m2 = table.metrics(inside, alpha), table.metrics(outside, alpha)
-    mass = inside.mass
-    gap = abs(mass * m1.distortion_restricted + (1.0 - mass) * m2.distortion_restricted - dist)
-    return m1, m2, gap
+    return abs(inside.mass * inside_distortion + (1.0 - inside.mass) * outside.distortion() - dist)
 
 
 def _report(cfg: ExperimentConfig, experiment: str, rows: list[dict], limits: dict,
@@ -396,10 +395,11 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
     rows = []
     for n, _, table in _sweep(cfg, d, interval):
         row = _rate_point(n, table, alpha, r, q_coeff)
-        m1, m2, gap = _sides(table, alpha, row["D"])
-        ratio_1 = math.exp((1.0 - alpha) * (m1.entropy_restricted - row["H_alpha"]))
-        ratio_2 = math.exp((1.0 - alpha) * (m2.entropy_restricted - row["H_alpha"]))
-        restricted_nd = math.exp(r * m1.entropy_restricted) * m1.distortion_restricted
+        inside, outside = table.regions
+        entropy_1, dist_1 = inside.entropy(alpha), inside.distortion()
+        ratio_1 = math.exp((1.0 - alpha) * (entropy_1 - row["H_alpha"]))
+        ratio_2 = math.exp((1.0 - alpha) * (outside.entropy(alpha) - row["H_alpha"]))
+        restricted_nd = math.exp(r * entropy_1) * dist_1
         rows.append({
             **row,
             "entropy_density_ratio_A1": ratio_1,
@@ -407,7 +407,7 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
             "normalization": ratio_1 * mass_1**alpha + ratio_2 * mass_2**alpha,
             "restricted_eRH_D": restricted_nd,
             "restricted_ratio": restricted_nd / q_conditional,
-            "partition_identity_gap": gap,
+            "partition_identity_gap": _partition_gap(table, dist_1, row["D"]),
         })
     last = rows[-1]
     flags = {
@@ -451,10 +451,10 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
     rows = []
     for n, _, table in _sweep(cfg, d, interval):
         row = _rate_point(n, table, alpha, r, q_coeff)
-        m1, _, gap = _sides(table, alpha, row["D"])
-        dist_in = fsum_array(table.regions[0].distortions)
+        inside = table.regions[0]
+        dist_in = fsum_array(inside.distortions)
         share = dist_in / row["D"]
-        power_share = m1.restricted_power_sum / m1.entropy_power_sum
+        power_share = power_sum(inside.masses, alpha) / power_sum(table.masses, alpha)
         mg_n = math.exp(r * row["H_alpha"]) * dist_in
         rows.append({
             **row,
@@ -463,7 +463,7 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
             "coincidence_ratio": share / power_share,
             "Mg_n": mg_n,
             "Mg_ratio": mg_n / mg_limit,
-            "partition_identity_gap": gap,
+            "partition_identity_gap": _partition_gap(table, dist_in / inside.mass, row["D"]),
         })
     last = rows[-1]
     flags = {
@@ -554,10 +554,10 @@ def run_sanity(cfg: ExperimentConfig) -> ConvergenceReport:
     for n, q, table in _sweep(cfg, d, interval):
         total_power = power_sum(table.masses, alpha)
         row = _rate_point(n, table, alpha, r, q_coeff)
-        m1, m2, _ = _sides(table, alpha, row["D"])
+        inside, outside = table.regions
         row["max_cell_probability"] = float(table.masses.max())
-        row["H_restricted_A1"] = m1.entropy_restricted
-        row["H_restricted_A2"] = m2.entropy_restricted
+        row["H_restricted_A1"] = inside.entropy(alpha)
+        row["H_restricted_A2"] = outside.entropy(alpha)
         for col, p in zip(point_cols, points):
             mass_p = float(table.masses[q.cell_index(p)])
             row[col] = (mass_p**alpha / total_power) if mass_p > 0.0 else 0.0

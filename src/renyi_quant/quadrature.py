@@ -69,7 +69,8 @@ class IntegrationResult:
 
 
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
-    """One G7/K15 pass over [a, b]: returns (value, error_estimate)."""
+    """One G7/K15 pass over [a, b]: returns (value, error_estimate), or raises
+    NonConvergenceError where either is not finite."""
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fc = f(mid)
@@ -99,6 +100,11 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     err = max(err, 50.0 * _EPS * resabs)
+    if not (math.isfinite(value) and math.isfinite(err)):  # no stopping test would pass it
+        raise NonConvergenceError(
+            f"quadrature panel ({a!r}, {b!r}) is not finite: value {value!r}, "
+            f"error estimate {err!r}"
+        )
     return value, err
 
 
@@ -142,8 +148,9 @@ def integrate(
 
     Terminates once the summed per-panel error estimates fall below
     max(rel_tol * |value|, abs_tol); raises NonConvergenceError after
-    MAX_SUBDIVISIONS subdivisions. Panels split largest-error-first with a
-    deterministic insertion-order tie break.
+    MAX_SUBDIVISIONS subdivisions, or at once on a panel whose value or error
+    estimate is not finite, which no stopping test would ever pass. Panels
+    split largest-error-first with a deterministic insertion-order tie break.
     """
     a, b = interval.lo, interval.hi
     if not (math.isfinite(a) and math.isfinite(b)):

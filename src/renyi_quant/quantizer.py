@@ -23,7 +23,8 @@ asymmetric source take all m cells.
 
 A rate point's `CellTable` holds one mass pass, its distortions and the
 columns inside each region, which evaluate again only the cell parts a region
-endpoint cuts. `cell_tables` builds the tables of several quantizers with one
+endpoint cuts; a region's `RegionColumns` give the entropy and distortion
+conditioned on it. `cell_tables` builds the tables of several quantizers with one
 distortion pass over all their cells and cut parts, as a sweep does for its
 small rate points: a cell's value does not depend on the batch it rides in.
 
@@ -147,12 +148,12 @@ def renyi_entropy_vec(p: Sequence[float], alpha: float) -> float:
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"probability vector sums to {total!r}, expected 1 within 1e-9")
     arr = np.clip(arr, 0.0, None)
+    if _ALPHA_LIMIT_EPS < alpha < 1.0 - _ALPHA_LIMIT_EPS:
+        return math.log(power_sum(arr, alpha)) / (1.0 - alpha)
     pos = arr[arr > 0.0]
     if alpha <= _ALPHA_LIMIT_EPS:
         return math.log(pos.size)
-    if alpha >= 1.0 - _ALPHA_LIMIT_EPS:
-        return float(-np.sum(pos * np.log(pos)))
-    return math.log(float(np.sum(pos**alpha))) / (1.0 - alpha)
+    return float(-np.sum(pos * np.log(pos)))
 
 
 def power_sum(p: Sequence[float], alpha: float) -> float:
@@ -367,18 +368,27 @@ def distortion(q: Quantizer, d: Density, r: float) -> float:
 
 
 @dataclass(frozen=True)
-class RestrictedMetrics:
-    entropy_restricted: float
-    distortion_restricted: float
-    entropy_power_sum: float
-    restricted_power_sum: float
-
-
-@dataclass(frozen=True)
 class RegionColumns:
+    """A cell table's columns inside one region, and the quantizer conditioned on it."""
+
     mass: float              # probability of the region
     masses: np.ndarray       # per-cell mass inside the region
     distortions: np.ndarray  # per-cell distortion inside the region
+
+    def _conditioning_mass(self) -> float:
+        if self.mass <= 0.0:
+            raise EmptyConditioningError("conditioning region has zero probability")
+        return self.mass
+
+    def entropy(self, alpha: float) -> float:
+        """Renyi entropy of order alpha of the cells conditioned on the region."""
+        conditional = self.masses / self._conditioning_mass()
+        # renormalize away the tiny cdf-difference drift before validation
+        return renyi_entropy_vec(conditional / conditional.sum(), alpha)
+
+    def distortion(self) -> float:
+        """Distortion of the quantizer conditioned on the region."""
+        return fsum_array(self.distortions) / self._conditioning_mass()
 
 
 @dataclass(frozen=True)
@@ -388,20 +398,6 @@ class CellTable:
     masses: np.ndarray
     distortions: np.ndarray
     regions: tuple[RegionColumns, ...]
-
-    def metrics(self, region: RegionColumns, alpha: float) -> RestrictedMetrics:
-        """Entropy and distortion of the quantizer conditioned on a region."""
-        if region.mass <= 0.0:
-            raise EmptyConditioningError("conditioning region has zero probability")
-        conditional = region.masses / region.mass
-        # renormalize away the tiny cdf-difference drift before validation
-        conditional = conditional / conditional.sum()
-        return RestrictedMetrics(
-            entropy_restricted=renyi_entropy_vec(conditional, alpha),
-            distortion_restricted=fsum_array(region.distortions) / region.mass,
-            entropy_power_sum=power_sum(self.masses, alpha),
-            restricted_power_sum=power_sum(region.masses, alpha),
-        )
 
 
 def _region_parts(
@@ -481,20 +477,12 @@ def cell_table(
     return cell_tables((q,), d, r, regions)[0]
 
 
-def restricted_metrics(
-    q: Quantizer, d: Density, interval: Interval, alpha: float, r: float
-) -> RestrictedMetrics:
-    """Entropy and distortion of the quantizer under conditioning on an interval.
-
-    Also returns the raw power sums over all cells and over cell-interval
-    intersections, which drive the entropy-contribution ratios.
-    """
-    return region_metrics(q, d, (interval,), alpha, r)
+def restricted_metrics(q: Quantizer, d: Density, interval: Interval, r: float) -> RegionColumns:
+    """The cell table's columns inside an interval, whose `entropy` and
+    `distortion` are the quantizer's conditioned on it."""
+    return region_metrics(q, d, (interval,), r)
 
 
-def region_metrics(
-    q: Quantizer, d: Density, region: Sequence[Interval], alpha: float, r: float
-) -> RestrictedMetrics:
+def region_metrics(q: Quantizer, d: Density, region: Sequence[Interval], r: float) -> RegionColumns:
     """Same as restricted_metrics for a union of disjoint intervals."""
-    table = cell_table(q, d, r, (region,))
-    return table.metrics(table.regions[0], alpha)
+    return cell_table(q, d, r, (region,)).regions[0]

@@ -101,6 +101,21 @@ def test_exit_code_1_names_offending_field(tmp_path, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("override", ["r=NaN", "r=Infinity", "tolerances.ratio=NaN"])
+def test_exit_code_1_on_a_non_finite_number_without_sweeping(tmp_path, capsys, monkeypatch,
+                                                             override):
+    def sweep(cfg):
+        raise AssertionError("a config with a non-finite number was swept")
+
+    monkeypatch.setitem(cli.RUNNERS, "asymptotics", sweep)
+    path = write_config(tmp_path, UNIFORM_CFG)
+    code = main(["asymptotics", "--config", str(path), "--output-dir", str(tmp_path),
+                 "--set", override])
+    assert code == 1
+    field = override.partition("=")[0]
+    assert f"field '{field}' must be a finite number" in capsys.readouterr().err
+
+
 def test_exit_code_1_on_hypothesis_violation(tmp_path, capsys):
     cfg = {
         "source": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},

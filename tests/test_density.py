@@ -387,6 +387,32 @@ def test_closed_form_power_integrals_match_quadrature():
             assert quad == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: density_from_spec({"family": "gaussian", "sigma": math.inf}),
+        lambda: density_from_spec({"family": "laplacian", "scale": math.inf}),
+        lambda: density_from_spec({"family": "exponential", "rate": math.inf}),
+        lambda: density_from_spec({"family": "piecewise_linear", "knots": [[0, 1], [math.nan, 1]]}),
+        lambda: density_from_spec({"family": "piecewise_linear", "knots": [[0, 1], [math.inf, 1]]}),
+        lambda: density_from_spec({"family": "piecewise_linear", "knots": [[0, 1], [1, math.nan]]}),
+        lambda: density_from_spec({"family": "piecewise_linear", "knots": [[0, 1], [1, math.inf]]}),
+        lambda: PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(math.nan),
+        lambda: PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(math.inf),
+        lambda: TiltedDensity(PiecewiseLinear([(0.0, 1.0), (1.0, 1.0)]), math.nan),
+        lambda: Gaussian(0.0, 1.0).tilt(math.nan),
+        lambda: Gaussian(0.0, 1.0).power_integral(math.nan),
+        lambda: Gaussian(0.0, 1.0).power_integral(math.inf),
+        lambda: PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).power_integral(math.nan),
+        lambda: Laplacian(0.0, 1.0).partial_power_integral(math.nan, Interval(0.0, 1.0)),
+    ],
+)
+def test_non_finite_parameters_and_exponents_are_refused(build):
+    # density_from_spec reports a constructor's DomainError as a ConfigError
+    with pytest.raises((DomainError, ConfigError), match="finite"):
+        build()
+
+
 # --- moments -------------------------------------------------------------------
 
 

@@ -89,6 +89,18 @@ def test_config_from_dict_takes_only_integral_n_grid_entries():
         ("interval", {"interval": ["0.2", 0.8]}),
         ("interval", {"interval": [0.2, False]}),
         ("interval", {"interval": [0.2]}),
+        # finite ones only: Python's json reads NaN and Infinity, and null
+        # is the way to write an infinite interval end
+        ("alpha", {"alpha": math.nan}),
+        ("r", {"r": math.nan}),
+        ("r", {"r": math.inf}),
+        ("r", {"r": 10**400}),
+        ("moment_slack", {"moment_slack": math.nan}),
+        ("moment_slack", {"moment_slack": math.inf}),
+        ("tolerances.ratio", {"tolerances": {"ratio": math.nan}}),
+        ("sanity_points", {"sanity_points": [0.5, -math.inf]}),
+        ("interval", {"interval": [0.2, math.inf]}),
+        ("interval", {"interval": [math.nan, 0.8]}),
     ],
 )
 def test_config_from_dict_takes_only_json_numbers_and_a_string_name(field, value):
@@ -371,6 +383,56 @@ def test_one_cell_pass_each_per_rate_point(monkeypatch, runner, probabilities_pe
     # of a mismatch run and the point density
     sources = 2 if runner is run_mismatch else 1
     assert builds == {"density_from_spec": sources, "optimal_point_density": 1}
+
+
+@pytest.mark.parametrize(
+    "runner, per_point",
+    [
+        # (entropies, exact distortion sums, power sums over a table's masses)
+        (run_entropy_density, (3, 3, 0)),  # H, H_A, H_Ac; D, D_A, D_Ac for the gap
+        (run_distortion_density, (1, 3, 1)),  # H; D, D_A, D_Ac; the power-sum share
+        (run_sanity, (3, 1, 1)),  # H, H_A, H_Ac; D; the single-cell ratios
+    ],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_interval_runners_compute_only_what_they_report(monkeypatch, runner, per_point):
+    """Per rate point, distortion-density computes no conditional entropy,
+    sanity no conditional distortion, no runner sums p_i^alpha over a table's
+    masses more than once, and none sums a region's distortions twice. The
+    sum inside renyi_entropy_vec runs over its own clipped copy of the masses,
+    so it is not counted as a sum over the table's masses."""
+    tables = []
+    original_tables = experiments.cell_tables
+
+    def recording(*args):
+        made = original_tables(*args)
+        tables.extend(made)
+        return made
+
+    monkeypatch.setattr(experiments, "cell_tables", recording)
+    calls = []
+    for name in ("renyi_entropy_vec", "power_sum", "fsum_array"):
+        def wrapped(p, *args, _name=name, _original=getattr(quantizer, name)):
+            calls.append((_name, p))
+            return _original(p, *args)
+
+        for module in (quantizer, experiments):  # where the runners and the columns reach it
+            monkeypatch.setattr(module, name, wrapped)
+    report = runner(ExperimentConfig(**EVERY_RUN))
+    points = len(report.rows)
+    assert len(tables) == points == len(SMALL_GRID)
+
+    def count(name, array):
+        return sum(called == name and p is array for called, p in calls)
+
+    entropies, sums, powers = per_point
+    assert sum(name == "renyi_entropy_vec" for name, _ in calls) == entropies * points
+    assert sum(name == "fsum_array" for name, _ in calls) == sums * points
+    for table in tables:
+        assert count("renyi_entropy_vec", table.masses) == 1
+        assert count("fsum_array", table.distortions) == 1
+        assert count("power_sum", table.masses) == powers
+        assert all(count("fsum_array", region.distortions) <= 1 for region in table.regions)
 
 
 def test_sweep_groups_rate_points_while_their_cells_fit_one_block(monkeypatch):

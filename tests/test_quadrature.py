@@ -73,6 +73,21 @@ def test_nonconvergence_raises(monkeypatch):
         integrate(f, Interval(0.0, 1.0), rel_tol=1e-300, abs_tol=1e-300)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_panel_raises_at_once(value):
+    # such a panel never meets the stopping test: without the check the heap
+    # bisects it out to MAX_SUBDIVISIONS
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return value
+
+    with pytest.raises(NonConvergenceError, match=r"panel \(0.0, 1.0\) is not finite"):
+        integrate(f, Interval(0.0, 1.0))
+    assert len(calls) == 15  # one G7/K15 panel
+
+
 def test_tail_windows_capture_slow_decay():
     # integral of exp(-x) over (0, inf) = 1; core stops at 5
     f = lambda x: math.exp(-x)

@@ -386,29 +386,33 @@ def test_distortion_shift_invariance():
     )
 
 
-# --- restricted metrics ------------------------------------------------------------------
+# --- conditional metrics of a region's columns ---------------------------------------------
 
 
 def test_restricted_metrics_uniform_half():
     u = Uniform(0.0, 1.0)
     q = uniform_quantizer(4)
-    m = restricted_metrics(q, u, Interval(0.0, 0.5), 0.5, 2.0)
-    assert m.entropy_restricted == pytest.approx(math.log(2.0), abs=1e-12)
-    assert m.restricted_power_sum == pytest.approx(1.0, abs=1e-12)
-    assert m.entropy_power_sum == pytest.approx(2.0, abs=1e-12)
+    region = restricted_metrics(q, u, Interval(0.0, 0.5), 2.0)
+    assert region.entropy(0.5) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert power_sum(region.masses, 0.5) == pytest.approx(1.0, abs=1e-12)
+    assert power_sum(cell_probabilities(q, u), 0.5) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_restricted_metrics_whole_support_matches_entropy():
     g = Gaussian(0.0, 1.0)
     q = uniform_quantizer(16, -6.0, 6.0)
-    m = restricted_metrics(q, g, Interval(-40.0, 40.0), 0.5, 2.0)
-    assert m.entropy_restricted == pytest.approx(quantizer_entropy(q, g, 0.5), abs=1e-12)
+    region = restricted_metrics(q, g, Interval(-40.0, 40.0), 2.0)
+    assert region.entropy(0.5) == pytest.approx(quantizer_entropy(q, g, 0.5), abs=1e-12)
 
 
 def test_restricted_metrics_empty_region():
     u = Uniform(0.0, 1.0)
+    region = restricted_metrics(uniform_quantizer(4), u, Interval(2.0, 3.0), 2.0)
+    assert region.mass == 0.0
     with pytest.raises(EmptyConditioningError):
-        restricted_metrics(uniform_quantizer(4), u, Interval(2.0, 3.0), 0.5, 2.0)
+        region.entropy(0.5)
+    with pytest.raises(EmptyConditioningError):
+        region.distortion()
 
 
 @pytest.mark.parametrize(
@@ -418,26 +422,30 @@ def test_partition_distortion_identity(d):
     # mu(A1) D_1 + mu(A2) D_2 = D for the two-set partition
     q = uniform_quantizer(8, -4.0, 4.0)
     interval = Interval(-0.5, 0.75)
-    m1 = restricted_metrics(q, d, interval, 0.5, 2.0)
-    m2 = region_metrics(q, d, interval.complement(), 0.5, 2.0)
+    inside = restricted_metrics(q, d, interval, 2.0)
+    outside = region_metrics(q, d, interval.complement(), 2.0)
     mass1 = d.interval_mass(interval)
-    total = mass1 * m1.distortion_restricted + (1.0 - mass1) * m2.distortion_restricted
+    total = mass1 * inside.distortion() + (1.0 - mass1) * outside.distortion()
     assert total == pytest.approx(distortion(q, d, 2.0), abs=1e-9)
 
 
 def test_restricted_metrics_interval_over_the_whole_support():
     u = Uniform(0.0, 1.0)
     q = uniform_quantizer(4)
-    m = restricted_metrics(q, u, Interval(-1.0, 2.0), 0.5, 2.0)
-    assert m.entropy_restricted == pytest.approx(math.log(4.0), abs=1e-12)
-    assert m.distortion_restricted == pytest.approx(distortion(q, u, 2.0), rel=1e-12)
+    region = restricted_metrics(q, u, Interval(-1.0, 2.0), 2.0)
+    assert region.entropy(0.5) == pytest.approx(math.log(4.0), abs=1e-12)
+    assert region.distortion() == pytest.approx(distortion(q, u, 2.0), rel=1e-12)
     # the empty complement raises only when it is read
     table = cell_table(q, u, 2.0, ((Interval(-1.0, 2.0),), Interval(-1.0, 2.0).complement()))
     inside, outside = table.regions
-    assert table.metrics(inside, 0.5) == m
+    assert inside.mass == region.mass
+    assert np.array_equal(inside.masses, region.masses)
+    assert np.array_equal(inside.distortions, region.distortions)
     assert outside.mass == 0.0 and not outside.masses.any() and not outside.distortions.any()
     with pytest.raises(EmptyConditioningError):
-        table.metrics(outside, 0.5)
+        outside.entropy(0.5)
+    with pytest.raises(EmptyConditioningError):
+        outside.distortion()
 
 
 # --- the cell table against the per-region passes it replaces --------------------------
@@ -496,15 +504,27 @@ def _mirrored_runs(q, d, region, want, full):
 
 
 def _oracle_region_metrics(q, d, region, alpha, masses_in, distortions_in):
+    """The conditional entropy and distortion of a region, then the power sums
+    over all cells and over the region's masses."""
     mass_total = math.fsum(d.interval_mass(iv) for iv in region)
     conditional = masses_in / mass_total
     conditional = conditional / conditional.sum()
     dist_in = float(math.fsum(distortions_in))
-    return quantizer.RestrictedMetrics(
-        entropy_restricted=renyi_entropy_vec(conditional, alpha),
-        distortion_restricted=dist_in / mass_total,
-        entropy_power_sum=power_sum(cell_probabilities(q, d), alpha),
-        restricted_power_sum=power_sum(masses_in, alpha),
+    return (
+        renyi_entropy_vec(conditional, alpha),
+        dist_in / mass_total,
+        power_sum(cell_probabilities(q, d), alpha),
+        power_sum(masses_in, alpha),
+    )
+
+
+def _region_metrics(table, columns, alpha):
+    """What the oracle gives, read from a table and one region's columns."""
+    return (
+        columns.entropy(alpha),
+        columns.distortion(),
+        power_sum(table.masses, alpha),
+        power_sum(columns.masses, alpha),
     )
 
 
@@ -561,10 +581,13 @@ def test_cell_table_is_bit_equal_to_the_per_region_passes(d, n):
         assert np.array_equal(columns.distortions, distortions), region
         assert columns.mass == math.fsum(d.interval_mass(iv) for iv in region)
         if columns.mass > 0.0:
-            assert table.metrics(columns, 0.5) == _oracle_region_metrics(
+            assert _region_metrics(table, columns, 0.5) == _oracle_region_metrics(
                 q, d, region, 0.5, masses, distortions
             )
-            assert region_metrics(q, d, region, 0.5, r) == table.metrics(columns, 0.5)
+        alone = region_metrics(q, d, region, r)
+        assert alone.mass == columns.mass
+        assert np.array_equal(alone.masses, columns.masses)
+        assert np.array_equal(alone.distortions, columns.distortions)
 
 
 def test_cell_table_interval_cases_cover_what_they_name():
