@@ -1,14 +1,16 @@
-"""Probability density models with analytic functionals where available.
+"""Probability density models, every one closed in form.
 
-Every library family is closed: pdf, cdf, quantile, power integrals and tilts
-of the Uniform/Gaussian/Laplacian/Exponential families, and of a piecewise-
-linear source, whose tilts are piecewise powers over its knots. A restriction
-is closed through its base. Only a density defined outside the library falls
-back to adaptive quadrature on a quantile-truncated support, and its quantiles
-to one batched root solver, `decreasing_roots`; it has no tilt. The
-weak-unimodality grid check runs in one array pass over its grid, not one per
-level. Densities are immutable after construction and every operation is a
-pure function, so instances can be shared across threads.
+A family supplies `support`, `pdf`, `cdf`, `quantile_array`, `_isf`,
+`_power_integral` and `_tilt_closed`; the `Density` base class checks the
+domains and holds no numeric fallback behind them. The library's families are
+Uniform, Gaussian, Laplacian and Exponential, a piecewise-linear source, whose
+tilts are piecewise powers over its knots, and a restriction, closed through
+its base. `decreasing_roots` is the batched root solver of the codepoint
+refinement, and `integrate_over` the adaptive quadrature of moments and mixed
+predictor integrals. The weak-unimodality grid check runs in one array pass
+over its grid, not one per level. Densities are immutable after construction
+and every operation is a pure function, so instances can be shared across
+threads.
 """
 
 from __future__ import annotations
@@ -239,15 +241,17 @@ def integrate_over(
 
 
 class Density:
-    """Common surface for all density families.
+    """The interface every density family implements, with domain checks only.
 
-    Subclasses must provide `support`, `pdf`, and `cdf`; everything else but
-    `tilt` has a generic implementation that closed-form families override,
-    and `tilt` raises `DomainError` for a family without `_tilt_closed`. The public
-    `quantile`, `isf`, `power_integral` and `partial_power_integral` check the
-    domain (p in (0, 1), beta > 0) and then call the hooks `_quantile`,
-    `_isf`, `_power_integral` and `_partial_power_integral`, which are what
-    a family overrides; a hook may assume its argument is in the domain.
+    A family supplies `support`, `pdf`, `cdf`, `quantile_array`, `_isf`,
+    `_power_integral` and `_tilt_closed`, each in closed form; the base class
+    keeps no numeric fallback beside them, and `tilt` of a family without
+    `_tilt_closed` raises `DomainError`. Its array forms either come from the
+    family or are the loops over the scalar methods below. The public
+    `quantile`, `isf`, `power_integral`, `partial_power_integral` and `tilt`
+    check the domain (p in (0, 1), a finite beta > 0) and then call the hooks
+    `_quantile`, `_isf`, `_power_integral`, `_partial_power_integral` and
+    `_tilt_closed`; a hook may assume its argument is in the domain.
     """
 
     support: Interval
@@ -289,13 +293,12 @@ class Density:
     def quartile_scale(self) -> tuple[float, float]:
         """The interquartile range and the power of 2 at or below it, the scale
         the cell layer sets its tail windows and floors by; computed once, as
-        for a source without a closed-form quantile it is a root solve."""
+        the cell layer reads it on every pass."""
         iqr = np.ptp(self.quantile_array(np.array([0.25, 0.75])))
         return float(iqr), float(2.0 ** np.floor(np.log2(iqr)))
 
     def quantile(self, p: float) -> float:
-        """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1); where cdf
-        is flat at p, the generic fallback may return any point of that stretch."""
+        """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1)."""
         if not 0.0 < p < 1.0:
             raise DomainError(f"quantile requires p in (0,1), got {p}")
         return self._quantile(p)
@@ -304,8 +307,7 @@ class Density:
         """Inverse survival function: the x with sf(x) = p.
 
         Equivalent to quantile(1 - p), but keeps full relative precision deep
-        in the right tail: the closed-form families invert sf in closed form,
-        and the generic fallback solves on sf.
+        in the right tail, where every family inverts sf itself.
         """
         if not 0.0 < p < 1.0:
             raise DomainError(f"isf requires p in (0,1), got {p}")
@@ -315,15 +317,13 @@ class Density:
         return float(self.quantile_array(np.array([p]))[0])
 
     def _isf(self, p: float) -> float:
-        # on sf itself: 1 - p rounds away a right tail below 1e-16
-        lo, hi = self.support.lo, self.support.hi
-        return float(decreasing_roots(lambda x, idx: self.sf_array(x) - p, [lo], [hi])[0])
+        raise NotImplementedError
 
     # --- array surface -----------------------------------------------------
     #
-    # Elementwise versions of pdf/cdf/sf/quantile. The defaults loop the
-    # scalar method, so every family works; closed-form families override
-    # them with numpy expressions that repeat the scalar arithmetic.
+    # Elementwise versions of pdf/cdf/sf/quantile. The pdf/cdf/sf defaults
+    # loop the scalar method (a restriction runs on them); the other families
+    # override them with numpy expressions that repeat the scalar arithmetic.
 
     def pdf_array(self, x) -> np.ndarray:
         return _elementwise(self.pdf, x)
@@ -335,12 +335,7 @@ class Density:
         return _elementwise(self.sf, x)
 
     def quantile_array(self, p) -> np.ndarray:
-        """Every quantile in one decreasing_roots call on p - cdf_array."""
-        p = _check_probabilities(p)
-        flat, support = p.ravel(), self.support
-        roots = decreasing_roots(lambda x, idx: flat[idx] - self.cdf_array(x),
-                                 np.full(flat.size, support.lo), np.full(flat.size, support.hi))
-        return roots.reshape(p.shape)
+        raise NotImplementedError
 
     def interval_mass_array(self, lo, hi) -> np.ndarray:
         """interval_mass of every (lo[i], hi[i]], with the same cdf/sf branches."""
@@ -382,22 +377,11 @@ class Density:
         return self._partial_power_integral(beta, interval)
 
     def _power_integral(self, beta: float) -> float:
-        return self._power_integral_quad(beta)
+        raise NotImplementedError
 
     def _partial_power_integral(self, beta: float, interval: Interval) -> float:
-        # with a closed-form tilt: the full power integral times the tilted
-        # measure of the interval
-        closed = self._tilt_closed(beta)
-        if closed is not None:
-            return self._power_integral(beta) * closed.interval_mass(interval)
-        return self._power_integral_quad(beta, interval)
-
-    def _power_integral_quad(self, beta: float, interval: Interval = REAL_LINE) -> float:
-        def f(x: float) -> float:
-            g = self.pdf(x)
-            return g**beta if g > 0.0 else 0.0
-
-        return integrate_over(f, (self,), interval)
+        # the full power integral times the tilted measure of the interval
+        return self._power_integral(beta) * self._tilt_closed(beta).interval_mass(interval)
 
     def absolute_moment(self, r: float) -> float:
         """E|X|^r by quadrature, splitting at the |x| kink."""
@@ -415,22 +399,15 @@ class Density:
         """Normalized pdf**beta as a density, for the families whose tilt is closed."""
         if not 0.0 < beta < math.inf:
             raise DomainError(f"tilt requires a finite positive exponent, got {beta}")
-        closed = self._tilt_closed(beta)
-        if closed is None:
-            raise DomainError(f"{type(self).__name__} has no closed-form tilt")
-        return closed
+        return self._tilt_closed(beta)
 
-    def _tilt_closed(self, beta: float) -> "Density | None":
-        return None
+    def _tilt_closed(self, beta: float) -> "Density":
+        raise DomainError(f"{type(self).__name__} has no closed-form tilt")
 
     def tilt_exponent(self, other: "Density") -> float | None:
         """The gamma with other == self.tilt(gamma), for the pairs a family
         knows in closed form (same family, same location); None for any other."""
         return None
-
-    def mode(self) -> float:
-        """A representative maximizer of the pdf (diagnostic use)."""
-        return self.quantile(0.5)
 
 
 @dataclass(frozen=True)

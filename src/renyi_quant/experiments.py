@@ -388,7 +388,7 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
     q_coeff = theory.quantization_coefficient(d, alpha, r)
     limit_1 = theory.entropy_density_limit(d, interval, alpha, r)
     mass_2 = 1.0 - mass_1
-    tilted_mass = limit_1 * mass_1**alpha
+    tilted_mass = theory.tilted_measure(d, alpha, r).interval_mass(interval)
     limit_2 = (1.0 - tilted_mass) * mass_2 ** (-alpha)
     q_conditional = theory.quantization_coefficient(d.restrict(interval), alpha, r)
 
@@ -442,10 +442,7 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
     interval, mass_1 = _theorem_interval(cfg, d)
     alpha, r = cfg.alpha, cfg.r
     q_coeff = theory.quantization_coefficient(d, alpha, r)
-    params = theory.rate_params(alpha, r)
-    tilted_mass = d.partial_power_integral(params.beta1, interval) / d.power_integral(
-        params.beta1
-    )
+    tilted_mass = theory.tilted_measure(d, alpha, r).interval_mass(interval)
     mg_limit = theory.limit_distortion_measure(d, interval, alpha, r)
 
     rows = []

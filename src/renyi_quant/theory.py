@@ -173,7 +173,7 @@ def compander_performance(d: Density, h: Density, alpha: float, r: float) -> flo
 
     Scaled by the cell constant so the optimal point density returns exactly
     the quantization coefficient of d; any other h gives a strictly larger
-    value.
+    value. Cross-checked against the equivalent Renyi-divergence form.
     """
     p = rate_params(alpha, r)
     if not _support_within(d.support, h.support):
@@ -183,7 +183,17 @@ def compander_performance(d: Density, h: Density, alpha: float, r: float) -> flo
         )
     a_int = _power_product(d, alpha, h, 1.0 - alpha, (d, h))
     b_int = _power_product(d, 1.0, h, -r, (d,))
-    return p.c_r * a_int ** (r / (1.0 - alpha)) * b_int
+    value = p.c_r * a_int ** (r / (1.0 - alpha)) * b_int
+    # same quantity through the divergence form, D_alpha(d || h) from a_int as
+    # renyi_divergence forms it; a disagreement means the numerics (not the
+    # algebra) broke down
+    div = math.log(a_int) / (alpha - 1.0) if a_int > 0.0 else math.inf
+    alt = p.c_r * math.exp(-r * div) * b_int
+    if not math.isclose(value, alt, rel_tol=1e-8):
+        raise RenyiQuantError(
+            f"compander performance cross-validation failed: {value!r} vs {alt!r}"
+        )
+    return value
 
 
 # --- Renyi divergence ---------------------------------------------------------
@@ -275,26 +285,9 @@ def mismatch_entropy_shift(g: Density, f: Density, alpha: float, r: float) -> fl
 
 
 def mismatch_distortion_limit(g: Density, f: Density, alpha: float, r: float) -> float:
-    """Limit of exp(r H_nu) D_nu for g-optimal quantizers applied to f.
-
-    Evaluated through the normalized optimal point density of g, and
-    cross-checked against the equivalent Renyi-divergence form.
-    """
-    p = rate_params(alpha, r)
-    h = optimal_point_density(g, alpha, r)
-    a_int = _power_product(f, alpha, h, 1.0 - alpha, (f, h))
-    b_int = _power_product(f, 1.0, h, -r, (f,))
-    value = p.c_r * a_int ** (r / (1.0 - alpha)) * b_int
-    # same quantity through the divergence form, D_alpha(f || h) from a_int as
-    # renyi_divergence forms it; a disagreement means the numerics (not the
-    # algebra) broke down
-    div = math.log(a_int) / (alpha - 1.0) if a_int > 0.0 else math.inf
-    alt = p.c_r * math.exp(-r * div) * b_int
-    if not math.isclose(value, alt, rel_tol=1e-8):
-        raise RenyiQuantError(
-            f"mismatch distortion limit cross-validation failed: {value!r} vs {alt!r}"
-        )
-    return value
+    """Limit of exp(r H_nu) D_nu for g-optimal quantizers applied to f: the
+    compander performance on f of the optimal point density of g."""
+    return compander_performance(f, optimal_point_density(g, alpha, r), alpha, r)
 
 
 def mismatch_loss(g: Density, f: Density, alpha: float, r: float) -> float:

@@ -69,6 +69,34 @@ def test_asymptotics_writes_reports(tmp_path, capsys):
     assert header.split(",")[:5] == ["n", "H_alpha", "D", "eRH_D", "ratio"]
 
 
+# the derived families no checked-in config names: a restriction, a tilt, an
+# optimal point density and a tilted restriction of a piecewise-linear source
+DERIVED_SOURCES = {
+    "restricted": {"family": "restricted", "base": {"family": "gaussian", "sigma": 1.0},
+                   "interval": [-1.0, 2.0]},
+    "tilted": {"family": "tilted", "base": {"family": "laplacian", "scale": 1.0}, "beta": 0.6},
+    "point_density_of": {"family": "point_density_of", "base": {"family": "exponential",
+                                                                "rate": 1.0},
+                         "alpha": 0.5, "r": 2.0},
+    "tilted_restricted_piecewise": {
+        "family": "tilted", "beta": 0.6,
+        "base": {"family": "restricted", "interval": [0.5, 3.5],
+                 "base": {"family": "piecewise_linear",
+                          "knots": [[0.0, 0.0], [1.0, 2.0], [3.0, 0.5], [4.0, 0.0]]}},
+    },
+}
+
+
+@pytest.mark.parametrize("source", list(DERIVED_SOURCES.values()), ids=list(DERIVED_SOURCES))
+def test_derived_families_sweep_end_to_end(tmp_path, source):
+    code = main(["asymptotics", "--config", str(CONFIG_DIR / "gaussian_asymptotics.json"),
+                 "--output-dir", str(tmp_path), "--set", f"source={json.dumps(source)}",
+                 "--set", "n_grid=[16,64,256,1024]"])
+    assert code == 0
+    summary = json.loads((tmp_path / "gaussian_asymptotics_summary.json").read_text())
+    assert summary["passed"] is True
+
+
 def test_mismatch_summary_contains_limit(tmp_path):
     cfg = {
         "source": {"family": "uniform", "a": 0.0, "b": 1.0},

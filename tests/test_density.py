@@ -14,6 +14,7 @@ from renyi_quant import (
     check_weak_unimodality,
     density_from_spec,
 )
+from renyi_quant import density, quadrature
 from renyi_quant.density import (
     QUANTILE_WIDTH,
     TAIL_MASS,
@@ -379,11 +380,16 @@ def test_power_integral_scaling_law(d, s):
     )
 
 
+def _quad_power_integral(d, beta, interval=REAL_LINE):
+    """The integral of pdf**beta over the interval by adaptive quadrature."""
+    return integrate_over(lambda x: d.pdf(x) ** beta, (d,), interval)
+
+
 def test_closed_form_power_integrals_match_quadrature():
     for d in (Gaussian(0.3, 1.4), Laplacian(0.0, 2.0), Exponential(0.7, 0.0)):
         for beta in (0.4, 0.75):
             closed = d.power_integral(beta)
-            quad = d._power_integral_quad(beta)
+            quad = _quad_power_integral(d, beta)
             assert quad == pytest.approx(closed, rel=1e-9)
 
 
@@ -494,7 +500,7 @@ def test_partial_power_integral_matches_quadrature():
     d = Gaussian(0.0, 1.0)
     iv = Interval(-0.5, 1.25)
     closed = d.partial_power_integral(0.6, iv)
-    quad = d._power_integral_quad(0.6, iv)
+    quad = _quad_power_integral(d, 0.6, iv)
     assert closed == pytest.approx(quad, rel=1e-9)
 
 
@@ -577,14 +583,14 @@ def test_support_integrals_keep_the_window_bits(d):
         inside = (Interval(q(0.2), q(0.7)), Interval(q(0.6), math.inf))
         past = (Interval(window.hi + 1.0, math.inf), Interval(-math.inf, window.lo - 1.0))
         for iv in inside + past:
-            assert d._power_integral_quad(beta, iv) == _window_power_integral(d, beta, iv)
+            assert _quad_power_integral(d, beta, iv) == _window_power_integral(d, beta, iv)
     # an Exponential's window starts past its support's finite end: see the oracle test
     if window.lo == d.support.lo or d.support.lo == -math.inf:
         for r in (2.0, 3.0):
             assert d.absolute_moment(r) == _window_absolute_moment(d, r)
         for beta in (0.6, 1.7):
             for iv in (REAL_LINE, Interval(-math.inf, q(0.3))):
-                assert d._power_integral_quad(beta, iv) == _window_power_integral(d, beta, iv)
+                assert _quad_power_integral(d, beta, iv) == _window_power_integral(d, beta, iv)
 
 
 def test_support_integrals_past_the_window_match_mpmath_oracle():
@@ -611,20 +617,20 @@ def test_support_integrals_past_the_window_match_mpmath_oracle():
         cases = [
             # the Exponential's support end 0.5 lies left of its window
             (expo.absolute_moment(3.0), lambda x: x**3 * e_pdf(x), [mpf(0.5), inf]),
-            (expo._power_integral_quad(0.6), lambda x: e_pdf(x) ** mpf(0.6), [mpf(0.5), inf]),
-            (expo._power_integral_quad(1.7, e_iv), lambda x: e_pdf(x) ** mpf(1.7),
+            (_quad_power_integral(expo, 0.6), lambda x: e_pdf(x) ** mpf(0.6), [mpf(0.5), inf]),
+            (_quad_power_integral(expo, 1.7, e_iv), lambda x: e_pdf(x) ** mpf(1.7),
              [mpf(0.5), mpf(e_iv.hi)]),
             # intervals with a finite end past the window
-            (gauss._power_integral_quad(0.6, g_iv), lambda x: g_pdf(x) ** mpf(0.6),
+            (_quad_power_integral(gauss, 0.6, g_iv), lambda x: g_pdf(x) ** mpf(0.6),
              [mpf(g_iv.lo), mpf(g_iv.hi)]),
-            (lap._power_integral_quad(0.6, l_iv), lambda x: l_pdf(x) ** mpf(0.6),
+            (_quad_power_integral(lap, 0.6, l_iv), lambda x: l_pdf(x) ** mpf(0.6),
              [mpf(l_iv.lo), mpf(l_iv.hi)]),
             # half-lines that start past the window: the whole tail, not 0
-            (gauss._power_integral_quad(0.6, Interval(g_window.hi + 1.0, math.inf)),
+            (_quad_power_integral(gauss, 0.6, Interval(g_window.hi + 1.0, math.inf)),
              lambda x: g_pdf(x) ** mpf(0.6), [mpf(g_window.hi + 1.0), inf]),
-            (lap._power_integral_quad(0.6, Interval(-math.inf, l_window.lo - 1.0)),
+            (_quad_power_integral(lap, 0.6, Interval(-math.inf, l_window.lo - 1.0)),
              lambda x: l_pdf(x) ** mpf(0.6), [-inf, mpf(l_window.lo - 1.0)]),
-            (expo._power_integral_quad(0.6, Interval(e_window_hi + 1.0, math.inf)),
+            (_quad_power_integral(expo, 0.6, Interval(e_window_hi + 1.0, math.inf)),
              lambda x: e_pdf(x) ** mpf(0.6), [mpf(e_window_hi + 1.0), inf]),
         ]
         for got, integrand, points in cases:
@@ -719,9 +725,61 @@ def test_tilt_without_a_closed_form_raises():
         _SlowTails().restrict(Interval(0.0, 1.0)).tilt(0.5)
     with pytest.raises(DomainError, match="Gaussian has no piecewise-linear tilt"):
         TiltedDensity(Gaussian(0.0, 1.0), 0.5)
-    # the quadrature fallbacks still serve such a density
-    assert _SlowTails().quantile(0.75) == pytest.approx(1.0, abs=QUANTILE_WIDTH)
-    assert _SlowTails().power_integral(1.0) == pytest.approx(1.0, abs=1e-9)
+
+
+_KNOTS = [[0.0, 0.0], [1.0, 2.0], [3.0, 0.5], [4.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "uniform", "a": -1.0, "b": 3.0},
+        {"family": "gaussian", "mean": 0.5, "sigma": 2.0},
+        {"family": "laplacian", "mean": -0.5, "scale": 0.7},
+        {"family": "exponential", "rate": 1.5, "shift": 0.5},
+        {"family": "piecewise_linear", "knots": _KNOTS},
+        {"family": "restricted", "base": {"family": "gaussian", "sigma": 1.0},
+         "interval": [-1.0, 2.0]},
+        {"family": "restricted", "base": {"family": "piecewise_linear", "knots": _KNOTS},
+         "interval": [0.5, 3.5]},
+        {"family": "tilted", "base": {"family": "laplacian", "scale": 1.0}, "beta": 0.6},
+        {"family": "tilted", "beta": 0.6,
+         "base": {"family": "restricted", "interval": [0.5, 3.5],
+                  "base": {"family": "piecewise_linear", "knots": _KNOTS}}},
+        {"family": "point_density_of", "base": {"family": "exponential", "rate": 1.0},
+         "alpha": 0.5, "r": 2.0},
+        {"family": "point_density_of", "base": {"family": "piecewise_linear", "knots": _KNOTS},
+         "alpha": 0.5, "r": 3.0},
+    ],
+    ids=lambda spec: spec["family"],
+)
+def test_every_spec_family_is_closed(monkeypatch, spec):
+    """No family density_from_spec builds reaches the root solver or quadrature
+    in its quantiles, power integrals or tilt."""
+    calls = []
+
+    def recording(fn):
+        def recorded(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for module, name in ((density, "decreasing_roots"), (density, "integrate_over"),
+                         (quadrature, "integrate")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    d = density_from_spec(spec)
+    q = d.quantile
+    iv = Interval(q(0.2), q(0.7))
+    for p in (1e-9, 0.3, 0.5, 0.9):
+        q(p), d.isf(p)
+    d.quantile_array(np.array([1e-9, 0.3, 0.5, 0.9]))
+    for beta in (0.6, 1.7):
+        d.power_integral(beta), d.partial_power_integral(beta, iv), d.tilt(beta)
+    assert calls == []
+    # the wrappers do see the quadrature where it still runs
+    d.absolute_moment(2.0)
+    assert set(calls) == {"integrate_over", "integrate"}
 
 
 # --- weak unimodality ---------------------------------------------------------------

@@ -993,6 +993,10 @@ class _SlowTails(Density):
     def cdf(self, x):
         return 0.5 / (1.0 - x) if x < 0.0 else 1.0 - 0.5 / (1.0 + x)
 
+    def quantile_array(self, p):
+        p = np.asarray(p, dtype=float)
+        return np.where(p < 0.5, 1.0 - 0.5 / p, 0.5 / (1.0 - p) - 1.0)
+
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_cell_distortions_raise_where_a_tail_diverges(r):
