@@ -5,14 +5,18 @@ odd quantiles (2k-1)/(2n), i.e. at cell midpoints in the companded domain.
 The midpoint rule is what makes the uniform-source normalized distortion hit
 the cell constant 1/(2^r (1+r)) exactly at every n. Where h is symmetric
 about its center c, only the quantiles below 1/2 are evaluated: c is the
-middle one and the rest are their mirrors 2c - x. Every library density has
-a closed-form quantile, so no build calls the root solver. `refine_codepoints`
+middle one and the rest are their mirrors 2c - x. `build_companders` builds a
+group of rate points from one `quantile_array` call, each quantizer bit-equal
+to its own `build_compander`. Every library density has a closed-form
+quantile, so no build calls the root solver. `refine_codepoints`
 can then move each codepoint to its cell's minimizer of the rth-power error,
 the root of the error's derivative, for all cells in one `decreasing_roots`
 call.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -34,16 +38,25 @@ def optimal_point_density(d: Density, alpha: float, r: float) -> Density:
 
 def build_compander(h: Density, n: int) -> Quantizer:
     """Quantizer with n cells of equal h-probability and midpoint codepoints."""
-    if n < 2:
-        raise DomainError(f"compander needs n >= 2 cells, got {n}")
-    # the j/(2n) quantiles: even j are the breakpoints k/n, odd j the codepoints
+    return build_companders(h, (n,))[0]
+
+
+def build_companders(h: Density, ns: Sequence[int]) -> list[Quantizer]:
+    """build_compander of every n in ns, from one quantile_array call."""
+    if min(ns) < 2:
+        raise DomainError(f"compander needs n >= 2 cells, got {min(ns)}")
+    # the j/(2n) quantiles: even j are the breakpoints k/n, odd j the codepoints;
+    # where h is symmetric about c, the j < n ones, c, and their mirrors 2c - x
     c = h.center
-    if c is None:
-        x = h.quantile_array(np.arange(1, 2 * n) / (2 * n))
-    else:  # h is symmetric about c: the j < n quantiles, c, and their mirrors 2c - x
-        left = h.quantile_array(np.arange(1, n) / (2 * n))
-        x = np.concatenate((left, [c], 2.0 * c - left[::-1]))
-    return Quantizer(x[1::2], x[0::2])
+    probs = [np.arange(1, 2 * n if c is None else n) / (2 * n) for n in ns]
+    quantiles = h.quantile_array(np.concatenate(probs))
+    qs, start = [], 0
+    for p in probs:
+        x, start = quantiles[start:start + p.size], start + p.size
+        if c is not None:
+            x = np.concatenate((x, [c], 2.0 * c - x[::-1]))
+        qs.append(Quantizer(x[1::2], x[0::2]))
+    return qs
 
 
 def refine_codepoints(q: Quantizer, d: Density, r: float) -> Quantizer:

@@ -6,11 +6,11 @@ domains and holds no numeric fallback behind them. The library's families are
 Uniform, Gaussian, Laplacian and Exponential, a piecewise-linear source, whose
 tilts are piecewise powers over its knots, and a restriction, closed through
 its base. `decreasing_roots` is the batched root solver of the codepoint
-refinement, and `integrate_over` the adaptive quadrature of moments and mixed
-predictor integrals. The weak-unimodality grid check runs in one array pass
-over its grid, not one per level. Densities are immutable after construction
-and every operation is a pure function, so instances can be shared across
-threads.
+refinement, and `integrate_over` the adaptive quadrature of the moments off a
+family's location 0 and of mixed predictor integrals. The weak-unimodality grid
+check runs in one array pass over its grid, not one per level, and only on a
+source that is not log-concave. Densities are immutable after construction and
+every operation is a pure function, so instances can be shared across threads.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ UNIMODALITY_GRID = 4096     # interior grid points it samples them on
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)  # correctly rounded, so E|X|^3 of N(0, 1) is too
 
 
 def _elementwise(fn, x) -> np.ndarray:
@@ -384,10 +385,17 @@ class Density:
         return self._power_integral(beta) * self._tilt_closed(beta).interval_mass(interval)
 
     def absolute_moment(self, r: float) -> float:
-        """E|X|^r by quadrature, splitting at the |x| kink."""
+        """E|X|^r: the family's closed form where it has one (`_absolute_moment`),
+        else by quadrature, splitting at the |x| kink."""
         if r < 1.0:
             raise DomainError(f"absolute_moment requires r >= 1, got {r}")
+        closed = self._absolute_moment(r)
+        if closed is not None:
+            return closed
         return integrate_over(lambda x: abs(x) ** r * self.pdf(x), (self,), cuts=(0.0,))
+
+    def _absolute_moment(self, r: float) -> float | None:
+        return None
 
     # --- derived densities ---------------------------------------------------
 
@@ -467,6 +475,15 @@ class Uniform(Density):
     def _power_integral(self, beta: float) -> float:
         return (self.b - self.a) ** (1.0 - beta)
 
+    def _absolute_moment(self, r: float) -> float:
+        # across 0, (|a|^(r+1) + b^(r+1)) / ((r+1)(b-a)); on one side, |x| over (u, v]
+        # gives v^r (1 - w^(r+1)) / ((r+1)(1 - w)), w = u/v, from t = w - 1 by log1p
+        if self.a < 0.0 < self.b:
+            return (-self.a * (-self.a) ** r + self.b * self.b**r) / ((r + 1.0) * (self.b - self.a))
+        u, v = sorted((abs(self.a), abs(self.b)))
+        t = (u - v) / v
+        return v**r * (-math.expm1((r + 1.0) * math.log1p(t)) if u else 1.0) / ((r + 1.0) * -t)
+
     def _tilt_closed(self, beta: float) -> Density:
         return self
 
@@ -533,6 +550,11 @@ class Gaussian(Density):
 
     def _power_integral(self, beta: float) -> float:
         return (2.0 * math.pi * self.sigma**2) ** (0.5 * (1.0 - beta)) / math.sqrt(beta)
+
+    def _absolute_moment(self, r: float) -> float | None:
+        if self.mean != 0.0:
+            return None
+        return self.sigma**r * 2.0 ** (0.5 * (r - 1.0)) * math.gamma(0.5 * (r + 1.0)) * _SQRT_2_OVER_PI
 
     def _tilt_closed(self, beta: float) -> Density:
         return Gaussian(self.mean, self.sigma / math.sqrt(beta))
@@ -618,6 +640,9 @@ class Laplacian(Density):
     def _power_integral(self, beta: float) -> float:
         return (2.0 * self.scale) ** (1.0 - beta) / beta
 
+    def _absolute_moment(self, r: float) -> float | None:
+        return self.scale**r * math.gamma(r + 1.0) if self.mean == 0.0 else None
+
     def _tilt_closed(self, beta: float) -> Density:
         return Laplacian(self.mean, self.scale / beta)
 
@@ -690,6 +715,9 @@ class Exponential(Density):
 
     def _power_integral(self, beta: float) -> float:
         return self.rate ** (beta - 1.0) / beta
+
+    def _absolute_moment(self, r: float) -> float | None:
+        return math.gamma(r + 1.0) / self.rate**r if self.shift == 0.0 else None
 
     def _tilt_closed(self, beta: float) -> Density:
         return Exponential(self.rate * beta, self.shift)
@@ -976,8 +1004,12 @@ def check_weak_unimodality(d: Density) -> UnimodalityReport:
     the support, truncated to its 1e-9 quantile window. It reports the
     lowest level whose set splits, the same as testing the levels one by one,
     from one pass over the grid: its prefix and suffix maxima, and each
-    point's lowest level above it (`np.searchsorted`).
+    point's lowest level above it (`np.searchsorted`). A log-concave family
+    (uniform, Gaussian, Laplacian, exponential) has only intervals for level
+    sets, so it passes without the grid.
     """
+    if isinstance(d, (Uniform, Gaussian, Laplacian, Exponential)):
+        return UnimodalityReport(True, None)
     window = quadrature.truncate_support(d, 1e-9)
     xs = np.linspace(window.lo, window.hi, UNIMODALITY_GRID + 2)[1:-1]
     vals = d.pdf_array(xs)

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .compander import build_compander, optimal_point_density, refine_codepoints
+from .compander import build_companders, optimal_point_density, refine_codepoints
 from .density import Density, check_weak_unimodality, density_from_spec
 from .errors import ConfigError, HypothesisError, InfiniteIntegralError, RenyiQuantError
 from .intervals import Interval
@@ -28,8 +28,8 @@ from .quantizer import (
     Quantizer,
     cell_tables,
     fsum_array,
+    group_probabilities,
     power_sum,
-    quantizer_entropy,
     renyi_entropy_vec,
 )
 from . import quantizer, theory
@@ -293,29 +293,42 @@ def _sweep(cfg: ExperimentConfig, design: Density, interval: Interval | None = N
            evaluate: Density | None = None) -> Iterator[tuple[int, Quantizer, CellTable]]:
     """Each rate point's n, the compander designed for `design` (refined if the
     config asks) and its cell table under `evaluate`, by default `design`, with
-    columns inside `interval` and its complement when one is given.
+    columns inside `interval` and its complement when one is given."""
+    for group in _group_sweep(cfg, design, interval, evaluate):
+        yield from zip(*group)
 
-    Consecutive rate points share one `cell_tables` call, and so one
-    distortion pass, while their cells number at most quantizer._BLOCK; a
-    larger rate point goes alone. The tables do not depend on the grouping."""
+
+def _group_sweep(cfg: ExperimentConfig, design: Density, interval: Interval | None = None,
+                 evaluate: Density | None = None
+                 ) -> Iterator[tuple[list[int], list[Quantizer], list[CellTable]]]:
+    """_sweep by groups of rate points (`_groups`), each built once the one
+    before it is done: its n, its companders from one `build_companders` call
+    and their tables from one `cell_tables` call, the same as one by one."""
     h = optimal_point_density(design, cfg.alpha, cfg.r)
+    evaluate = design if evaluate is None else evaluate
     regions = () if interval is None else ((interval,), interval.complement())
-    for group in _groups(cfg.n_grid):
-        qs = [build_compander(h, n) for n in group]
+    mirrored = not cfg.refine_codepoints and h.center is not None and h.center == evaluate.center
+    for group in _groups(cfg.n_grid, mirrored):
+        qs = build_companders(h, group)
         if cfg.refine_codepoints:
             qs = [refine_codepoints(q, design, cfg.r) for q in qs]
-        tables = cell_tables(qs, design if evaluate is None else evaluate, cfg.r, regions)
-        yield from zip(group, qs, tables)
+        yield group, qs, cell_tables(qs, evaluate, cfg.r, regions)
 
 
-def _groups(n_grid: Sequence[int]) -> list[list[int]]:
-    """The grid in runs of consecutive n whose sum stays within quantizer._BLOCK."""
+def _groups(n_grid: Sequence[int], mirrored: bool) -> list[list[int]]:
+    """The grid in runs of consecutive n whose evaluated cells stay within
+    quantizer._BLOCK: ceil(n / 2) each where the companders should mirror (the
+    point density and the evaluating one share a center, with no refinement),
+    else n. A miss only makes a batch the cell passes split into blocks."""
     groups: list[list[int]] = []
     for n in n_grid:
-        if groups and sum(groups[-1]) + n <= quantizer._BLOCK:
+        k = (n + 1) // 2 if mirrored else n
+        if groups and cells + k <= quantizer._BLOCK:
             groups[-1].append(n)
+            cells += k
         else:
             groups.append([n])
+            cells = k
     return groups
 
 
@@ -331,10 +344,12 @@ def _theorem_interval(cfg: ExperimentConfig, d: Density) -> tuple[Interval, floa
     return cfg.interval, mass
 
 
-def _rate_point(n: int, table: CellTable, alpha: float, r: float, limit: float) -> dict:
+def _rate_point(n: int, table: CellTable, alpha: float, r: float, limit: float,
+                power: float | None = None) -> dict:
     """The columns every sweep starts with: the entropy and distortion of the
-    table, the normalized distortion e^{rH} D and its ratio to the limit."""
-    entropy = renyi_entropy_vec(table.masses, alpha)
+    table, the normalized distortion e^{rH} D and its ratio to the limit;
+    `power` is the table's sum of p_i^alpha where the runner has it already."""
+    entropy = renyi_entropy_vec(table.masses, alpha, power)
     dist = fsum_array(table.distortions)
     normalized = math.exp(r * entropy) * dist
     return {"n": n, "H_alpha": entropy, "D": dist, "eRH_D": normalized, "ratio": normalized / limit}
@@ -447,11 +462,12 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
 
     rows = []
     for n, _, table in _sweep(cfg, d, interval):
-        row = _rate_point(n, table, alpha, r, q_coeff)
+        total_power = power_sum(table.masses, alpha)
+        row = _rate_point(n, table, alpha, r, q_coeff, total_power)
         inside = table.regions[0]
         dist_in = fsum_array(inside.distortions)
         share = dist_in / row["D"]
-        power_share = power_sum(inside.masses, alpha) / power_sum(table.masses, alpha)
+        power_share = power_sum(inside.masses, alpha) / total_power
         mg_n = math.exp(r * row["H_alpha"]) * dist_in
         rows.append({
             **row,
@@ -496,18 +512,19 @@ def run_mismatch(cfg: ExperimentConfig) -> ConvergenceReport:
     q_g = theory.quantization_coefficient(g, alpha, r)
 
     rows = []
-    for n, q, table in _sweep(cfg, g, evaluate=f):
-        h_mu = quantizer_entropy(q, g, alpha)
-        row = _rate_point(n, table, alpha, r, dist_limit)
-        shift = math.exp((1.0 - alpha) * (row["H_alpha"] - h_mu))
-        rows.append({
-            **row,
-            "H_mu": h_mu,
-            "mismatch_entropy_shift_empirical": shift,
-            "shift_ratio": shift / shift_limit,
-            "loss_empirical": row["eRH_D"] / q_f,
-            "loss_ratio": (row["eRH_D"] / q_f) / loss_limit,
-        })
+    for ns, qs, tables in _group_sweep(cfg, g, evaluate=f):  # and a mass pass under g
+        for n, table, masses in zip(ns, tables, group_probabilities(qs, g)):
+            h_mu = renyi_entropy_vec(masses, alpha)
+            row = _rate_point(n, table, alpha, r, dist_limit)
+            shift = math.exp((1.0 - alpha) * (row["H_alpha"] - h_mu))
+            rows.append({
+                **row,
+                "H_mu": h_mu,
+                "mismatch_entropy_shift_empirical": shift,
+                "shift_ratio": shift / shift_limit,
+                "loss_empirical": row["eRH_D"] / q_f,
+                "loss_ratio": (row["eRH_D"] / q_f) / loss_limit,
+            })
     last = rows[-1]
     if tol["shift_abs"] is None:
         del tol["shift_abs"]
@@ -550,7 +567,7 @@ def run_sanity(cfg: ExperimentConfig) -> ConvergenceReport:
     rows = []
     for n, q, table in _sweep(cfg, d, interval):
         total_power = power_sum(table.masses, alpha)
-        row = _rate_point(n, table, alpha, r, q_coeff)
+        row = _rate_point(n, table, alpha, r, q_coeff, total_power)
         inside, outside = table.regions
         row["max_cell_probability"] = float(table.masses.max())
         row["H_restricted_A1"] = inside.entropy(alpha)

@@ -24,9 +24,10 @@ asymmetric source take all m cells.
 A rate point's `CellTable` holds one mass pass, its distortions and the
 columns inside each region, which evaluate again only the cell parts a region
 endpoint cuts; a region's `RegionColumns` give the entropy and distortion
-conditioned on it. `cell_tables` builds the tables of several quantizers with one
-distortion pass over all their cells and cut parts, as a sweep does for its
-small rate points: a cell's value does not depend on the batch it rides in.
+conditioned on it. `cell_tables` builds the tables of several quantizers, as a
+sweep does for a group of rate points, with one mass pass over all their edges
+(`group_probabilities`) and one distortion pass over all their cells and cut
+parts: a cell's values do not depend on the batch it rides in.
 
 A column of cell distortions sums exactly (`fsum_array`: math.fsum's double,
 from a few array passes), and at r = 2 the integrand squares x - c by a
@@ -51,10 +52,10 @@ _ALPHA_LIMIT_EPS = 1e-6  # alpha this close to an endpoint uses the limit formul
 _PIECE_ABS_TOL = 1e-16   # absolute tolerance of a cell distortion integral, in units of u^r
 _TAIL_WINDOWS = 64       # doubling windows an unbounded piece becomes, out from its finite end
 _MAX_HALVINGS = 64       # rounds of halving the pieces whose panel does not settle
-# Cells per array pass, near enough: per-call numpy overhead dominates smaller
-# blocks, and a split distortion block (2 x 1.5 x 4096 floats at most) keeps
-# each temporary at 96 KiB, under glibc's 128 KiB mmap threshold. Per-cell
-# values do not depend on it.
+# Cells per array pass, near enough, and the evaluated cells a sweep puts in one
+# group of rate points: per-call numpy overhead dominates smaller blocks, and a
+# split distortion block (2 x 1.5 x 4096 floats at most) keeps each temporary at
+# 96 KiB, under glibc's 128 KiB mmap threshold. Per-cell values do not depend on it.
 _BLOCK = 4096
 _SQUARE_BELOW = 2.0**511  # |x - c| under which the r = 2 integrand squares by a product
 _FSUM_MIN_SIZE = 512  # below this many values math.fsum itself is faster than fsum_array
@@ -130,12 +131,14 @@ class Quantizer:
 # --- probability vectors and Renyi entropy ---------------------------------
 
 
-def renyi_entropy_vec(p: Sequence[float], alpha: float) -> float:
+def renyi_entropy_vec(p: Sequence[float], alpha: float, power: float | None = None) -> float:
     """Renyi entropy of order alpha in [0, 1] of a probability vector.
 
     Orders within 1e-6 of the endpoints use the limit formulas (log of the
     number of positive entries at 0, Shannon entropy at 1) since the direct
-    expression degenerates there.
+    expression degenerates there. A caller that has power_sum(p, alpha)
+    already passes it as `power`: that sum skips the entries at or below 0, so
+    it is also the sum over p clipped at 0.
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
@@ -149,7 +152,7 @@ def renyi_entropy_vec(p: Sequence[float], alpha: float) -> float:
         raise DomainError(f"probability vector sums to {total!r}, expected 1 within 1e-9")
     arr = np.clip(arr, 0.0, None)
     if _ALPHA_LIMIT_EPS < alpha < 1.0 - _ALPHA_LIMIT_EPS:
-        return math.log(power_sum(arr, alpha)) / (1.0 - alpha)
+        return math.log(power_sum(arr, alpha) if power is None else power) / (1.0 - alpha)
     pos = arr[arr > 0.0]
     if alpha <= _ALPHA_LIMIT_EPS:
         return math.log(pos.size)
@@ -240,13 +243,22 @@ def _mirrored(values: np.ndarray, size: int) -> np.ndarray:
 
 
 def cell_probabilities(q: Quantizer, d: Density) -> np.ndarray:
-    """Source probability of every cell, bit-equal to `d.interval_mass_array`
-    over the cells `_evaluated` names, the rest their mirrors, but evaluating
-    the cdf once per edge and the sf once per edge of a cell on its sf branch,
-    where cdf(lo) > 1/2."""
-    masses = np.empty(_evaluated(q, d))
+    """Source probability of every cell: `group_probabilities` of q alone."""
+    return group_probabilities((q,), d)[0]
+
+
+def group_probabilities(qs: Sequence[Quantizer], d: Density) -> list[np.ndarray]:
+    """The cell masses of every quantizer in qs, bit-equal to
+    `d.interval_mass_array` over the cells `_evaluated` names, the rest their
+    mirrors. The edges of all those cells are joined (a view for one
+    quantizer), and each block of them evaluates the cdf once per edge and the
+    sf once per edge of a cell on its sf branch, where cdf(lo) > 1/2; the cell
+    from one quantizer's last edge to the next one's first is dropped."""
+    counts = [_evaluated(q, d) for q in qs]
+    joined = _joined([q._edges[:k + 1] for q, k in zip(qs, counts)])
+    masses = np.empty(joined.size - 1)
     for block in _blocks(masses.size):
-        edges = q._edges[block.start:block.stop + 1]
+        edges = joined[block.start:block.stop + 1]
         cdf = _finite_or(d.cdf_array, edges, 1.0)
         cdf[edges == -math.inf] = 0.0
         right = ~(cdf[:-1] <= 0.5)
@@ -254,7 +266,9 @@ def cell_probabilities(q: Quantizer, d: Density) -> np.ndarray:
         sf = np.zeros(edges.shape)
         sf[sf_edge] = _finite_or(d.sf_array, edges[sf_edge], 0.0)
         masses[block] = np.where(right, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
-    return _mirrored(np.maximum(masses, 0.0, out=masses), q.size)
+    np.maximum(masses, 0.0, out=masses)
+    starts = np.cumsum([0] + [k + 1 for k in counts])
+    return [_mirrored(masses[start:start + k], q.size) for q, k, start in zip(qs, counts, starts)]
 
 
 def quantizer_entropy(q: Quantizer, d: Density, alpha: float) -> float:
@@ -428,11 +442,12 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
 def cell_tables(
     qs: Sequence[Quantizer], d: Density, r: float, regions: Sequence[Sequence[Interval]] = ()
 ) -> list[CellTable]:
-    """The cell_table of every quantizer in qs: one cell_probabilities pass
-    each, and one distortion pass over the cells `_evaluated` names of all of
-    them, their mirrors filled in, and every cell part a region endpoint cuts.
-    An entry's distortion does not depend on the batch, so each table is
-    bit-equal to the one its quantizer gets alone."""
+    """The cell_table of every quantizer in qs: one mass pass over all of them
+    (`group_probabilities`), and one distortion pass over the cells
+    `_evaluated` names of all of them, their mirrors filled in, and every cell
+    part a region endpoint cuts. An entry's mass and distortion do not depend
+    on the batch, so each table is bit-equal to the one its quantizer gets
+    alone."""
     if r < 1.0:
         raise DomainError(f"distortion requires r >= 1, got {r}")
     parts = [_region_parts(q, regions) for q in qs]
@@ -452,8 +467,9 @@ def cell_tables(
     cut_values = iter(zip(cut_masses, values[cells:].tolist()))
     region_masses = [math.fsum(d.interval_mass(iv) for iv in region) for region in regions]
     tables, start = [], 0
-    for q, k, (runs, q_cuts) in zip(qs, counts, parts):  # each region's columns, in the parts' order
-        masses, distortions = cell_probabilities(q, d), _mirrored(values[start:start + k], q.size)
+    # each table's region columns, in the parts' order
+    for q, k, (runs, q_cuts), masses in zip(qs, counts, parts, group_probabilities(qs, d)):
+        distortions = _mirrored(values[start:start + k], q.size)
         start += k
         columns = [(np.zeros(q.size), np.zeros(q.size)) for _ in regions]
         for j, run in runs:  # a cell wholly inside keeps its full-pass values

@@ -249,6 +249,51 @@ def test_checked_in_sweep_reports_are_byte_stable(tmp_path, capsys, command, nam
     assert first == second
 
 
+CHECKED_IN_SWEEPS = [
+    ("asymptotics", "gaussian_asymptotics"),
+    ("distortion-density", "gaussian_distortion_density"),
+    ("mismatch", "mismatch_gaussian"),
+    ("mismatch", "mismatch_uniform"),
+    ("sanity", "sanity_gaussian"),
+    ("sanity", "sanity_laplacian"),
+    ("asymptotics", "uniform_asymptotics"),
+    ("entropy-density", "uniform_entropy_density"),
+]
+
+
+def test_checked_in_sweeps_pay_per_group(monkeypatch, tmp_path):
+    """The 8 checked-in sweeps run in 9 groups of rate points, each sweep one
+    but mismatch_uniform, whose cells do not mirror under the mismatched source
+    and so fill two: 9 compander builds, 9 distortion passes, and no quadrature
+    for the moment checks, as every source sits at location 0 or is uniform."""
+    from renyi_quant import density, experiments, quantizer
+
+    counts = {"builds": 0, "distortion_passes": 0, "moment_quadratures": 0}
+    depth = [0]
+
+    def counting(key, fn, outermost=False):
+        def counted(*args, **kwargs):
+            counts[key] += not (outermost and depth[0])
+            depth[0] += outermost
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= outermost
+
+        return counted
+
+    monkeypatch.setattr(experiments, "build_companders",
+                        counting("builds", experiments.build_companders))
+    monkeypatch.setattr(quantizer, "_batch_distortions",
+                        counting("distortion_passes", quantizer._batch_distortions, True))
+    monkeypatch.setattr(density, "integrate_over",
+                        counting("moment_quadratures", density.integrate_over))
+    for command, name in CHECKED_IN_SWEEPS:
+        path = CONFIG_DIR / f"{name}.json"
+        assert main([command, "--config", str(path), "--output-dir", str(tmp_path)]) == 0
+    assert counts == {"builds": 9, "distortion_passes": 9, "moment_quadratures": 0}
+
+
 def test_sanity_subcommand(tmp_path):
     cfg = {
         "source": {"family": "gaussian", "mean": 0.0, "sigma": 1.0},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from renyi_quant import (
+    Exponential,
     Gaussian,
     Interval,
     Laplacian,
@@ -85,6 +86,44 @@ def test_mirrored_build_compander_equals_the_direct_quantiles(d, n):
     x = h.quantile_array(np.arange(1, 2 * n) / (2 * n))
     assert np.array_equal(q._edges[1:-1].view(np.int64), x[1::2].view(np.int64))
     assert np.array_equal(q._codepoint_array.view(np.int64), x[0::2].view(np.int64))
+
+
+def _one_build(h, n):
+    """The compander of n from its own quantile_array call."""
+    if h.center is None:
+        x = h.quantile_array(np.arange(1, 2 * n) / (2 * n))
+    else:
+        left = h.quantile_array(np.arange(1, n) / (2 * n))
+        x = np.concatenate((left, [h.center], 2.0 * h.center - left[::-1]))
+    return x[0::2], x[1::2]
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        Gaussian(0.0, 1.0),
+        Gaussian(0.3, 1.7),  # 2c - x rounds: the mirrors are not exact
+        Laplacian(-0.5, 0.8),
+        Uniform(0.0, 1.0),
+        Exponential(1.5, 0.25),  # no center: every quantile evaluated
+        PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6),
+    ],
+    ids=repr,
+)
+def test_group_build_bit_equals_one_build_per_n(monkeypatch, h):
+    """build_companders calls quantile_array once for the whole group, and each
+    quantizer is the one its n gets from a call of its own, bit for bit."""
+    ns = (2, 3, 16, 100, 4096)
+    calls = []
+    owner = next(cls for cls in type(h).__mro__ if "quantile_array" in vars(cls))
+    monkeypatch.setattr(owner, "quantile_array", _recording(owner.quantile_array, calls))
+    qs = compander.build_companders(h, ns)
+    assert len(calls) == 1
+    for n, q in zip(ns, qs, strict=True):
+        codepoints, breakpoints = _one_build(h, n)
+        assert np.array_equal(q._codepoint_array.view(np.int64), codepoints.view(np.int64))
+        assert np.array_equal(q._edges[1:-1].view(np.int64), breakpoints.view(np.int64))
+        assert q == build_compander(h, n)
 
 
 @pytest.mark.parametrize("s", [1e-5, 1e5])

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from renyi_quant import Interval, experiments, quantizer
@@ -355,52 +356,74 @@ def _count_calls(monkeypatch, module, names):
     return calls
 
 
+def _count_outermost(monkeypatch, module, name):
+    """Count the calls of module.name that no call of it encloses."""
+    calls, depth, original = [0], [0], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return original(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize(
-    "runner, probabilities_per_point",
+    "runner, mass_passes",
     [
         (run_asymptotics, 1),
         (run_entropy_density, 1),
         (run_distortion_density, 1),
         (run_sanity, 1),
-        (run_mismatch, 2),  # under the design source and under the mismatched one
+        (run_mismatch, 2),  # under the mismatched source and under the design one
     ],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
-def test_one_cell_pass_each_per_rate_point(monkeypatch, runner, probabilities_per_point):
-    calls = _count_calls(monkeypatch, quantizer, ("cell_probabilities", "_batch_distortions"))
-    builds = _count_calls(monkeypatch, experiments, ("density_from_spec", "optimal_point_density"))
+def test_one_build_and_cell_pass_each_per_group(monkeypatch, runner, mass_passes):
+    """A group of rate points costs one compander build, one mass pass and one
+    distortion pass, whatever its size."""
+    monkeypatch.setattr(quantizer, "_BLOCK", 16)
+    builds = _count_calls(monkeypatch, experiments, ("build_companders",))
+    masses = _count_outermost(monkeypatch, quantizer, "group_probabilities")
+    # mismatch's pass under the design source reaches it through experiments' name
+    monkeypatch.setattr(experiments, "group_probabilities", quantizer.group_probabilities)
+    distortions = _count_outermost(monkeypatch, quantizer, "_batch_distortions")
+    loads = _count_calls(monkeypatch, experiments, ("density_from_spec", "optimal_point_density"))
     report = runner(ExperimentConfig(**EVERY_RUN))
-    points = len(report.rows)
-    assert points == len(SMALL_GRID)
-    # the whole of SMALL_GRID fits one block, so its rate points share one
-    # distortion pass
-    assert sum(SMALL_GRID) <= quantizer._BLOCK
-    assert calls == {
-        "cell_probabilities": probabilities_per_point * points,
-        "_batch_distortions": 1,
-    }
+    assert len(report.rows) == len(SMALL_GRID)
+    # evaluated cells 2 + 4 + 8 and 16 where the companders mirror under the
+    # evaluating source; the mismatched source is centered elsewhere: 4 + 8, 16, 32
+    groups = 3 if runner is run_mismatch else 2
+    assert builds == {"build_companders": groups}
+    assert masses[0] == mass_passes * groups
+    assert distortions[0] == groups
     # one sweep builds each density once: the source, the mismatched source
     # of a mismatch run and the point density
     sources = 2 if runner is run_mismatch else 1
-    assert builds == {"density_from_spec": sources, "optimal_point_density": 1}
+    assert loads == {"density_from_spec": sources, "optimal_point_density": 1}
 
 
 @pytest.mark.parametrize(
     "runner, per_point",
     [
-        # (entropies, exact distortion sums, power sums over a table's masses)
-        (run_entropy_density, (3, 3, 0)),  # H, H_A, H_Ac; D, D_A, D_Ac for the gap
-        (run_distortion_density, (1, 3, 1)),  # H; D, D_A, D_Ac; the power-sum share
-        (run_sanity, (3, 1, 1)),  # H, H_A, H_Ac; D; the single-cell ratios
+        # (entropies, exact distortion sums)
+        (run_entropy_density, (3, 3)),  # H, H_A, H_Ac; D, D_A, D_Ac for the gap
+        (run_distortion_density, (1, 3)),  # H; D, D_A, D_Ac
+        (run_sanity, (3, 1)),  # H, H_A, H_Ac; D
     ],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
 def test_interval_runners_compute_only_what_they_report(monkeypatch, runner, per_point):
     """Per rate point, distortion-density computes no conditional entropy,
-    sanity no conditional distortion, no runner sums p_i^alpha over a table's
-    masses more than once, and none sums a region's distortions twice. The
-    sum inside renyi_entropy_vec runs over its own clipped copy of the masses,
-    so it is not counted as a sum over the table's masses."""
+    sanity no conditional distortion, and none sums a region's distortions
+    twice. Each sums p_i^alpha over a table's masses once, the sum inside
+    renyi_entropy_vec included, though that one runs over a clipped copy of the
+    masses: distortion-density's power-sum share and sanity's single-cell
+    ratios reuse the entropy's sum."""
     tables = []
     original_tables = experiments.cell_tables
 
@@ -425,19 +448,39 @@ def test_interval_runners_compute_only_what_they_report(monkeypatch, runner, per
     def count(name, array):
         return sum(called == name and p is array for called, p in calls)
 
-    entropies, sums, powers = per_point
+    def count_equal(name, array):  # the same values, in any array
+        return sum(called == name and np.array_equal(p, array) for called, p in calls)
+
+    entropies, sums = per_point
     assert sum(name == "renyi_entropy_vec" for name, _ in calls) == entropies * points
     assert sum(name == "fsum_array" for name, _ in calls) == sums * points
     for table in tables:
         assert count("renyi_entropy_vec", table.masses) == 1
         assert count("fsum_array", table.distortions) == 1
-        assert count("power_sum", table.masses) == powers
+        assert count_equal("power_sum", table.masses) == 1
         assert all(count("fsum_array", region.distortions) <= 1 for region in table.regions)
 
 
-def test_sweep_groups_rate_points_while_their_cells_fit_one_block(monkeypatch):
-    cfg = ExperimentConfig(**EVERY_RUN)
-    want = run_entropy_density(cfg).rows
+@pytest.mark.parametrize(
+    "runner, changes, want",
+    [
+        # evaluated cells 2, 4, 8, 16: the companders mirror under N(0, 1)
+        (run_entropy_density, {}, [[4, 8, 16], [32]]),
+        # the mirrors round about 0.3, so each group evaluates all 28 cells, past
+        # the block: a wrong prediction makes a larger batch, not other values
+        (run_entropy_density, {"source": {"family": "gaussian", "mean": 0.3, "sigma": 1.7}},
+         [[4, 8, 16], [32]]),
+        # refined codepoints do not mirror, nor do cells under another center
+        (run_entropy_density, {"refine_codepoints": True}, [[4, 8], [16], [32]]),
+        (run_mismatch, {}, [[4, 8], [16], [32]]),
+    ],
+    ids=["mirrored", "mirror_rounds", "refined", "mismatch"],
+)
+def test_sweep_groups_rate_points_while_their_evaluated_cells_fit_one_block(
+    monkeypatch, runner, changes, want
+):
+    cfg = ExperimentConfig(**{**EVERY_RUN, **changes})
+    rows = runner(cfg).rows
     groups = []
     original = experiments.cell_tables
 
@@ -447,11 +490,10 @@ def test_sweep_groups_rate_points_while_their_cells_fit_one_block(monkeypatch):
 
     monkeypatch.setattr(experiments, "cell_tables", recording)
     monkeypatch.setattr(quantizer, "_BLOCK", 16)
-    got = run_entropy_density(cfg).rows
-    # 4 + 8 fit; 16 would overflow that group and fills its own; 32 goes alone
-    assert groups == [[4, 8], [16], [32]]
-    assert got == want
-    assert experiments._groups((2, 3, 20, 5, 6, 5)) == [[2, 3], [20], [5, 6, 5]]
+    assert runner(cfg).rows == rows
+    assert groups == want
+    assert experiments._groups((2, 3, 20, 5, 6, 5), False) == [[2, 3], [20], [5, 6, 5]]
+    assert experiments._groups((2, 3, 20, 5, 6, 5), True) == [[2, 3, 20, 5], [6, 5]]
 
 
 # --- shared setup ---------------------------------------------------------------------------

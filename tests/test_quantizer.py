@@ -255,6 +255,27 @@ def test_edge_masses_bit_equal_interval_mass_array(monkeypatch, d, span, n, bloc
         assert (cdf_lo <= 0.5).any() and (cdf_lo > 0.5).any()
 
 
+@pytest.mark.parametrize("block", [7, 4096])
+@pytest.mark.parametrize("d, span", EDGE_SOURCES, ids=[repr(d) for d, _ in EDGE_SOURCES])
+def test_group_masses_bit_equal_each_quantizers_own(monkeypatch, d, span, block):
+    """One mass pass over a group, its members' evaluated edges joined, gives
+    each member the masses of its own cell_probabilities and of
+    interval_mass_array over its cells, bit for bit: mirrored and unmirrored
+    members side by side, and blocks that cut across members."""
+    monkeypatch.setattr(quantizer, "_BLOCK", block)
+    qs = [uniform_quantizer(n, *span) for n in (2, 3, 64)]
+    qs += [build_compander(d, n) for n in (16, 5, 32)]
+    mirrored = [quantizer._evaluated(q, d) < q.size for q in qs]
+    # the uniform and the Laplacian mirror their own companders exactly; 2c - x
+    # rounds for N(0.3, 1.7), and the other sources have no center
+    assert any(mirrored) == isinstance(d, (Uniform, Laplacian)) and not all(mirrored)
+    for q, got in zip(qs, quantizer.group_probabilities(qs, d), strict=True):
+        np.testing.assert_array_equal(_bits(got), _bits(cell_probabilities(q, d)))
+        want = d.interval_mass_array(q._edges[:-1], q._edges[1:])
+        if quantizer._evaluated(q, d) == q.size:
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 @pytest.mark.parametrize("r", [2.0, 3.0])
 @pytest.mark.parametrize("n", [2, 3, 5000])
 @pytest.mark.parametrize("d, span", EDGE_SOURCES, ids=[repr(d) for d, _ in EDGE_SOURCES])
