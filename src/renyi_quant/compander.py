@@ -7,7 +7,8 @@ the cell constant 1/(2^r (1+r)) exactly at every n. Where h is symmetric
 about its center c, only the quantiles below 1/2 are evaluated: c is the
 middle one and the rest are their mirrors 2c - x. `build_companders` builds a
 group of rate points from one `quantile_array` call, each quantizer bit-equal
-to its own `build_compander`. Every library density has a closed-form
+to its own `build_compander`, checks the group once and decides once whether
+each compander mirrors. Every library density has a closed-form
 quantile, so no build calls the root solver. `refine_codepoints`
 can then move each codepoint to its cell's minimizer of the rth-power error,
 the root of the error's derivative, for all cells in one `decreasing_roots`
@@ -22,7 +23,7 @@ import numpy as np
 
 from .density import Density, decreasing_roots
 from .errors import DegenerateCellError, DomainError
-from .quantizer import Quantizer, _batch_distortions, cell_probabilities
+from .quantizer import Quantizer, _batch_distortions, _exact_reflections, cell_probabilities
 
 
 def optimal_point_density(d: Density, alpha: float, r: float) -> Density:
@@ -42,7 +43,17 @@ def build_compander(h: Density, n: int) -> Quantizer:
 
 
 def build_companders(h: Density, ns: Sequence[int]) -> list[Quantizer]:
-    """build_compander of every n in ns, from one quantile_array call."""
+    """build_compander of every n in ns, from one quantile_array call.
+
+    The group is checked once: every compander's j/(2n) quantiles must be
+    finite and strictly increasing, which for its interleaved codepoints and
+    breakpoints is what `Quantizer` checks, so each compander is built from
+    its slices without checking again; where the group fails, each goes
+    through `Quantizer`, which raises with its own message. Where h has a
+    center c, one TwoSum over the group's leading quantiles finds where
+    2c - x is exact, so whether each compander mirrors about c (all of its
+    differences exact), and seeds the verdict `quantizer._evaluated` keeps.
+    """
     if min(ns) < 2:
         raise DomainError(f"compander needs n >= 2 cells, got {min(ns)}")
     # the j/(2n) quantiles: even j are the breakpoints k/n, odd j the codepoints;
@@ -50,12 +61,29 @@ def build_companders(h: Density, ns: Sequence[int]) -> list[Quantizer]:
     c = h.center
     probs = [np.arange(1, 2 * n if c is None else n) / (2 * n) for n in ns]
     quantiles = h.quantile_array(np.concatenate(probs))
-    qs, start = [], 0
-    for p in probs:
-        x, start = quantiles[start:start + p.size], start + p.size
-        if c is not None:
-            x = np.concatenate((x, [c], 2.0 * c - x[::-1]))
-        qs.append(Quantizer(x[1::2], x[0::2]))
+    starts = np.cumsum([0] + [p.size for p in probs])
+    if c is None:
+        joined, offsets = quantiles, starts
+    else:
+        # the verdicts first, so the TwoSum's temporaries are gone before joined
+        # is built; a quantile that is not finite fails the group check below
+        with np.errstate(invalid="ignore"):
+            mirrored = np.logical_and.reduceat(_exact_reflections(quantiles, c), starts[:-1])
+        mirrors = 2.0 * c - quantiles
+        joined = np.concatenate([part for i, j in zip(starts, starts[1:])
+                                 for part in (quantiles[i:j], [c], mirrors[i:j][::-1])])
+        offsets = 2 * starts + np.arange(len(starts))  # 2n - 1 quantiles each
+    increasing = joined[:-1] < joined[1:]
+    increasing[offsets[1:-1] - 1] = True  # one compander's last and the next one's first
+    checked = bool(increasing.all() and np.isfinite(joined).all())
+    qs = []
+    for i, j in zip(offsets, offsets[1:]):
+        x = joined[i:j]
+        qs.append(Quantizer._from_checked(x[1::2], x[0::2]) if checked
+                  else Quantizer(x[1::2], x[0::2]))
+    if c is not None:
+        for q, n, exact in zip(qs, ns, mirrored):
+            q._mirror = (c, (n + 1) // 2 if exact else n)
     return qs
 
 

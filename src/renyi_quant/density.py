@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -37,6 +38,7 @@ UNIMODALITY_GRID = 4096     # interior grid points it samples them on
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)  # correctly rounded, so E|X|^3 of N(0, 1) is too
+_LOG_2 = math.log(2.0)
 
 
 def _elementwise(fn, x) -> np.ndarray:
@@ -241,6 +243,17 @@ def integrate_over(
     return total
 
 
+def _closed_moment(direct: Callable[[], float], log: Callable[[], float]) -> float:
+    """A closed absolute moment by its direct formula, or where a factor of
+    that overflows or underflows, as the exp of its log: OverflowError where
+    the moment itself passes the largest double."""
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    return value if 0.0 < value < math.inf else math.exp(log())
+
+
 class Density:
     """The interface every density family implements, with domain checks only.
 
@@ -386,13 +399,23 @@ class Density:
 
     def absolute_moment(self, r: float) -> float:
         """E|X|^r: the family's closed form where it has one (`_absolute_moment`),
-        else by quadrature, splitting at the |x| kink."""
+        else by quadrature, splitting at the |x| kink. A DomainError names the
+        order where the closed moment, finite as it is, or the quadrature's
+        |x|^r passes the largest double."""
         if r < 1.0:
             raise DomainError(f"absolute_moment requires r >= 1, got {r}")
-        closed = self._absolute_moment(r)
+        try:
+            closed = self._absolute_moment(r)
+        except OverflowError:
+            raise DomainError(f"the absolute moment of order {r:g} is finite but passes "
+                              f"the largest double") from None
         if closed is not None:
             return closed
-        return integrate_over(lambda x: abs(x) ** r * self.pdf(x), (self,), cuts=(0.0,))
+        try:
+            return integrate_over(lambda x: abs(x) ** r * self.pdf(x), (self,), cuts=(0.0,))
+        except OverflowError:
+            raise DomainError(f"the absolute moment of order {r:g} takes |x|^r past the "
+                              f"largest double") from None
 
     def _absolute_moment(self, r: float) -> float | None:
         return None
@@ -479,10 +502,17 @@ class Uniform(Density):
         # across 0, (|a|^(r+1) + b^(r+1)) / ((r+1)(b-a)); on one side, |x| over (u, v]
         # gives v^r (1 - w^(r+1)) / ((r+1)(1 - w)), w = u/v, from t = w - 1 by log1p
         if self.a < 0.0 < self.b:
-            return (-self.a * (-self.a) ** r + self.b * self.b**r) / ((r + 1.0) * (self.b - self.a))
+            small, big = sorted((-self.a, self.b))
+            return _closed_moment(
+                lambda: (-self.a * (-self.a) ** r + self.b * self.b**r) / ((r + 1.0) * (self.b - self.a)),
+                lambda: (r + 1.0) * math.log(big) + math.log1p((small / big) ** (r + 1.0))
+                - math.log((r + 1.0) * (self.b - self.a)),
+            )
         u, v = sorted((abs(self.a), abs(self.b)))
         t = (u - v) / v
-        return v**r * (-math.expm1((r + 1.0) * math.log1p(t)) if u else 1.0) / ((r + 1.0) * -t)
+        inner = -math.expm1((r + 1.0) * math.log1p(t)) if u else 1.0
+        return _closed_moment(lambda: v**r * inner / ((r + 1.0) * -t),
+                              lambda: r * math.log(v) + math.log(inner) - math.log((r + 1.0) * -t))
 
     def _tilt_closed(self, beta: float) -> Density:
         return self
@@ -554,7 +584,12 @@ class Gaussian(Density):
     def _absolute_moment(self, r: float) -> float | None:
         if self.mean != 0.0:
             return None
-        return self.sigma**r * 2.0 ** (0.5 * (r - 1.0)) * math.gamma(0.5 * (r + 1.0)) * _SQRT_2_OVER_PI
+        return _closed_moment(
+            lambda: self.sigma**r * 2.0 ** (0.5 * (r - 1.0)) * math.gamma(0.5 * (r + 1.0))
+            * _SQRT_2_OVER_PI,
+            lambda: r * math.log(self.sigma) + 0.5 * (r - 1.0) * _LOG_2
+            + math.lgamma(0.5 * (r + 1.0)) + math.log(_SQRT_2_OVER_PI),
+        )
 
     def _tilt_closed(self, beta: float) -> Density:
         return Gaussian(self.mean, self.sigma / math.sqrt(beta))
@@ -641,7 +676,10 @@ class Laplacian(Density):
         return (2.0 * self.scale) ** (1.0 - beta) / beta
 
     def _absolute_moment(self, r: float) -> float | None:
-        return self.scale**r * math.gamma(r + 1.0) if self.mean == 0.0 else None
+        if self.mean != 0.0:
+            return None
+        return _closed_moment(lambda: self.scale**r * math.gamma(r + 1.0),
+                              lambda: r * math.log(self.scale) + math.lgamma(r + 1.0))
 
     def _tilt_closed(self, beta: float) -> Density:
         return Laplacian(self.mean, self.scale / beta)
@@ -717,7 +755,10 @@ class Exponential(Density):
         return self.rate ** (beta - 1.0) / beta
 
     def _absolute_moment(self, r: float) -> float | None:
-        return math.gamma(r + 1.0) / self.rate**r if self.shift == 0.0 else None
+        if self.shift != 0.0:
+            return None
+        return _closed_moment(lambda: math.gamma(r + 1.0) / self.rate**r,
+                              lambda: math.lgamma(r + 1.0) - r * math.log(self.rate))
 
     def _tilt_closed(self, beta: float) -> Density:
         return Exponential(self.rate * beta, self.shift)

@@ -37,6 +37,7 @@ from . import quantizer, theory
 DEFAULT_N_GRID = tuple(2**k for k in range(2, 13))
 TREND_WINDOW = 4           # rate points over which deviations must not increase
 TREND_FLOOR = 1e-9         # deviations below this count as converged noise
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)  # exp of at most this is finite
 
 EXPERIMENTS = ("asymptotics", "entropy-density", "distortion-density", "mismatch", "sanity")
 
@@ -351,8 +352,18 @@ def _rate_point(n: int, table: CellTable, alpha: float, r: float, limit: float,
     `power` is the table's sum of p_i^alpha where the runner has it already."""
     entropy = renyi_entropy_vec(table.masses, alpha, power)
     dist = fsum_array(table.distortions)
-    normalized = math.exp(r * entropy) * dist
+    normalized = _normalized(r, entropy, dist)
     return {"n": n, "H_alpha": entropy, "D": dist, "eRH_D": normalized, "ratio": normalized / limit}
+
+
+def _normalized(r: float, entropy: float, dist: float) -> float:
+    """e^{rH} D; where e^{rH} alone passes the largest double, exp(rH + log D),
+    which is inf where the product passes it too and 0 where D is 0."""
+    try:
+        return math.exp(r * entropy) * dist
+    except OverflowError:
+        log = r * entropy + math.log(dist) if dist > 0.0 else -math.inf
+        return math.exp(log) if log <= _LOG_DOUBLE_MAX else math.inf
 
 
 def _partition_gap(table: CellTable, inside_distortion: float, dist: float) -> float:
@@ -414,7 +425,7 @@ def run_entropy_density(cfg: ExperimentConfig) -> ConvergenceReport:
         entropy_1, dist_1 = inside.entropy(alpha), inside.distortion()
         ratio_1 = math.exp((1.0 - alpha) * (entropy_1 - row["H_alpha"]))
         ratio_2 = math.exp((1.0 - alpha) * (outside.entropy(alpha) - row["H_alpha"]))
-        restricted_nd = math.exp(r * entropy_1) * dist_1
+        restricted_nd = _normalized(r, entropy_1, dist_1)
         rows.append({
             **row,
             "entropy_density_ratio_A1": ratio_1,
@@ -468,7 +479,7 @@ def run_distortion_density(cfg: ExperimentConfig) -> ConvergenceReport:
         dist_in = fsum_array(inside.distortions)
         share = dist_in / row["D"]
         power_share = power_sum(inside.masses, alpha) / total_power
-        mg_n = math.exp(r * row["H_alpha"]) * dist_in
+        mg_n = _normalized(r, row["H_alpha"], dist_in)
         rows.append({
             **row,
             "distortion_share": share,

@@ -66,8 +66,9 @@ class Quantizer:
     is the edges and codepoints as read-only arrays, copied at construction;
     the tuple fields, ==, hash and repr are built from them."""
 
-    # _mirror memoizes _evaluated's verdict as (center, count); __reduce__ goes
-    # through __init__, so a copy or an unpickled quantizer starts without it
+    # _mirror memoizes _evaluated's verdict as (center, count), seeded by
+    # build_companders; __reduce__ goes through __init__, so a copy or an
+    # unpickled quantizer starts without it
     __slots__ = ("_edges", "_codepoint_array", "_mirror")
 
     def __init__(self, breakpoints: Sequence[float], codepoints: Sequence[float]):
@@ -91,6 +92,18 @@ class Quantizer:
                 f"codepoint {float(cps[k])} is not interior to cell "
                 f"({float(edges[k])}, {float(edges[k + 1])}]"
             )
+        self._store(edges, cps)
+
+    @classmethod
+    def _from_checked(cls, breakpoints: np.ndarray, codepoints: np.ndarray) -> "Quantizer":
+        """The quantizer of 1-d float arrays that pass __init__'s checks, which
+        its caller has made: codepoints interleaving strictly increasing with
+        breakpoints, all finite. They are copied as __init__ copies them."""
+        q = cls.__new__(cls)
+        q._store(np.concatenate(([-math.inf], breakpoints, [math.inf])), codepoints.copy())
+        return q
+
+    def _store(self, edges: np.ndarray, cps: np.ndarray) -> None:
         edges.flags.writeable = cps.flags.writeable = False
         self._edges, self._codepoint_array = edges, cps
         self._mirror: tuple[float, int] | None = None
@@ -136,33 +149,35 @@ def renyi_entropy_vec(p: Sequence[float], alpha: float, power: float | None = No
 
     Orders within 1e-6 of the endpoints use the limit formulas (log of the
     number of positive entries at 0, Shannon entropy at 1) since the direct
-    expression degenerates there. A caller that has power_sum(p, alpha)
-    already passes it as `power`: that sum skips the entries at or below 0, so
-    it is also the sum over p clipped at 0.
+    expression degenerates there. Entries at or below 0 (down to -1e-12)
+    count as 0: one min() finds whether there are any, and only then are the
+    positive entries gathered, in their order, so no sum depends on it. A
+    caller that has power_sum(p, alpha) already passes it as `power`.
     """
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("probability vector must be a nonempty 1-d sequence")
-    if np.any(arr < -1e-12):
+    low = arr.min()
+    if low < -1e-12:
         raise DomainError("probability vector has negative entries")
     total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # a NaN or an infinity fails here
         raise DomainError(f"probability vector sums to {total!r}, expected 1 within 1e-9")
-    arr = np.clip(arr, 0.0, None)
     if _ALPHA_LIMIT_EPS < alpha < 1.0 - _ALPHA_LIMIT_EPS:
         return math.log(power_sum(arr, alpha) if power is None else power) / (1.0 - alpha)
-    pos = arr[arr > 0.0]
+    pos = arr if low > 0.0 else arr[arr > 0.0]
     if alpha <= _ALPHA_LIMIT_EPS:
         return math.log(pos.size)
     return float(-np.sum(pos * np.log(pos)))
 
 
 def power_sum(p: Sequence[float], alpha: float) -> float:
-    """Sum of p_i**alpha with the 0**0 := 0 convention."""
+    """Sum of p_i**alpha over the positive entries (0**0 := 0), which are
+    gathered only where one min() finds an entry that is not."""
     arr = np.asarray(p, dtype=float)
-    pos = arr[arr > 0.0]
+    pos = arr if arr.min(initial=math.inf) > 0.0 else arr[arr > 0.0]
     if alpha == 0.0:
         return float(pos.size)
     return float(np.sum(pos**alpha))
@@ -208,27 +223,40 @@ def _blocks(size: int) -> list[slice]:
     return [slice(size * i // count, size * (i + 1) // count) for i in range(count)]
 
 
+def _exact_reflections(x: np.ndarray, c: float) -> np.ndarray:
+    """Where 2c - x is exact, for a finite x: the TwoSum error of 2c + (-x) is 0."""
+    twice, lead = 2.0 * c, -x
+    mirror = twice + lead
+    lead_part = mirror - twice
+    return (twice - (mirror - lead_part)) + (lead - lead_part) == 0.0
+
+
 def _mirrors(x: np.ndarray, c: float) -> bool:
     """Whether the trailing half of x is 2c less its leading half reversed,
     with c itself in the middle of an odd size, and no difference rounded."""
     half = x.size // 2
-    twice, lead = 2.0 * c, -x[:half][::-1]
-    mirror = twice + lead
-    lead_part = mirror - twice  # TwoSum: the rounding error of twice + lead
-    error = (twice - (mirror - lead_part)) + (lead - lead_part)
+    lead = x[:half][::-1]
     middle = x.size % 2 == 0 or x[half] == c
-    return middle and np.array_equal(x[x.size - half:], mirror) and not error.any()
+    return (middle and np.array_equal(x[x.size - half:], 2.0 * c - lead)
+            and bool(_exact_reflections(lead, c).all()))
 
 
 def _evaluated(q: Quantizer, d: Density) -> int:
     """How many leading cells a pass over q evaluates under d. Where d is
     symmetric about its center c and q's breakpoints and codepoints mirror
     about c exactly, cell m - 1 - k is cell k's mirror image, with its mass and
-    distortion: ceil(m / 2) then, all m cells otherwise."""
+    distortion: ceil(m / 2) then, all m cells otherwise. The verdict is kept
+    per quantizer and center: `build_companders` seeds it for its companders,
+    and any other quantizer (refined, hand-built, copied or unpickled) takes
+    `_mirrors` on its first pass. A strictly increasing quantizer mirrors about
+    one center at most, so one known to mirror about another takes all m
+    cells without a call."""
     c = d.center
     if c is None:
         return q.size
     if q._mirror is None or q._mirror[0] != c:  # -0.0 and 0.0 give one verdict
+        if q._mirror is not None and q._mirror[1] < q.size:
+            return q.size
         mirrors = _mirrors(q._edges[1:-1], c) and _mirrors(q._codepoint_array, c)
         q._mirror = (c, (q.size + 1) // 2 if mirrors else q.size)
     return q._mirror[1]

@@ -432,3 +432,24 @@ def test_cli_import_loads_no_scipy():
     child = subprocess.run([sys.executable, "-I", "-c", script],
                            capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "source, cause",
+    [
+        # E|X|^201 = 201! of a unit Laplacian is finite but passes the largest double
+        ({"family": "laplacian", "mean": 0.0, "scale": 1.0},
+         "error: the absolute moment of order 201 is finite but passes the largest double\n"),
+        # the moment (~9e187) and Q (~3e77) fit; D underflows to 0 by n = 1024
+        ({"family": "gaussian", "mean": 0.0, "sigma": 1.0},
+         "error: ratio to the theoretical limit must be finite and positive, got 0.0 at n=1024\n"),
+    ],
+    ids=["laplacian", "gaussian"],
+)
+def test_a_large_r_ends_in_a_named_error(tmp_path, capsys, source, cause):
+    argv = ["asymptotics", "--config", str(CONFIG_DIR / "gaussian_asymptotics.json"),
+            "--set", "r=200", "--set", f"source={json.dumps(source)}",
+            "--output-dir", str(tmp_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == cause

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -160,6 +161,83 @@ def test_tilted_piecewise_compander_and_masses_are_closed(monkeypatch):
     refine_codepoints(build_compander(h, 4), d, 3.0)
     d.absolute_moment(2.0)
     assert set(calls) == {"decreasing_roots", "integrate_over", "integrate"}
+
+
+GROUP_NS = (2, 3, 4, 5, 7, 16, 37, 64, 255, 1024, 1025)
+TRIANGLE = PiecewiseLinear([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+
+
+@pytest.mark.parametrize(
+    "h, mirrored",
+    [
+        (Gaussian(0.0, 1.0), "all"),
+        (Laplacian(-0.5, 0.8), "all"),
+        (Uniform(0.0, 1.0), "some"),  # center 0.5: at odd n, 1 - x rounds
+        (Gaussian(0.3, 1.7), "none"),  # 2c - x rounds
+        (TRIANGLE, "none"),  # no center: nothing seeded
+    ],
+    ids=repr,
+)
+def test_the_seeded_mirror_verdict_is_the_quantizers_own(monkeypatch, h, mirrored):
+    """build_companders decides every compander's mirror from one TwoSum over
+    the group's leading quantiles: the verdict it seeds is what `_mirrors`
+    finds on the compander's own arrays, and a pass under h makes no call."""
+    qs = compander.build_companders(h, GROUP_NS)
+    c = h.center
+    verdicts = []
+    for n, q in zip(GROUP_NS, qs, strict=True):
+        if c is None:
+            assert q._mirror is None
+            continue
+        own = quantizer._mirrors(q._edges[1:-1], c) and quantizer._mirrors(q._codepoint_array, c)
+        assert q._mirror == (c, (n + 1) // 2 if own else n)
+        verdicts.append(own)
+    assert {"all": all(verdicts) and verdicts, "some": any(verdicts) and not all(verdicts),
+            "none": not any(verdicts)}[mirrored]
+    calls = []
+    monkeypatch.setattr(quantizer, "_mirrors", lambda x, c: calls.append(c))
+    evaluated = [quantizer._evaluated(q, h) for q in qs]
+    quantizer.group_probabilities(qs, h)
+    assert calls == []
+    assert evaluated == [n if c is None else q._mirror[1] for n, q in zip(GROUP_NS, qs)]
+
+
+def _spoiled(h, index, value):
+    """h whose quantile_array sets entry `index` of its result to value, or to
+    the entry left of it where value is None."""
+
+    class Spoiled(type(h)):
+        def quantile_array(self, p):
+            x = super().quantile_array(p)
+            x[index] = x[index - 1] if value is None else value
+            return x
+
+    spoiled = copy.copy(h)
+    object.__setattr__(spoiled, "__class__", Spoiled)  # the families are frozen dataclasses
+    return spoiled
+
+
+@pytest.mark.parametrize("h", [Exponential(1.0), Gaussian(0.0, 1.0)], ids=repr)
+@pytest.mark.parametrize(
+    "index, value",
+    [(4, None), (3, None), (5, math.nan), (3, math.inf), (0, -math.inf), (6, math.inf)],
+)
+def test_the_group_check_refuses_with_the_constructors_message(monkeypatch, h, index, value):
+    """A tie or a non-finite quantile in the group's second compander (n = 8)
+    raises the DomainError that Quantizer raises for that compander alone; a
+    group that passes constructs no Quantizer through its checks."""
+    checked = []
+    original = Quantizer.__init__
+    monkeypatch.setattr(Quantizer, "__init__",
+                        lambda self, *args: checked.append(1) or original(self, *args))
+    assert len(compander.build_companders(h, (4, 8, 16))) == 3 and checked == []
+    first = 3 if h.center is not None else 7  # quantiles of the n = 4 compander
+    with pytest.raises(DomainError) as want:
+        Quantizer(*_one_build(_spoiled(h, index, value), 8)[::-1])
+    with pytest.raises(DomainError) as got:
+        compander.build_companders(_spoiled(h, first + index, value), (4, 8, 16))
+    assert str(got.value) == str(want.value)
+    assert checked == [1, 1, 1]  # n = 4, then n = 8 twice: alone and in the group
 
 
 def test_build_compander_needs_two_cells():

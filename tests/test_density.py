@@ -462,6 +462,39 @@ def test_closed_absolute_moments_match_mpmath(monkeypatch, r, s):
 
 
 @pytest.mark.parametrize(
+    "d, r",
+    [
+        (Gaussian(0.0, 0.01), 301.0),  # 0.01^301 underflows
+        (Gaussian(0.0, 0.5), 350.0),  # Gamma(175.5) overflows
+        (Laplacian(0.0, 0.01), 201.0),  # Gamma(202) overflows
+        (Exponential(100.0, 0.0), 201.0),
+        (Uniform(0.0, 2.0), 1030.0),  # 2^1030 overflows, 2^1030 / 1031 does not
+        (Uniform(-2.0, 1.5), 1030.0),
+    ],
+    ids=repr,
+)
+def test_a_closed_moment_whose_factor_overflows_comes_from_its_log(d, r):
+    """Where a factor of its formula overflows or underflows, a closed moment
+    can still fit a double: it is the exp of its log then, within 1e-12 of
+    40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = _mp_closed_moment(d, r)
+    assert want < 1e308
+    assert abs(d.absolute_moment(r) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize(
+    "d, r", [(Gaussian(0.0, 1.0), 400.0), (Laplacian(0.0, 1.0), 201.0),
+             (Exponential(0.5, 0.0), 171.0), (Uniform(-1.0, 2.0), 1100.0)],
+    ids=repr,
+)
+def test_a_closed_moment_past_the_largest_double_names_its_order(d, r):
+    with pytest.raises(DomainError, match=f"of order {r:g} is finite but passes the largest double"):
+        d.absolute_moment(r)
+
+
+@pytest.mark.parametrize(
     "d", [Gaussian(0.5, 2.0), Laplacian(-0.5, 0.7), Exponential(1.5, 0.5)], ids=repr
 )
 def test_absolute_moment_off_location_zero_integrates(monkeypatch, d):

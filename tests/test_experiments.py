@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyi_quant import Interval, experiments, quantizer
+from renyi_quant import Gaussian, Interval, Laplacian, PiecewiseLinear, cli, experiments, quantizer, theory
+from renyi_quant.compander import build_companders, optimal_point_density
 from renyi_quant.errors import ConfigError, HypothesisError
 from renyi_quant.experiments import (
     DEFAULT_N_GRID,
@@ -421,9 +422,8 @@ def test_interval_runners_compute_only_what_they_report(monkeypatch, runner, per
     """Per rate point, distortion-density computes no conditional entropy,
     sanity no conditional distortion, and none sums a region's distortions
     twice. Each sums p_i^alpha over a table's masses once, the sum inside
-    renyi_entropy_vec included, though that one runs over a clipped copy of the
-    masses: distortion-density's power-sum share and sanity's single-cell
-    ratios reuse the entropy's sum."""
+    renyi_entropy_vec included: distortion-density's power-sum share and
+    sanity's single-cell ratios reuse the entropy's sum."""
     tables = []
     original_tables = experiments.cell_tables
 
@@ -578,3 +578,56 @@ def test_summary_json_serializable(tmp_path):
     assert parsed["experiment"] == "sanity"
     assert isinstance(parsed["passed"], bool)
     assert set(parsed) == {"experiment", "name", "limits", "flags", "diagnostics", "passed"}
+
+
+# --- library behaviour the sweeps rest on ----------------------------------------------
+
+
+def _deviations(d, alpha, r, ns):
+    """ratio - 1 of the compander sweep of d over ns, as a sweep reports it."""
+    q_coeff = theory.quantization_coefficient(d, alpha, r)
+    qs = build_companders(optimal_point_density(d, alpha, r), ns)
+    tables = quantizer.cell_tables(qs, d, r)
+    return [experiments._rate_point(n, table, alpha, r, q_coeff)["ratio"] - 1.0
+            for n, table in zip(ns, tables, strict=True)]
+
+
+@pytest.mark.parametrize("alpha, r", [(0.5, 2.0), (0.2, 3.0)])
+@pytest.mark.parametrize(
+    "d",
+    [Gaussian(0.0, 1.0), Laplacian(0.0, 1.0), PiecewiseLinear([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])],
+    ids=repr,
+)
+def test_a_symmetric_source_deviates_as_its_half_at_half_the_cells(d, alpha, r):
+    """The half identity: for d symmetric about 0, the compander of n cells
+    is the compander of n / 2 cells of the half d restricted to [0, inf)
+    and its mirror, with masses halved (H gains log 2) and the same D, so
+    ratio - 1 is the half's at n / 2. The half has no center, so it runs
+    the unmirrored passes: an oracle for the mirrored ones."""
+    half = d.restrict(Interval(0.0, d.support.hi))
+    assert half.center is None
+    full = _deviations(d, alpha, r, (64, 1024))
+    halves = _deviations(half, alpha, r, (32, 512))
+    assert all(abs(dev) > 1e-6 for dev in full)
+    np.testing.assert_allclose(full, halves, rtol=0.0, atol=1e-14)
+
+
+BIMODAL = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 0.1), (3.0, 1.0), (4.0, 0.0)])
+
+
+def test_a_bimodal_source_converges_though_the_cli_refuses_it(tmp_path, capsys):
+    """The two-peaked source fails the weak-unimodality check, so a run exits 1
+    naming it; through the library its compander's ratio - 1 is positive and
+    falls over n = 64 ... 4096 (6.48e-4, 1.16e-4, 1.92e-5, 2.97e-6) at an
+    order p = log4(dev(n) / dev(4n)) of 1.24, 1.29, 1.35, towards 4/3."""
+    devs = _deviations(BIMODAL, 0.5, 2.0, (64, 256, 1024, 4096))
+    assert all(dev > 0.0 for dev in devs)
+    assert all(a > b for a, b in zip(devs, devs[1:]))
+    orders = [math.log(a / b, 4.0) for a, b in zip(devs, devs[1:])]
+    assert all(1.2 <= p <= 1.45 for p in orders)
+    assert orders == sorted(orders)
+    source = json.dumps({"family": "piecewise_linear", "knots": [list(k) for k in BIMODAL.knots]})
+    code = cli.main(["asymptotics", "--config", "configs/gaussian_asymptotics.json",
+                     "--set", f"source={source}", "--output-dir", str(tmp_path)])
+    assert code == 1
+    assert "weak-unimodality" in capsys.readouterr().err

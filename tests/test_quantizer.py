@@ -26,7 +26,7 @@ from renyi_quant import (
     renyi_entropy_vec,
     restricted_metrics,
 )
-from renyi_quant import quadrature
+from renyi_quant import compander, quadrature
 from renyi_quant.intervals import REAL_LINE
 from renyi_quant.density import TAIL_MASS, Density, integrate_over
 from renyi_quant.errors import (
@@ -905,6 +905,53 @@ def _record_panels(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("m", [1, 2, "crossover", "past it"])
+@pytest.mark.parametrize("r", [2.0, 3.0])
+@pytest.mark.parametrize(
+    "d, span",
+    [
+        (Gaussian(0.0, 1.0), (-3.0, 3.0)),
+        # right of its kink at 1, up to the support end the pdf falls to as (3 - x)^0.6
+        (PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6), (1.0, 3.0)),
+    ],
+    ids=repr,
+)
+def test_one_call_panels_are_the_per_node_panels_bit_for_bit(monkeypatch, d, span, r, m):
+    """Every panel call of a distortion pass over m pieces, its halving rounds
+    included, gives the same values and bounds with f called once on all the
+    nodes as with f called once per node; up to the crossover it takes the
+    one call."""
+    crossover = quadrature._ONE_CALL_PANELS
+    m = {"crossover": crossover, "past it": crossover + 1}.get(m, m)
+    edges = np.linspace(*span, m + 1)
+    lo, hi = edges[:-1], edges[1:]  # the codepoint at each cell's left end: one piece a cell
+    original = quadrature.kronrod_panels
+    calls = []
+
+    def both(f, a, b):
+        def counted(x, from_lo):
+            calls[-1][1] += 1
+            return f(x, from_lo)
+
+        results = []
+        for limit in (math.inf, -1):  # one call, then one call per node
+            monkeypatch.setattr(quadrature, "_ONE_CALL_PANELS", limit)
+            results.append(original(f, a, b))
+        monkeypatch.setattr(quadrature, "_ONE_CALL_PANELS", crossover)
+        for one, per_node in zip(*results, strict=True):
+            assert np.array_equal(_bits(one), _bits(per_node))
+        calls.append([a.size, 0])
+        return original(counted, a, b)
+
+    monkeypatch.setattr(quadrature, "kronrod_panels", both)
+    values = quantizer._batch_distortions(d, r, lo, hi, lo)
+    assert calls[0][0] == m and np.all(values > 0.0)
+    assert all(f_calls == (1 if size <= crossover else 15) for size, f_calls in calls)
+    assert m > 2 or calls[0][1] == 1  # a call on a few pieces pays one integrand call
+    if m == 1 and isinstance(d, PiecewiseLinear):
+        assert len(calls) > 5  # the halving rounds at the support end
+
+
 def test_cell_distortions_batch_settles_almost_every_cell(monkeypatch):
     g = Gaussian(0.0, 1.0)
     n = 16384
@@ -1362,24 +1409,61 @@ def test_huge_scales_keep_the_masked_power(monkeypatch, d):
 
 
 def test_the_mirror_is_decided_once_per_quantizer_and_center(monkeypatch):
+    """A compander carries its builder's verdict and makes no _mirrors call. A
+    quantizer built by hand, copied or unpickled decides once per center, and
+    one known to mirror about a center takes all its cells under any other
+    without a call: it mirrors about one center at most."""
     q = build_compander(optimal_point_density(Gaussian(0.0, 1.0), 0.5, 2.0), 64)
     calls = []
     original = quantizer._mirrors
     monkeypatch.setattr(quantizer, "_mirrors", lambda x, c: calls.append(c) or original(x, c))
-    cell_table(q, Gaussian(0.0, 1.0), 2.0)
-    cell_probabilities(q, Laplacian(0.0, 2.0))  # the same center
-    assert calls == [0.0, 0.0]  # the breakpoints and the codepoints, once
-    assert quantizer._evaluated(q, Laplacian(0.5, 1.0)) == 64  # another center decides again
-    assert quantizer._evaluated(q, Exponential(1.0)) == 64  # no center, no memo
-    assert quantizer._evaluated(q, Gaussian(0.0, 3.0)) == 32
-    assert calls == [0.0, 0.0, 0.5, 0.0, 0.0]
-    assert q._mirror == (0.0, 32)
     fresh = Quantizer(q._edges[1:-1], q._codepoint_array)
-    assert fresh._mirror is None
+    assert q._mirror == (0.0, 32) and fresh._mirror is None
+    for quant, decided in ((q, []), (fresh, [0.0, 0.0])):
+        cell_table(quant, Gaussian(0.0, 1.0), 2.0)
+        cell_probabilities(quant, Laplacian(0.0, 2.0))  # the same center
+        assert calls == decided  # the breakpoints and the codepoints, once
+        assert quantizer._evaluated(quant, Laplacian(0.5, 1.0)) == 64  # mirrors about 0 only
+        assert quantizer._evaluated(quant, Exponential(1.0)) == 64  # no center, no memo
+        assert quantizer._evaluated(quant, Gaussian(-0.0, 3.0)) == 32
+        assert calls == decided and quant._mirror == (0.0, 32)
+        calls.clear()
+    lopsided = Quantizer((0.0, 1.0, 3.0), (-1.0, 0.5, 2.0, 4.0))  # mirrors about no center
+    assert quantizer._evaluated(lopsided, Laplacian(0.5, 1.0)) == 4
+    assert quantizer._evaluated(lopsided, Gaussian(0.0, 1.0)) == 4  # another center decides again
+    assert quantizer._evaluated(lopsided, Laplacian(0.0, 2.0)) == 4
+    assert calls == [0.5, 0.0] and lopsided._mirror == (0.0, 4)  # the breakpoints decide
     assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
     for again in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
         assert again == q and again._mirror is None
     assert pickle.dumps(q) == pickle.dumps(fresh)
+
+
+def _companders(d, ns):
+    """The companders of one build_companders call for d's optimal point density."""
+    return compander.build_companders(optimal_point_density(d, 0.5, 2.0), ns)
+
+
+@pytest.mark.parametrize("r", [2.0, 3.0])
+@pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Laplacian(-0.5, 0.8), Gaussian(0.3, 1.7)],
+                         ids=repr)
+def test_a_copied_or_unpickled_compander_gives_the_same_cell_table(d, r):
+    """A copy decides its mirror itself, from its own arrays, and agrees with
+    the verdict its original was built with: its table is the same bits."""
+    interval = Interval(d.quantile(0.3), d.quantile(0.8))
+    regions = ((interval,), interval.complement())
+    for q in _companders(d, (16, 37, 64)):
+        want = cell_table(q, d, r, regions)
+        for again in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
+            assert again._mirror is None
+            got = cell_table(again, d, r, regions)
+            assert again._mirror == q._mirror
+            for a, b in ((got.masses, want.masses), (got.distortions, want.distortions)):
+                assert np.array_equal(_bits(a), _bits(b))
+            for a, b in zip(got.regions, want.regions, strict=True):
+                assert a.mass == b.mass
+                assert np.array_equal(_bits(a.masses), _bits(b.masses))
+                assert np.array_equal(_bits(a.distortions), _bits(b.distortions))
 
 
 def _levels(monkeypatch, x):
