@@ -1,11 +1,17 @@
 """Probability density models, every one closed in form.
 
-A family supplies `support`, `pdf`, `cdf`, `quantile_array`, `_isf`,
+A family supplies `support`, the array forms `pdf_array`, `cdf_array`,
+`quantile_array` and `isf_array`, `sf_array` where 1 - cdf would cancel, and
 `_power_integral` and `_tilt_closed`; the `Density` base class checks the
-domains and holds no numeric fallback behind them. The library's families are
-Uniform, Gaussian, Laplacian and Exponential, a piecewise-linear source, whose
-tilts are piecewise powers over its knots, and a restriction, closed through
-its base. `decreasing_roots` is the batched root solver of the codepoint
+domains and holds no numeric fallback behind them. Each functional has one formula, its array form:
+the scalar `pdf`, `cdf`, `sf`, `quantile`, `isf` and `interval_mass` of the
+base class evaluate it at one entry. Only the per-node quadrature integrands
+stay scalar, each family's `logpdf` and `PiecewiseLinear.pdf`: a one-entry
+array call costs ~4-6 µs against ~0.2-1.2 µs for a float expression, and a
+pass makes hundreds of them. The library's families are Uniform, Gaussian,
+Laplacian and Exponential, a piecewise-linear source, whose tilts are
+piecewise powers over its knots, and a restriction, closed through its base's
+array forms. `decreasing_roots` is the batched root solver of the codepoint
 refinement, and `integrate_over` the adaptive quadrature of the moments off a
 family's location 0 and of mixed predictor integrals. The weak-unimodality grid
 check runs in one array pass over its grid, not one per level, and only on a
@@ -42,7 +48,7 @@ _LOG_2 = math.log(2.0)
 
 
 def _elementwise(fn, x) -> np.ndarray:
-    """fn applied to every entry of x, keeping the shape of x."""
+    """fn, a float function, applied to every entry of x, keeping its shape."""
     arr = np.asarray(x, dtype=float)
     flat = np.fromiter(map(fn, arr.ravel().tolist()), dtype=float, count=arr.size)
     return flat.reshape(arr.shape)
@@ -99,19 +105,9 @@ def _rational(coeffs, x):
     return _horner(coeffs[0], x) / _horner(coeffs[1], x)
 
 
-def _ndtri_scalar(p: float) -> float:
-    """Standard normal quantile of p in (0, 1) by AS241."""
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return _horner(_AS241_CENTRAL[0], r) * q / _horner(_AS241_CENTRAL[1], r)
-    r = math.sqrt(-math.log(p if q < 0.0 else 1.0 - p))
-    x = _rational(_AS241_NEAR, r - 1.6) if r <= 5.0 else _rational(_AS241_FAR, r - 5.0)
-    return -x if q < 0.0 else x
-
-
 def _ndtri(p: np.ndarray) -> np.ndarray:
-    """_ndtri_scalar of every entry of p, each branch on its own entries."""
+    """Standard normal quantile by AS241 of every entry of p in (0, 1), each
+    branch on its own entries."""
     q = p - 0.5
     x = np.empty(p.shape)
     central = np.abs(q) <= 0.425
@@ -129,17 +125,23 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     return x
 
 
-def _open_unit(p: float) -> float:
-    """p clamped into the open interval (0, 1)."""
-    return min(max(p, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+def _open_unit(p: np.ndarray) -> np.ndarray:
+    """p clipped into the open interval (0, 1)."""
+    return np.clip(p, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
 
 
-def _check_probabilities(p) -> np.ndarray:
+def _check_probabilities(p, name: str = "quantile") -> np.ndarray:
     p = np.asarray(p, dtype=float)
     outside = ~((p > 0.0) & (p < 1.0))
     if np.any(outside):
-        raise DomainError(f"quantile requires p in (0,1), got {p[outside].flat[0]}")
+        raise DomainError(f"{name} requires p in (0,1), got {p[outside].flat[0]}")
     return p
+
+
+def _at(array_form, x: float) -> float:
+    """An array form at the one entry x: a 1-entry array, as a 0-d one may take
+    another ufunc loop and round otherwise."""
+    return float(array_form(np.array([x], dtype=float))[0])
 
 
 def decreasing_roots(fn, lo, hi) -> np.ndarray:
@@ -257,26 +259,84 @@ def _closed_moment(direct: Callable[[], float], log: Callable[[], float]) -> flo
 class Density:
     """The interface every density family implements, with domain checks only.
 
-    A family supplies `support`, `pdf`, `cdf`, `quantile_array`, `_isf`,
-    `_power_integral` and `_tilt_closed`, each in closed form; the base class
-    keeps no numeric fallback beside them, and `tilt` of a family without
-    `_tilt_closed` raises `DomainError`. Its array forms either come from the
-    family or are the loops over the scalar methods below. The public
-    `quantile`, `isf`, `power_integral`, `partial_power_integral` and `tilt`
-    check the domain (p in (0, 1), a finite beta > 0) and then call the hooks
-    `_quantile`, `_isf`, `_power_integral`, `_partial_power_integral` and
-    `_tilt_closed`; a hook may assume its argument is in the domain.
+    A family supplies `support`, the array forms `pdf_array`, `cdf_array`,
+    `quantile_array` and `isf_array`, `sf_array` where 1 - cdf would cancel,
+    and `_power_integral` and `_tilt_closed`, each in closed form; the base
+    class keeps no numeric fallback beside them, and `tilt` of a family
+    without `_tilt_closed` raises `DomainError`. The scalar `pdf`, `cdf`,
+    `sf`, `quantile`, `isf` and `interval_mass` are the array forms at one
+    entry, bit for bit, so each functional is written once; `quantile_array`
+    and `isf_array` check p in (0, 1). A family's `logpdf` stays a float
+    expression, as does `PiecewiseLinear.pdf` (through the default `logpdf`
+    too): quadrature calls them once per node, and a one-entry array call
+    costs several times a float expression's ~0.2-1.2 µs. The public
+    `power_integral`, `partial_power_integral` and `tilt` check the domain (a
+    finite beta > 0) and then call the hooks `_power_integral`,
+    `_partial_power_integral` and `_tilt_closed`; a hook may assume its
+    argument is in the domain.
     """
 
     support: Interval
 
-    # --- pointwise surface -------------------------------------------------
+    # --- array surface -----------------------------------------------------
+    #
+    # Elementwise over an array of any shape; every family supplies these.
+
+    def pdf_array(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def cdf_array(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def sf_array(self, x) -> np.ndarray:
+        """Survival function 1 - cdf; override where the tail cancels."""
+        return 1.0 - self.cdf_array(x)
+
+    def quantile_array(self, p) -> np.ndarray:
+        """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1)."""
+        raise NotImplementedError
+
+    def isf_array(self, p) -> np.ndarray:
+        """Inverse survival function, the x with sf(x) = p for p in (0, 1):
+        quantile(1 - p), but in full relative precision deep in the right
+        tail, where every family inverts sf itself."""
+        raise NotImplementedError
+
+    def interval_mass_array(self, lo, hi) -> np.ndarray:
+        """The probability of every (lo[i], hi[i]], by a cdf difference, or by
+        an sf difference where cdf(lo[i]) > 1/2, which keeps relative precision
+        deep in the right tail."""
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        c_lo = _finite_or(self.cdf_array, lo, 0.0)
+        left = c_lo <= 0.5
+        right = ~left
+        masses = np.empty(lo.shape)
+        masses[left] = _finite_or(self.cdf_array, hi[left], 1.0) - c_lo[left]
+        masses[right] = _finite_or(self.sf_array, lo[right], 1.0) - _finite_or(
+            self.sf_array, hi[right], 0.0
+        )
+        return np.maximum(masses, 0.0)
+
+    # --- pointwise surface: the array forms at one entry -----------------------
 
     def pdf(self, x: float) -> float:
-        raise NotImplementedError
+        return _at(self.pdf_array, x)
 
     def cdf(self, x: float) -> float:
-        raise NotImplementedError
+        return _at(self.cdf_array, x)
+
+    def sf(self, x: float) -> float:
+        return _at(self.sf_array, x)
+
+    def quantile(self, p: float) -> float:
+        return _at(self.quantile_array, p)
+
+    def isf(self, p: float) -> float:
+        return _at(self.isf_array, p)
+
+    def interval_mass(self, interval: Interval) -> float:
+        return float(self.interval_mass_array(np.array([interval.lo]), np.array([interval.hi]))[0])
 
     def logpdf(self, x: float) -> float:
         """log pdf(x), -inf outside the support.
@@ -286,10 +346,6 @@ class Density:
         """
         g = self.pdf(x)
         return math.log(g) if g > 0.0 else -math.inf
-
-    def sf(self, x: float) -> float:
-        """Survival function 1 - cdf(x); override where the tail cancels."""
-        return 1.0 - self.cdf(x)
 
     @property
     def kinks(self) -> tuple[float, ...]:
@@ -310,71 +366,6 @@ class Density:
         the cell layer reads it on every pass."""
         iqr = np.ptp(self.quantile_array(np.array([0.25, 0.75])))
         return float(iqr), float(2.0 ** np.floor(np.log2(iqr)))
-
-    def quantile(self, p: float) -> float:
-        """Generalized inverse inf{x : cdf(x) >= p} for p in (0, 1)."""
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"quantile requires p in (0,1), got {p}")
-        return self._quantile(p)
-
-    def isf(self, p: float) -> float:
-        """Inverse survival function: the x with sf(x) = p.
-
-        Equivalent to quantile(1 - p), but keeps full relative precision deep
-        in the right tail, where every family inverts sf itself.
-        """
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"isf requires p in (0,1), got {p}")
-        return self._isf(p)
-
-    def _quantile(self, p: float) -> float:  # on one entry, as 0-d arrays may round otherwise
-        return float(self.quantile_array(np.array([p]))[0])
-
-    def _isf(self, p: float) -> float:
-        raise NotImplementedError
-
-    # --- array surface -----------------------------------------------------
-    #
-    # Elementwise versions of pdf/cdf/sf/quantile. The pdf/cdf/sf defaults
-    # loop the scalar method (a restriction runs on them); the other families
-    # override them with numpy expressions that repeat the scalar arithmetic.
-
-    def pdf_array(self, x) -> np.ndarray:
-        return _elementwise(self.pdf, x)
-
-    def cdf_array(self, x) -> np.ndarray:
-        return _elementwise(self.cdf, x)
-
-    def sf_array(self, x) -> np.ndarray:
-        return _elementwise(self.sf, x)
-
-    def quantile_array(self, p) -> np.ndarray:
-        raise NotImplementedError
-
-    def interval_mass_array(self, lo, hi) -> np.ndarray:
-        """interval_mass of every (lo[i], hi[i]], with the same cdf/sf branches."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        c_lo = _finite_or(self.cdf_array, lo, 0.0)
-        left = c_lo <= 0.5
-        right = ~left
-        masses = np.empty(lo.shape)
-        masses[left] = _finite_or(self.cdf_array, hi[left], 1.0) - c_lo[left]
-        masses[right] = _finite_or(self.sf_array, lo[right], 1.0) - _finite_or(
-            self.sf_array, hi[right], 0.0
-        )
-        return np.maximum(masses, 0.0)
-
-    def interval_mass(self, interval: Interval) -> float:
-        """Probability of a half-open interval via cdf/sf differences."""
-        c_lo = self.cdf(interval.lo) if math.isfinite(interval.lo) else 0.0
-        if c_lo <= 0.5:
-            c_hi = self.cdf(interval.hi) if math.isfinite(interval.hi) else 1.0
-            return max(0.0, c_hi - c_lo)
-        # deep in the right tail the survival form keeps relative precision
-        s_lo = self.sf(interval.lo) if math.isfinite(interval.lo) else 1.0
-        s_hi = self.sf(interval.hi) if math.isfinite(interval.hi) else 0.0
-        return max(0.0, s_lo - s_hi)
 
     # --- analytic functionals ----------------------------------------------
 
@@ -399,9 +390,11 @@ class Density:
 
     def absolute_moment(self, r: float) -> float:
         """E|X|^r: the family's closed form where it has one (`_absolute_moment`),
-        else by quadrature, splitting at the |x| kink. A DomainError names the
-        order where the closed moment, finite as it is, or the quadrature's
-        |x|^r passes the largest double."""
+        else by quadrature, splitting at the |x| kink. A node where |x|^r passes
+        the largest double takes exp(r log|x| + logpdf(x)), so a node the pdf
+        brings back into range counts. A DomainError names the order where the
+        closed moment, finite as it is, or an integrand value passes the
+        largest double."""
         if r < 1.0:
             raise DomainError(f"absolute_moment requires r >= 1, got {r}")
         try:
@@ -411,11 +404,18 @@ class Density:
                               f"the largest double") from None
         if closed is not None:
             return closed
+
+        def integrand(x: float) -> float:
+            try:
+                return abs(x) ** r * self.pdf(x)
+            except OverflowError:
+                return math.exp(r * math.log(abs(x)) + self.logpdf(x))
+
         try:
-            return integrate_over(lambda x: abs(x) ** r * self.pdf(x), (self,), cuts=(0.0,))
+            return integrate_over(integrand, (self,), cuts=(0.0,))
         except OverflowError:
-            raise DomainError(f"the absolute moment of order {r:g} takes |x|^r past the "
-                              f"largest double") from None
+            raise DomainError(f"the absolute moment of order {r:g} takes an integrand value "
+                              f"past the largest double") from None
 
     def _absolute_moment(self, r: float) -> float | None:
         return None
@@ -460,23 +460,10 @@ class Uniform(Density):
     def center(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def pdf(self, x: float) -> float:
-        return 1.0 / (self.b - self.a) if self.a < x <= self.b else 0.0
-
     def logpdf(self, x: float) -> float:
         if not self.a < x <= self.b:
             return -math.inf
         return -math.log(self.b - self.a)
-
-    def cdf(self, x: float) -> float:
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return 1.0
-        return (x - self.a) / (self.b - self.a)
-
-    def _quantile(self, p: float) -> float:
-        return self.a + p * (self.b - self.a)
 
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -486,14 +473,11 @@ class Uniform(Density):
         x = np.asarray(x, dtype=float)
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def sf_array(self, x) -> np.ndarray:
-        return 1.0 - self.cdf_array(x)
-
     def quantile_array(self, p) -> np.ndarray:
         return self.a + _check_probabilities(p) * (self.b - self.a)
 
-    def _isf(self, p: float) -> float:
-        return self.b - p * (self.b - self.a)
+    def isf_array(self, p) -> np.ndarray:
+        return self.b - _check_probabilities(p, "isf") * (self.b - self.a)
 
     def _power_integral(self, beta: float) -> float:
         return (self.b - self.a) ** (1.0 - beta)
@@ -541,22 +525,9 @@ class Gaussian(Density):
     def center(self) -> float:
         return self.mean
 
-    def pdf(self, x: float) -> float:
-        z = (x - self.mean) / self.sigma
-        return math.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
-
     def logpdf(self, x: float) -> float:
         z = (x - self.mean) / self.sigma
         return -0.5 * z * z - math.log(self.sigma * _SQRT_2PI)
-
-    def cdf(self, x: float) -> float:
-        return 0.5 * math.erfc(-(x - self.mean) / (self.sigma * _SQRT_2))
-
-    def sf(self, x: float) -> float:
-        return 0.5 * math.erfc((x - self.mean) / (self.sigma * _SQRT_2))
-
-    def _quantile(self, p: float) -> float:
-        return self.mean + self.sigma * _ndtri_scalar(p)
 
     def pdf_array(self, x) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - self.mean) / self.sigma
@@ -575,8 +546,8 @@ class Gaussian(Density):
     def quantile_array(self, p) -> np.ndarray:
         return self.mean + self.sigma * _ndtri(_check_probabilities(p))
 
-    def _isf(self, p: float) -> float:
-        return self.mean - self.sigma * _ndtri_scalar(p)
+    def isf_array(self, p) -> np.ndarray:  # the quantile mirrored about the mean
+        return self.mean - self.sigma * _ndtri(_check_probabilities(p, "isf"))
 
     def _power_integral(self, beta: float) -> float:
         return (2.0 * math.pi * self.sigma**2) ** (0.5 * (1.0 - beta)) / math.sqrt(beta)
@@ -616,9 +587,6 @@ class Laplacian(Density):
     def support(self) -> Interval:
         return REAL_LINE
 
-    def pdf(self, x: float) -> float:
-        return math.exp(-abs(x - self.mean) / self.scale) / (2.0 * self.scale)
-
     @property
     def kinks(self) -> tuple[float, ...]:
         return (self.mean,)
@@ -629,23 +597,6 @@ class Laplacian(Density):
 
     def logpdf(self, x: float) -> float:
         return -abs(x - self.mean) / self.scale - math.log(2.0 * self.scale)
-
-    def cdf(self, x: float) -> float:
-        z = (x - self.mean) / self.scale
-        if z < 0.0:
-            return 0.5 * math.exp(z)
-        return 1.0 - 0.5 * math.exp(-z)
-
-    def sf(self, x: float) -> float:
-        z = (x - self.mean) / self.scale
-        if z < 0.0:
-            return 1.0 - 0.5 * math.exp(z)
-        return 0.5 * math.exp(-z)
-
-    def _quantile(self, p: float) -> float:
-        if p < 0.5:
-            return self.mean + self.scale * math.log(2.0 * p)
-        return self.mean - self.scale * math.log(2.0 * (1.0 - p))
 
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -661,16 +612,17 @@ class Laplacian(Density):
         tail = 0.5 * np.exp(-np.abs(z))
         return np.where(z < 0.0, 1.0 - tail, tail)
 
-    def quantile_array(self, p) -> np.ndarray:
-        p = _check_probabilities(p)
+    def _offsets(self, p: np.ndarray) -> np.ndarray:
+        """The p quantile's offset from the mean, from the nearer tail's mass."""
         below = p < 0.5
         offset = self.scale * np.log(2.0 * np.where(below, p, 1.0 - p))
-        return np.where(below, self.mean + offset, self.mean - offset)
+        return np.where(below, offset, -offset)
 
-    def _isf(self, p: float) -> float:
-        if p < 0.5:
-            return self.mean - self.scale * math.log(2.0 * p)
-        return self.mean + self.scale * math.log(2.0 * (1.0 - p))
+    def quantile_array(self, p) -> np.ndarray:
+        return self.mean + self._offsets(_check_probabilities(p))
+
+    def isf_array(self, p) -> np.ndarray:  # the quantile mirrored about the mean
+        return self.mean - self._offsets(_check_probabilities(p, "isf"))
 
     def _power_integral(self, beta: float) -> float:
         return (2.0 * self.scale) ** (1.0 - beta) / beta
@@ -706,28 +658,10 @@ class Exponential(Density):
     def support(self) -> Interval:
         return Interval(self.shift, math.inf)
 
-    def pdf(self, x: float) -> float:
-        if x <= self.shift:
-            return 0.0
-        return self.rate * math.exp(-self.rate * (x - self.shift))
-
     def logpdf(self, x: float) -> float:
         if x <= self.shift:
             return -math.inf
         return math.log(self.rate) - self.rate * (x - self.shift)
-
-    def cdf(self, x: float) -> float:
-        if x <= self.shift:
-            return 0.0
-        return -math.expm1(-self.rate * (x - self.shift))
-
-    def sf(self, x: float) -> float:
-        if x <= self.shift:
-            return 1.0
-        return math.exp(-self.rate * (x - self.shift))
-
-    def _quantile(self, p: float) -> float:
-        return self.shift - math.log1p(-p) / self.rate
 
     # the maximum keeps exp finite left of the support, where np.where discards it
     def pdf_array(self, x) -> np.ndarray:
@@ -748,8 +682,8 @@ class Exponential(Density):
     def quantile_array(self, p) -> np.ndarray:
         return self.shift - np.log1p(-_check_probabilities(p)) / self.rate
 
-    def _isf(self, p: float) -> float:
-        return self.shift - math.log(p) / self.rate
+    def isf_array(self, p) -> np.ndarray:
+        return self.shift - np.log(_check_probabilities(p, "isf")) / self.rate
 
     def _power_integral(self, beta: float) -> float:
         return self.rate ** (beta - 1.0) / beta
@@ -807,9 +741,9 @@ class PiecewiseLinear(Density):
     is l**(p beta). Every functional comes in closed form from the per-segment
     primitive of (y + s u)**p and its inverse: cdf, sf, quantile and isf take
     one `searchsorted` over the knots, each side measured from its own knot.
-    The scalar cdf, sf, quantile and isf evaluate 1-element arrays, so they
-    are bit-equal to the array forms; the scalar pdf is within an ulp of
-    `pdf_array`, and bit-equal to it at p = 1.
+    The scalar pdf stays a float expression for the quadrature, which calls
+    it once per node; it is within an ulp of `pdf_array`, and bit-equal to it
+    at p = 1.
     """
 
     def __init__(self, knots):
@@ -864,12 +798,6 @@ class PiecewiseLinear(Density):
         inside = (self._xs[0] < x) & (x <= self._xs[-1])
         return np.where(inside, np.interp(x, self._xs, self._ys) ** self._p / self._norm, 0.0)
 
-    def cdf(self, x: float) -> float:
-        return float(self.cdf_array(np.array([x]))[0])
-
-    def sf(self, x: float) -> float:
-        return float(self.sf_array(np.array([x]))[0])
-
     def cdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         xs = self._xs
@@ -894,12 +822,12 @@ class PiecewiseLinear(Density):
         t = _power_inverse(self._ys[i], self._slopes[i], (p - self._cum[i]) * self._norm, self._p)
         return np.minimum(self._xs[i] + t, self._xs[i + 1])
 
-    def _isf(self, p: float) -> float:
-        p = np.array([p])
+    def isf_array(self, p) -> np.ndarray:
+        p = _check_probabilities(p, "isf")
         i = np.searchsorted(-self._tail, -p, side="right")  # tail[i] < p <= tail[i - 1]
         m = (p - self._tail[i]) * self._norm
         t = _power_inverse(self._ys[i], -self._slopes[i - 1], m, self._p)
-        return float(np.maximum(self._xs[i] - t, self._xs[i - 1])[0])
+        return np.maximum(self._xs[i] - t, self._xs[i - 1])
 
     def _segment_masses(self, p: float) -> np.ndarray:
         """The integral of l**p over each segment."""
@@ -919,7 +847,14 @@ class PiecewiseLinear(Density):
 
 
 class RestrictedDensity(Density):
-    """Conditional density of a base density given an interval."""
+    """Conditional density of a base density given an interval.
+
+    Every array form comes from the base's array forms over the window (lo, hi]:
+    the cdf and sf are base masses from lo and up to hi, and the quantile and
+    isf invert the base's cdf from lo or its sf from hi, or where that end's
+    value passes 1/2, the other one, which keeps relative precision in the
+    tail the window lies in.
+    """
 
     def __init__(self, base: Density, interval: Interval):
         window = base.support.intersect(interval)
@@ -936,6 +871,12 @@ class RestrictedDensity(Density):
         self.interval = interval
         self._window = window
         self._mass = mass
+        # the base's cdf and sf at lo and hi, 0 at an infinite end, as cdf(lo)
+        # and sf(hi) are there; sf(lo) and cdf(hi) are read only past a 1/2
+        # test that an infinite end fails
+        ends = np.array([window.lo, window.hi])
+        self._cdf_ends = _finite_or(base.cdf_array, ends, 0.0).tolist()
+        self._sf_ends = _finite_or(base.sf_array, ends, 0.0).tolist()
 
     @property
     def support(self) -> Interval:
@@ -945,46 +886,43 @@ class RestrictedDensity(Density):
     def kinks(self) -> tuple[float, ...]:
         return tuple(k for k in self.base.kinks if self._window.lo < k < self._window.hi)
 
-    def pdf(self, x: float) -> float:
-        if not self._window.contains(x):
-            return 0.0
-        return self.base.pdf(x) / self._mass
-
     def logpdf(self, x: float) -> float:
         if not self._window.contains(x):
             return -math.inf
         return self.base.logpdf(x) - math.log(self._mass)
 
-    def cdf(self, x: float) -> float:
-        if x <= self._window.lo:
-            return 0.0
-        if x >= self._window.hi:
-            return 1.0
-        return min(1.0, self.base.interval_mass(Interval(self._window.lo, x)) / self._mass)
+    def pdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        inside = (self._window.lo < x) & (x <= self._window.hi)
+        return np.where(inside, self.base.pdf_array(x) / self._mass, 0.0)
 
-    def sf(self, x: float) -> float:
-        if x <= self._window.lo:
-            return 1.0
-        if x >= self._window.hi:
-            return 0.0
-        return min(1.0, self.base.interval_mass(Interval(x, self._window.hi)) / self._mass)
+    def cdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        lo, hi = self._window.lo, self._window.hi
+        below = self.base.interval_mass_array(np.full(x.shape, lo), np.clip(x, lo, hi))
+        return np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, np.minimum(below / self._mass, 1.0)))
 
-    def _quantile(self, p: float) -> float:
-        c_lo = self.base.cdf(self._window.lo) if math.isfinite(self._window.lo) else 0.0
+    def sf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        lo, hi = self._window.lo, self._window.hi
+        above = self.base.interval_mass_array(np.clip(x, lo, hi), np.full(x.shape, hi))
+        return np.where(x <= lo, 1.0, np.where(x >= hi, 0.0, np.minimum(above / self._mass, 1.0)))
+
+    def quantile_array(self, p) -> np.ndarray:
+        p = _check_probabilities(p)
+        (c_lo, _), (s_lo, _) = self._cdf_ends, self._sf_ends
         if c_lo > 0.5:
             # deep in the right tail c_lo + p * mass rounds to 1; invert the survival form
-            return self.base.isf(_open_unit(self.base.sf(self._window.lo) - p * self._mass))
-        return self.base.quantile(_open_unit(c_lo + p * self._mass))
+            return self.base.isf_array(_open_unit(s_lo - p * self._mass))
+        return self.base.quantile_array(_open_unit(c_lo + p * self._mass))
 
-    def _isf(self, p: float) -> float:
-        s_hi = self.base.sf(self._window.hi) if math.isfinite(self._window.hi) else 0.0
+    def isf_array(self, p) -> np.ndarray:
+        p = _check_probabilities(p, "isf")
+        (_, c_hi), (_, s_hi) = self._cdf_ends, self._sf_ends
         if s_hi > 0.5:
             # deep in the left tail s_hi + p * mass rounds to 1; invert the cdf form
-            return self.base.quantile(_open_unit(self.base.cdf(self._window.hi) - p * self._mass))
-        return self.base.isf(_open_unit(s_hi + p * self._mass))
-
-    def quantile_array(self, p) -> np.ndarray:  # the closed form through the base
-        return _elementwise(self.quantile, p)
+            return self.base.quantile_array(_open_unit(c_hi - p * self._mass))
+        return self.base.isf_array(_open_unit(s_hi + p * self._mass))
 
     def _power_integral(self, beta: float) -> float:
         return self._mass ** (-beta) * self.base.partial_power_integral(beta, self._window)

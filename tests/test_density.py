@@ -125,6 +125,9 @@ def test_decreasing_roots_brackets_two_unbounded_ends():
 ARRAY_FAMILIES = ALL_FAMILIES + [
     PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).tilt(0.6),
     Gaussian(0.0, 1.0).restrict(Interval(-1.0, 2.0)),
+    # windows deep in the right and the left tail: the restriction's other branches
+    Gaussian(0.0, 1.0).restrict(Interval(9.0, math.inf)),
+    Laplacian(0.0, 1.0).restrict(Interval(-math.inf, -30.0)),
 ]
 # |z| up to 38 standard deviations reaches the subnormal Gaussian tail
 DEEP_Z = np.linspace(-38.0, 38.0, 761)
@@ -140,27 +143,41 @@ def _probe_points(d):
     return d.quantile(0.5) + sigma * DEEP_Z
 
 
+def _same_bits(got, want):
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("d", ARRAY_FAMILIES, ids=lambda d: repr(d))
-def test_array_surface_matches_scalar(d):
+def test_scalar_surface_is_the_array_form_at_one_entry(d):
     xs = _probe_points(d)
-    for method in ("pdf", "cdf", "sf"):
-        got = getattr(d, method + "_array")(xs)
-        want = np.array([getattr(d, method)(float(x)) for x in xs])
-        np.testing.assert_array_max_ulp(got, want, maxulp=4)
-    ps = DEEP_P if isinstance(d, (Gaussian, Laplacian, Exponential, Uniform)) else DEEP_P[::10]
-    got = d.quantile_array(ps)
-    want = np.array([d.quantile(float(p)) for p in ps])
-    np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    # a piecewise-linear pdf stays a float expression (test_piecewise_pdf_array_is_the_scalar_pdf)
+    methods = ("cdf", "sf") if isinstance(d, PiecewiseLinear) else ("pdf", "cdf", "sf")
+    for method in methods:
+        want = getattr(d, method + "_array")(xs)
+        assert _same_bits(np.array([getattr(d, method)(float(x)) for x in xs]), want), method
+    for method in ("quantile", "isf"):
+        want = getattr(d, method + "_array")(DEEP_P)
+        assert _same_bits(np.array([getattr(d, method)(float(p)) for p in DEEP_P]), want), method
+    ends = np.concatenate(([-math.inf], np.unique(xs), [math.inf]))
+    want = d.interval_mass_array(ends[:-1], ends[1:])
+    got = np.array([d.interval_mass(Interval(a, b))
+                    for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())])
+    assert _same_bits(got, want)
+    assert math.fsum(want) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: repr(d))
 def test_array_surface_keeps_shape_and_checks_domain(d):
-    grid = d.quantile_array(np.array([[0.1, 0.2], [0.7, 0.9]]))
+    ps = np.array([[0.1, 0.2], [0.7, 0.9]])
+    grid = d.quantile_array(ps)
     assert grid.shape == (2, 2)
     assert d.cdf_array(grid).shape == (2, 2)
+    assert d.isf_array(ps).shape == (2, 2)
     for p in (0.0, 1.0, -0.3, 1.7):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^quantile requires"):
             d.quantile_array(np.array([0.5, p]))
+        with pytest.raises(DomainError, match="^isf requires"):
+            d.isf_array(np.array([0.5, p]))
 
 
 def test_piecewise_pdf_array_is_the_scalar_pdf():
@@ -511,6 +528,14 @@ def test_absolute_moment_off_location_zero_integrates(monkeypatch, d):
     assert len(calls) == 1
 
 
+def test_an_integrated_moment_survives_nodes_where_its_power_overflows():
+    # |x|^201 overflows past |x| ~ 34, where the half-normal pdf is still positive:
+    # those nodes take exp(r log|x| + logpdf(x))
+    want = Gaussian(0.0, 1.0).absolute_moment(201.0)
+    got = Gaussian(0.0, 1.0).restrict(Interval(0.0, math.inf)).absolute_moment(201.0)
+    assert abs(got - want) <= 1e-12 * want and want > 1e187
+
+
 def test_absolute_moment_requires_r_at_least_one():
     with pytest.raises(DomainError):
         Gaussian(0.0, 1.0).absolute_moment(0.5)
@@ -561,6 +586,27 @@ def test_restrict_isf_in_the_left_tail_mirrors_quantile():
         for p in (0.1, 0.25, 0.5, 0.75, 0.9):
             want = d.quantile(1.0 - p)
             assert abs(d.isf(p) - want) <= 4.0 * math.ulp(want)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Gaussian(0.0, 1.0).restrict(Interval(0.0, math.inf)),
+     Laplacian(0.0, 1.0).restrict(Interval(9.0, math.inf)),
+     Exponential(1.0).restrict(Interval(0.5, 2.0))],
+    ids=repr,
+)
+def test_restriction_runs_on_its_base_arrays(monkeypatch, d):
+    from renyi_quant.compander import build_compander
+    from renyi_quant.quantizer import cell_table
+
+    def scalar_call(*args):
+        raise AssertionError("a scalar density call")
+
+    for method in ("pdf", "cdf", "sf", "quantile", "isf"):
+        monkeypatch.setattr(type(d.base), method, scalar_call)
+    table = cell_table(build_compander(d, 256), d, 2.0)
+    assert math.fsum(table.masses) == pytest.approx(1.0, abs=1e-12)
+    assert table.distortions.min() > 0.0
 
 
 def test_restrict_empty_interval_errors():
@@ -795,11 +841,13 @@ class _SlowTails(Density):
     support = REAL_LINE
     kinks = (0.0,)
 
-    def pdf(self, x):
-        return 0.5 / (1.0 + abs(x)) ** 2
+    def pdf_array(self, x):
+        return 0.5 / (1.0 + np.abs(x)) ** 2
 
-    def cdf(self, x):
-        return 0.5 / (1.0 - x) if x < 0.0 else 1.0 - 0.5 / (1.0 + x)
+    def cdf_array(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.5 / (1.0 - np.minimum(x, 0.0)),
+                        1.0 - 0.5 / (1.0 + np.maximum(x, 0.0)))
 
 
 def test_tilt_without_a_closed_form_raises():

@@ -1055,11 +1055,13 @@ class _SlowTails(Density):
     support = REAL_LINE
     kinks = (0.0,)
 
-    def pdf(self, x):
-        return 0.5 / (1.0 + abs(x)) ** 2
+    def pdf_array(self, x):
+        return 0.5 / (1.0 + np.abs(x)) ** 2
 
-    def cdf(self, x):
-        return 0.5 / (1.0 - x) if x < 0.0 else 1.0 - 0.5 / (1.0 + x)
+    def cdf_array(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.5 / (1.0 - np.minimum(x, 0.0)),
+                        1.0 - 0.5 / (1.0 + np.maximum(x, 0.0)))
 
     def quantile_array(self, p):
         p = np.asarray(p, dtype=float)
