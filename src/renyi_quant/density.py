@@ -5,15 +5,13 @@ A family supplies `support`, the array forms `pdf_array`, `cdf_array`,
 `_power_integral` and `_tilt_closed`; the `Density` base class checks the
 domains and holds no numeric fallback behind them. Each functional has one formula, its array form:
 the scalar `pdf`, `cdf`, `sf`, `quantile`, `isf` and `interval_mass` of the
-base class evaluate it at one entry. Only the per-node quadrature integrands
-stay scalar, each family's `logpdf` and `PiecewiseLinear.pdf`: a one-entry
-array call costs ~4-6 µs against ~0.2-1.2 µs for a float expression, and a
-pass makes hundreds of them. The library's families are Uniform, Gaussian,
-Laplacian and Exponential, a piecewise-linear source, whose tilts are
-piecewise powers over its knots, and a restriction, closed through its base's
-array forms. `decreasing_roots` is the batched root solver of the codepoint
-refinement, and `integrate_over` the adaptive quadrature of the moments off a
-family's location 0 and of mixed predictor integrals. The weak-unimodality grid
+base class evaluate it at one entry, `logpdf` too: no float integrand is
+left, as every integral runs on arrays (`quadrature.integrate`). The
+library's families are Uniform, Gaussian, Laplacian and Exponential, a
+piecewise-linear source, whose tilts are piecewise powers over its knots, and
+a restriction, closed through its base's array forms. `decreasing_roots` is
+the batched root solver of the codepoint refinement, and `absolute_moment`
+integrates the moments off a family's location 0. The weak-unimodality grid
 check runs in one array pass over its grid, not one per level, and only on a
 source that is not log-concave. Densities are immutable after construction and
 every operation is a pure function, so instances can be shared across threads.
@@ -202,49 +200,6 @@ def decreasing_roots(fn, lo, hi) -> np.ndarray:
         last[idx] = np.sign(f)
 
 
-def integrate_over(
-    f,
-    densities,
-    interval: Interval = REAL_LINE,
-    cuts=(),
-    rel_tol: float = quadrature.DEFAULT_REL_TOL,
-    abs_tol: float = quadrature.DEFAULT_ABS_TOL,
-    tail_tol: float = 1e-13,
-) -> float:
-    """Integrate f over the densities' common support within interval.
-
-    A finite end of that range is kept exactly. An unbounded end starts at the
-    widest of the densities' TAIL_MASS windows and continues with geometric
-    tail windows, so slowly decaying integrands (fractional powers of light
-    tails) are still captured. The range is split at every cut and at every
-    window end inside it, so a density much narrower than another still gets
-    panels on its own scale. An empty range integrates to 0.0; a half-line
-    whose finite end lies past every window is its geometric tail from that end.
-    """
-    lo = max(interval.lo, *(d.support.lo for d in densities))
-    hi = min(interval.hi, *(d.support.hi for d in densities))
-    if not lo < hi:
-        return 0.0
-    windows = [quadrature.truncate_support(d, TAIL_MASS) for d in densities]
-    lo_eff = lo if math.isfinite(lo) else min(w.lo for w in windows)
-    hi_eff = hi if math.isfinite(hi) else max(w.hi for w in windows)
-    if not lo_eff < hi_eff:
-        if math.isfinite(lo):
-            return quadrature._tail_sum(f, lo, +1, tail_tol)
-        return quadrature._tail_sum(f, hi, -1, tail_tol)
-    splits = {*cuts, *(w.lo for w in windows), *(w.hi for w in windows)}
-    edges = [lo_eff, *sorted(x for x in splits if lo_eff < x < hi_eff), hi_eff]
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        value = quadrature.integrate(f, Interval(a, b), rel_tol, abs_tol).value
-        if b == hi_eff and not math.isfinite(hi):
-            value += quadrature._tail_sum(f, b, +1, tail_tol)
-        if a == lo_eff and not math.isfinite(lo):
-            value += quadrature._tail_sum(f, a, -1, tail_tol)
-        total += value
-    return total
-
-
 def _closed_moment(direct: Callable[[], float], log: Callable[[], float]) -> float:
     """A closed absolute moment by its direct formula, or where a factor of
     that overflows or underflows, as the exp of its log: OverflowError where
@@ -265,13 +220,10 @@ class Density:
     class keeps no numeric fallback beside them, and `tilt` of a family
     without `_tilt_closed` raises `DomainError`. The scalar `pdf`, `cdf`,
     `sf`, `quantile`, `isf` and `interval_mass` are the array forms at one
-    entry, bit for bit, so each functional is written once; `quantile_array`
-    and `isf_array` check p in (0, 1). A family's `logpdf` stays a float
-    expression, as does `PiecewiseLinear.pdf` (through the default `logpdf`
-    too): quadrature calls them once per node, and a one-entry array call
-    costs several times a float expression's ~0.2-1.2 µs. The public
-    `power_integral`, `partial_power_integral` and `tilt` check the domain (a
-    finite beta > 0) and then call the hooks `_power_integral`,
+    entry, bit for bit, as is `logpdf` of `logpdf_array`, so each functional
+    is written once; `quantile_array` and `isf_array` check p in (0, 1). The
+    public `power_integral`, `partial_power_integral` and `tilt` check the
+    domain (a finite beta > 0) and then call the hooks `_power_integral`,
     `_partial_power_integral` and `_tilt_closed`; a hook may assume its
     argument is in the domain.
     """
@@ -287,6 +239,12 @@ class Density:
 
     def cdf_array(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def logpdf_array(self, x) -> np.ndarray:
+        """log pdf, -inf outside the support; closed-form families override
+        it so deep tails stay finite where the pdf itself underflows to 0."""
+        with np.errstate(divide="ignore"):
+            return np.log(self.pdf_array(x))
 
     def sf_array(self, x) -> np.ndarray:
         """Survival function 1 - cdf; override where the tail cancels."""
@@ -339,13 +297,7 @@ class Density:
         return float(self.interval_mass_array(np.array([interval.lo]), np.array([interval.hi]))[0])
 
     def logpdf(self, x: float) -> float:
-        """log pdf(x), -inf outside the support.
-
-        Closed-form families override this so deep tails stay finite where
-        the pdf itself underflows to zero.
-        """
-        g = self.pdf(x)
-        return math.log(g) if g > 0.0 else -math.inf
+        return _at(self.logpdf_array, x)
 
     @property
     def kinks(self) -> tuple[float, ...]:
@@ -366,6 +318,12 @@ class Density:
         the cell layer reads it on every pass."""
         iqr = np.ptp(self.quantile_array(np.array([0.25, 0.75])))
         return float(iqr), float(2.0 ** np.floor(np.log2(iqr)))
+
+    @cached_property
+    def mass_window(self) -> Interval:
+        """`quadrature.truncate_support` at TAIL_MASS, where integrals place
+        their panels; computed once, as the cell layer reads it on every pass."""
+        return quadrature.truncate_support(self, TAIL_MASS)
 
     # --- analytic functionals ----------------------------------------------
 
@@ -390,11 +348,11 @@ class Density:
 
     def absolute_moment(self, r: float) -> float:
         """E|X|^r: the family's closed form where it has one (`_absolute_moment`),
-        else by quadrature, splitting at the |x| kink. A node where |x|^r passes
-        the largest double takes exp(r log|x| + logpdf(x)), so a node the pdf
-        brings back into range counts. A DomainError names the order where the
-        closed moment, finite as it is, or an integrand value passes the
-        largest double."""
+        else by `quadrature.integrate` over the mass window, splitting at the
+        |x| kink. A node where |x|^r passes the largest double takes
+        exp(r log|x| + logpdf(x)), so a node the pdf brings back into range
+        counts. A DomainError names the order where the closed moment, finite
+        as it is, or an integrand value passes the largest double."""
         if r < 1.0:
             raise DomainError(f"absolute_moment requires r >= 1, got {r}")
         try:
@@ -405,14 +363,19 @@ class Density:
         if closed is not None:
             return closed
 
-        def integrand(x: float) -> float:
-            try:
-                return abs(x) ** r * self.pdf(x)
-            except OverflowError:
-                return math.exp(r * math.log(abs(x)) + self.logpdf(x))
+        def integrand(x: np.ndarray) -> np.ndarray:
+            power = np.abs(x) ** r
+            out = power * self.pdf_array(x)
+            far = np.isinf(power)
+            if far.any():
+                out[far] = np.exp(r * np.log(np.abs(x[far])) + self.logpdf_array(x[far]))
+                if np.isinf(out).any():
+                    raise OverflowError
+            return out
 
         try:
-            return integrate_over(integrand, (self,), cuts=(0.0,))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return quadrature.integrate(integrand, self.support, (0.0,), core=self.mass_window).value
         except OverflowError:
             raise DomainError(f"the absolute moment of order {r:g} takes an integrand value "
                               f"past the largest double") from None
@@ -460,14 +423,13 @@ class Uniform(Density):
     def center(self) -> float:
         return 0.5 * (self.a + self.b)
 
-    def logpdf(self, x: float) -> float:
-        if not self.a < x <= self.b:
-            return -math.inf
-        return -math.log(self.b - self.a)
-
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.where((self.a < x) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
+
+    def logpdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.where((self.a < x) & (x <= self.b), -math.log(self.b - self.a), -np.inf)
 
     def cdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -525,13 +487,13 @@ class Gaussian(Density):
     def center(self) -> float:
         return self.mean
 
-    def logpdf(self, x: float) -> float:
-        z = (x - self.mean) / self.sigma
-        return -0.5 * z * z - math.log(self.sigma * _SQRT_2PI)
-
     def pdf_array(self, x) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - self.mean) / self.sigma
         return np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
+
+    def logpdf_array(self, x) -> np.ndarray:
+        z = (np.asarray(x, dtype=float) - self.mean) / self.sigma
+        return -0.5 * z * z - math.log(self.sigma * _SQRT_2PI)
 
     # math.erfc stays within ~2 ulp deep into the tails, where scipy's erfc
     # drifts by hundreds of ulp, so cdf and sf call it per element
@@ -595,12 +557,13 @@ class Laplacian(Density):
     def center(self) -> float:
         return self.mean
 
-    def logpdf(self, x: float) -> float:
-        return -abs(x - self.mean) / self.scale - math.log(2.0 * self.scale)
-
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.exp(-np.abs(x - self.mean) / self.scale) / (2.0 * self.scale)
+
+    def logpdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return -np.abs(x - self.mean) / self.scale - math.log(2.0 * self.scale)
 
     def cdf_array(self, x) -> np.ndarray:
         z = (np.asarray(x, dtype=float) - self.mean) / self.scale
@@ -658,16 +621,15 @@ class Exponential(Density):
     def support(self) -> Interval:
         return Interval(self.shift, math.inf)
 
-    def logpdf(self, x: float) -> float:
-        if x <= self.shift:
-            return -math.inf
-        return math.log(self.rate) - self.rate * (x - self.shift)
-
     # the maximum keeps exp finite left of the support, where np.where discards it
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         t = -self.rate * (np.maximum(x, self.shift) - self.shift)
         return np.where(x > self.shift, self.rate * np.exp(t), 0.0)
+
+    def logpdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.where(x > self.shift, math.log(self.rate) - self.rate * (x - self.shift), -np.inf)
 
     def cdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -741,9 +703,6 @@ class PiecewiseLinear(Density):
     is l**(p beta). Every functional comes in closed form from the per-segment
     primitive of (y + s u)**p and its inverse: cdf, sf, quantile and isf take
     one `searchsorted` over the knots, each side measured from its own knot.
-    The scalar pdf stays a float expression for the quadrature, which calls
-    it once per node; it is within an ulp of `pdf_array`, and bit-equal to it
-    at p = 1.
     """
 
     def __init__(self, knots):
@@ -787,11 +746,6 @@ class PiecewiseLinear(Density):
     @property
     def kinks(self) -> tuple[float, ...]:
         return tuple(self._xs[1:-1].tolist())
-
-    def pdf(self, x: float) -> float:  # on floats, as quadrature calls it once per node
-        if not self._support.contains(x):
-            return 0.0
-        return float(np.interp(x, self._xs, self._ys)) ** self._p / self._norm
 
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -886,15 +840,15 @@ class RestrictedDensity(Density):
     def kinks(self) -> tuple[float, ...]:
         return tuple(k for k in self.base.kinks if self._window.lo < k < self._window.hi)
 
-    def logpdf(self, x: float) -> float:
-        if not self._window.contains(x):
-            return -math.inf
-        return self.base.logpdf(x) - math.log(self._mass)
-
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         inside = (self._window.lo < x) & (x <= self._window.hi)
         return np.where(inside, self.base.pdf_array(x) / self._mass, 0.0)
+
+    def logpdf_array(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        inside = (self._window.lo < x) & (x <= self._window.hi)
+        return np.where(inside, self.base.logpdf_array(x) - math.log(self._mass), -np.inf)
 
     def cdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -1,31 +1,40 @@
-"""Adaptive numerical integration on finite intervals.
+"""Adaptive Gauss-Kronrod integration of array integrands.
 
-One fixed nested rule (Gauss 7 / Kronrod 15) with largest-error-first
-bisection. The panel ordering, split points, and summation order are all
-deterministic, so identical inputs reproduce identical results bit for bit.
-Endpoints are never evaluated, which plays well with half-open intervals and
-densities that vanish at a support edge.
+One fixed nested rule (Gauss 7 / Kronrod 15), evaluated over many panels at
+once (`kronrod_panels`), and one adaptive loop over them (`settle`) that
+every integral of the library runs: the quantizer cells, and through
+`integrate` the moments and the mixed predictor integrals. A round is one
+panel call over every unsettled piece; a piece whose error bound fails its
+stopping test is halved into the next round. A piece with an infinite end,
+or lying past the core interval that holds the integrand's mass, becomes
+doubling windows out from its finite end, clipped at its other end. The
+panel arithmetic, split points and summation order are all deterministic, so
+identical inputs reproduce identical results bit for bit. Endpoints are never
+evaluated, which plays well with half-open intervals and densities that
+vanish at a support edge.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, InfiniteIntegralError, NonConvergenceError
-from .intervals import Interval
+from .intervals import Interval, REAL_LINE
 
 if TYPE_CHECKING:  # pragma: no cover
     from .density import Density
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
-MAX_SUBDIVISIONS = 10**6
-MAX_TAIL_WINDOWS = 256  # doubling windows a tail may take before it counts as unsettled
+TAIL_WINDOWS = 64  # doubling windows a tail piece becomes, out from its finite end
+MAX_HALVINGS = 64  # rounds of halving the pieces whose panel does not settle
+_MAX_PIECES = 2**18  # unsettled pieces a round may halve, which bounds the memory a round takes
+# a bounded support at least this many times as wide as its quantile window
+# integrates over the window, its tails as windows out to the support's ends
+_NARROWED = 16.0
 # panels up to which kronrod_panels calls f once on all 15 nodes of each: on
 # the cell integrand, one call took 34-180 us against 130-310 us for 15 over
 # 1-512 panels, and lost from 768 on
@@ -56,9 +65,11 @@ _WGK = (
 )
 # the distances of the node pair mid -+ h x from the panel's left end, in units of h
 _FROM_LO = tuple((1.0 - x, 1.0 + x) for x in _XGK)
-_XGK_ARRAY = np.array(_XGK)
-# rows 1 - x for every x, then 1 + x for every x: kronrod_panels' node order
-_FROM_LO_ARRAY = np.array(_FROM_LO).T.copy()
+# kronrod_panels' node order, the center, then mid - h x for every x, then
+# mid + h x: the nodes' offsets from mid in units of h (mid + (-h x) is
+# mid - h x bit for bit), and their distances from the left end
+_NODES = np.concatenate(([0.0], -np.array(_XGK), _XGK))
+_NODES_FROM_LO = np.concatenate(([1.0], np.array(_FROM_LO).T.ravel()))
 _WGK_CENTER = 0.209482141084727828012999174891714
 _WG = (
     0.129484966168869693270611432679082,
@@ -71,55 +82,15 @@ _WG_CENTER = 0.417959183673469387755102040816327
 @dataclass(frozen=True)
 class IntegrationResult:
     value: float
-    error_estimate: float
-    subdivisions: int
-
-
-def _kronrod_panel(f: Callable[[float], float], a: float, b: float):
-    """One G7/K15 pass over [a, b]: returns (value, error_estimate), or raises
-    NonConvergenceError where either is not finite."""
-    h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = f(mid)
-    resg = _WG_CENTER * fc
-    resk = _WGK_CENTER * fc
-    resabs = _WGK_CENTER * abs(fc)
-    pairs = []
-    for j in range(7):
-        dx = h * _XGK[j]
-        f1 = f(mid - dx)
-        f2 = f(mid + dx)
-        pairs.append((f1, f2))
-        s = f1 + f2
-        resk += _WGK[j] * s
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * s
-    reskh = 0.5 * resk
-    resasc = _WGK_CENTER * abs(fc - reskh)
-    for j in range(7):
-        f1, f2 = pairs[j]
-        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
-    value = resk * h
-    resabs *= abs(h)
-    resasc *= abs(h)
-    err = abs((resk - resg) * h)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    if not (math.isfinite(value) and math.isfinite(err)):  # no stopping test would pass it
-        raise NonConvergenceError(
-            f"quadrature panel ({a!r}, {b!r}) is not finite: value {value!r}, "
-            f"error estimate {err!r}"
-        )
-    return value, err
+    error_estimate: float  # the sum of the settled panels' bounds
+    subdivisions: int  # the panels evaluated
 
 
 def kronrod_panels(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The value of _kronrod_panel over every [a[i], b[i]] at once, and an upper
-    bound on its error estimate, for an f >= 0 that maps arrays.
+    """The G7/K15 value over every [a[i], b[i]] at once, and an upper bound on
+    QUADPACK's error estimate for it (QK15, Piessens et al. 1983).
 
     f is called as f(x, x - a), the distance formed as h (1 -+ xi), not from
     x, so it keeps its relative precision in a panel narrow next to |x|. At
@@ -128,19 +99,19 @@ def kronrod_panels(
     there the fixed cost of a call outweighs its m; more take one call per
     node. f must map a 2-d array element by element as it maps a 1-d one:
     the node values, and so the results, are the same bits either way.
-    The value repeats the scalar panel's arithmetic, so it is what the scalar
-    panel gives for the same f values. The bound is max(200 e, 50 eps value),
-    e = |K15 - G7| h, times a margin for rounding: the scalar estimate
-    resasc min(1, (200 e / resasc)^1.5) never exceeds 200 e, and for f >= 0
-    its resabs is the K15 sum bit for bit, so its floor is 50 eps value.
+    The value repeats QK15's arithmetic, so it is what QK15 gives for the
+    same f values. The bound is max(200 e, 50 eps |value|), e = |K15 - G7| h,
+    times a margin for rounding: QK15's estimate resasc min(1, (200 e /
+    resasc)^1.5) never exceeds 200 e, and for f >= 0 its floor 50 eps resabs
+    is 50 eps value bit for bit. For a signed f, resabs integrates |f| and
+    can pass |value|, so there the bound is the same stopping test as for
+    f >= 0, not a bound on QK15's floor.
     """
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     if mid.size <= _ONE_CALL_PANELS:
-        dx = np.multiply.outer(_XGK_ARRAY, h)
-        fx = f(np.concatenate((mid[None], mid - dx, mid + dx)),
-               np.concatenate((h[None], np.multiply.outer(_FROM_LO_ARRAY, h).reshape(14, h.size))))
-        fc, sums = fx[0], (fx[1 + j] + fx[8 + j] for j in range(7))
+        fx = f(mid + np.multiply.outer(_NODES, h), np.multiply.outer(_NODES_FROM_LO, h))
+        fc, sums = fx[0], fx[1:8] + fx[8:]
     else:
         fc = f(mid, h)
         sums = (f(mid - h * _XGK[j], h * _FROM_LO[j][0]) + f(mid + h * _XGK[j], h * _FROM_LO[j][1])
@@ -152,106 +123,109 @@ def kronrod_panels(
         if j % 2 == 1:
             resg = resg + _WG[(j - 1) // 2] * s
     value = resk * h
-    bound = np.maximum(200.0 * np.abs((resk - resg) * h), 50.0 * _EPS * value)
+    bound = np.maximum(200.0 * np.abs((resk - resg) * h), 50.0 * _EPS * np.abs(value))
     return value, bound * _BOUND_MARGIN
 
 
+def settle(f, a: np.ndarray, b: np.ndarray, entry: np.ndarray, size: int, floor: float,
+           scale: float, center: np.ndarray | None = None, rel_tol: float = DEFAULT_REL_TOL,
+           core: Interval = REAL_LINE) -> tuple[np.ndarray, float, int]:
+    """Per entry i < size, the integral over the pieces (a[j], b[j]) with
+    entry[j] = i; the sum of the settled panels' bounds; the panels evaluated.
+
+    No piece may straddle an end of core. One with an infinite end, or lying
+    past core, is a tail: TAIL_WINDOWS windows out from its finite end e, or
+    its end nearer core, the first |c - e| wide for its entry's center c
+    (scale where c = e or there is no center), each twice the one before,
+    clipped at its other end, where the empty ones are dropped; the last
+    window of an unbounded tail must add at most floor. Each round is one
+    `kronrod_panels` call over every unsettled piece, on the integrand
+    f(a, b, entry) gives for them; a piece settles where its bound is at most
+    max(rel_tol |value|, floor), the rest are halved into the next round; a
+    bound that is not finite raises at once, as do an unsettled piece with no
+    double inside it and more than _MAX_PIECES unsettled pieces. An entry
+    sums its settled pieces round by round in array order, whatever the batch.
+    """
+    left = (a == -np.inf) | (b <= core.lo)
+    tail = np.flatnonzero(left | (b == np.inf) | (a >= core.hi))
+    last = np.empty(0, dtype=int)
+    if tail.size:  # each tail's windows, nearest first, after the other pieces
+        left = left[tail]
+        e, far = np.where(left, b[tail], a[tail]), np.where(left, a[tail], b[tail])
+        width = np.zeros(tail.size) if center is None else np.abs(center[entry[tail]] - e)
+        width[width == 0.0] = scale
+        ends = e[:, None] + (np.where(left, -width, width)[:, None]
+                             * (2.0 ** np.arange(TAIL_WINDOWS + 1) - 1.0))
+        ends = np.where(left[:, None], np.maximum(ends, far[:, None]), np.minimum(ends, far[:, None]))
+        lo, hi = np.minimum(ends[:, :-1], ends[:, 1:]), np.maximum(ends[:, :-1], ends[:, 1:])
+        keep, last = (lo < hi).ravel(), np.zeros(lo.shape, dtype=bool)
+        last[:, -1] = np.isinf(far)
+        last = np.flatnonzero(last.ravel()[keep]) + a.size - tail.size
+        a = np.concatenate((np.delete(a, tail), lo.ravel()[keep]))
+        b = np.concatenate((np.delete(b, tail), hi.ravel()[keep]))
+        entry = np.concatenate((np.delete(entry, tail), np.repeat(entry[tail], TAIL_WINDOWS)[keep]))
+    total, error, panels = np.zeros(size), 0.0, 0
+    for halvings in range(MAX_HALVINGS + 1):
+        values, bounds = kronrod_panels(f(a, b, entry), a, b)
+        panels += a.size
+        if not np.isfinite(bounds).all():  # such a piece never settles
+            k = np.flatnonzero(~np.isfinite(bounds))[0]
+            raise NonConvergenceError(
+                f"integrand is not finite on the panel ({float(a[k])!r}, {float(b[k])!r})")
+        if halvings == 0 and last.size and np.any(np.abs(values[last]) > floor):
+            raise InfiniteIntegralError(
+                f"tail does not converge: its last window adds {np.abs(values[last]).max():.3e}")
+        settled = bounds <= np.maximum(rel_tol * np.abs(values), floor)
+        total += np.bincount(entry[settled], weights=values[settled], minlength=size)
+        error += float(bounds[settled].sum())
+        if settled.all():
+            return total, error, panels
+        unsettled = ~settled
+        a, b, entry = a[unsettled], b[unsettled], entry[unsettled]
+        mid = 0.5 * (a + b)
+        if a.size > _MAX_PIECES or not ((a < mid) & (mid < b)).all():
+            raise NonConvergenceError(f"{a.size} pieces did not settle, one with no double "
+                                      f"inside it or more than {_MAX_PIECES}")
+        a, b, entry = np.repeat(a, 2), np.repeat(b, 2), np.repeat(entry, 2)
+        a[1::2], b[::2] = mid, mid
+    raise NonConvergenceError(f"pieces did not settle within {MAX_HALVINGS} halvings")
+
+
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     interval: Interval,
+    cuts=(),
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
+    core: Interval = REAL_LINE,
 ) -> IntegrationResult:
-    """Adaptively integrate f over a finite interval.
-
-    Terminates once the summed per-panel error estimates fall below
-    max(rel_tol * |value|, abs_tol); raises NonConvergenceError after
-    MAX_SUBDIVISIONS subdivisions, or at once on a panel whose value or error
-    estimate is not finite, which no stopping test would ever pass. Panels
-    split largest-error-first with a deterministic insertion-order tie break.
+    """The integral of f, which maps an array element by element, over an
+    interval, finite or not, by `settle`: split at every cut and end of core
+    inside it (at 0 where nothing splits the real line), each tail's windows
+    from 1 wide, and abs_tol the floor of every piece.
     """
-    a, b = interval.lo, interval.hi
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integrate requires finite endpoints; truncate the support first")
-    value, err = _kronrod_panel(f, a, b)
-    # heap of (-error, insertion counter, a, b, value, error)
-    heap = [(-err, 0, a, b, value, err)]
-    counter = 1
-    total_value = value
-    total_err = err
-    subdivisions = 1
-    while True:
-        if total_err <= max(rel_tol * abs(total_value), abs_tol):
-            break
-        if subdivisions >= MAX_SUBDIVISIONS:
-            raise NonConvergenceError(
-                f"quadrature did not converge within {MAX_SUBDIVISIONS} subdivisions "
-                f"(error estimate {total_err:.3e})"
-            )
-        _, _, wa, wb, wv, we = heapq.heappop(heap)
-        mid = 0.5 * (wa + wb)
-        lv, le = _kronrod_panel(f, wa, mid)
-        rv, re = _kronrod_panel(f, mid, wb)
-        heapq.heappush(heap, (-le, counter, wa, mid, lv, le))
-        heapq.heappush(heap, (-re, counter + 1, mid, wb, rv, re))
-        counter += 2
-        total_value += lv + rv - wv
-        total_err += le + re - we
-        subdivisions += 1
-        # incremental totals drift; refresh them exactly now and then
-        if subdivisions % 512 == 0:
-            total_value = math.fsum(p[4] for p in heap)
-            total_err = math.fsum(p[5] for p in heap)
-    return IntegrationResult(
-        math.fsum(p[4] for p in heap), math.fsum(p[5] for p in heap), subdivisions
-    )
-
-
-def _tail_sum(f, start: float, direction: int, tail_tol: float) -> float:
-    """Integral of f from start out to +inf (direction +1) or -inf (-1) over
-    doubling windows, the first 1 wide, up to one that adds less than tail_tol
-    or 1e-9 of the sum; windows that keep growing signal a divergent integral."""
-    total = 0.0
-    width = 1.0
-    prev = math.inf
-    growth_run = 0
-    edge = start
-    for _ in range(MAX_TAIL_WINDOWS):
-        if direction > 0:
-            a, b = edge, edge + width
-        else:
-            a, b = edge - width, edge
-        # a window below tail_tol, or below the windows' relative tolerance of
-        # the sum so far, ends the tail
-        floor = max(tail_tol, 1e-9 * abs(total))
-        window = integrate(f, Interval(a, b), rel_tol=1e-9, abs_tol=floor / 8).value
-        total += window
-        if abs(window) < floor:
-            return total
-        if abs(window) >= prev:
-            growth_run += 1
-            if growth_run >= 4:
-                raise InfiniteIntegralError(
-                    f"tail integral does not converge (window at {a:.3g} "
-                    f"contributes {window:.3e})"
-                )
-        else:
-            growth_run = 0
-        prev = abs(window)
-        edge = b if direction > 0 else a
-        width *= 2.0
-    raise InfiniteIntegralError("tail integral did not settle within the window budget")
+    lo, hi = interval.lo, interval.hi
+    points = {x for x in (*cuts, core.lo, core.hi) if lo < x < hi}
+    if not points and lo == -np.inf and hi == np.inf:
+        points = {0.0}
+    edges = np.array([lo, *sorted(points), hi], dtype=float)
+    total, error, panels = settle(lambda *_: lambda x, _: f(x), edges[:-1], edges[1:],
+                                  np.zeros(edges.size - 1, dtype=int), 1, abs_tol, 1.0,
+                                  rel_tol=rel_tol, core=core)
+    return IntegrationResult(float(total[0]), error, panels)
 
 
 def truncate_support(d: "Density", mass_tol: float) -> Interval:
-    """Quantile truncation of a density's support for numerical integration.
-
-    Bounded supports are returned unchanged; otherwise the interval between
-    the mass_tol and 1 - mass_tol quantiles is used.
+    """The interval between the mass_tol and 1 - mass_tol quantiles of d, where
+    numerical integration places its panels: for an unbounded support, and
+    for a bounded one at least _NARROWED times as wide, where panels placed
+    by the support would miss the mass. Any other bounded support, as of the
+    uniform and piecewise-linear sources, is returned unchanged.
     """
     if not 0.0 < mass_tol < 0.01:
         raise DomainError(f"mass_tol must lie in (0, 0.01), got {mass_tol}")
     support = d.support
-    if support.bounded:
+    window = Interval(d.quantile(mass_tol), d.isf(mass_tol))
+    if support.bounded and (window.hi - window.lo) * _NARROWED > support.hi - support.lo:
         return support
-    return Interval(d.quantile(mass_tol), d.isf(mass_tol))
+    return window

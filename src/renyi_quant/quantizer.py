@@ -8,11 +8,11 @@ whole of every cell, the two unbounded outer cells out to the density's tails.
 A quantizer's state is two read-only arrays, its cell edges and codepoints.
 Cell passes work on them in near-equal blocks of about _BLOCK cells: masses
 are cdf/sf differences over the block's edges, each edge evaluated once, and
-distortions batched Gauss-Kronrod panels over the cells' pieces: cut where
-|x - c|^r pdf has a kink, an unbounded piece as doubling windows, and every
-piece whose panel does not settle halved, all in one batch, until it does.
-A piece settles at the adaptive rule's relative tolerance or at an absolute
-floor on the source's own scale.
+distortions the adaptive rule's batched panels over the cells' pieces
+(`quadrature.settle`): cut where |x - c|^r pdf has a kink, an unbounded piece
+as doubling windows, and every piece whose panel does not settle halved, all
+in one batch, until it does. A piece settles at the adaptive rule's relative
+tolerance or at an absolute floor on the source's own scale.
 
 Where the source is symmetric about its center c (`Density.center`) and the
 quantizer's breakpoints and codepoints mirror about c exactly, as a compander
@@ -44,14 +44,12 @@ from typing import Sequence
 import numpy as np
 
 from .density import Density, _finite_or
-from .errors import DomainError, EmptyConditioningError, InfiniteIntegralError, NonConvergenceError
-from .intervals import Interval
+from .errors import DomainError, EmptyConditioningError
+from .intervals import Interval, REAL_LINE
 from . import quadrature
 
 _ALPHA_LIMIT_EPS = 1e-6  # alpha this close to an endpoint uses the limit formula
 _PIECE_ABS_TOL = 1e-16   # absolute tolerance of a cell distortion integral, in units of u^r
-_TAIL_WINDOWS = 64       # doubling windows an unbounded piece becomes, out from its finite end
-_MAX_HALVINGS = 64       # rounds of halving the pieces whose panel does not settle
 # Cells per array pass, near enough, and the evaluated cells a sweep puts in one
 # group of rate points: per-call numpy overhead dominates smaller blocks, and a
 # split distortion block (2 x 1.5 x 4096 floats at most) keeps each temporary at
@@ -313,15 +311,12 @@ def _batch_distortions(
     """Integral of |x - c|^r pdf over every (lo, hi), 0 where lo >= hi.
 
     Each (lo, hi) is clipped to the support and cut at c, unless r is an even
-    integer, and at the pdf's kinks. An unbounded piece becomes _TAIL_WINDOWS
-    windows out from its finite end e, the first |c - e| wide (where c = e,
-    the interquartile range), each twice the one before; the last must add at
-    most the floor _PIECE_ABS_TOL u^r, u the power of 2 at or below that range
-    (`d.quartile_scale`). Each round is one batched G7/K15 panel call; a piece
-    whose error bound fails the adaptive rule's first stopping test, with that
-    floor, is halved into the next, and one whose bound is not finite raises
-    at once. An entry sums its settled pieces round by round in array order,
-    whatever the batch. The integrand takes |x - c|^r only where the pdf is
+    integer, at the pdf's kinks and, on a bounded support, at the ends of the
+    mass window (`Density.mass_window`), past which a piece is a tail, as an
+    unbounded one is. The pieces run through `quadrature.settle`, a tail's
+    first window |c - e| wide, or the interquartile range where c = e, at the
+    floor _PIECE_ABS_TOL u^r, u the power of 2 at or below that range
+    (`d.quartile_scale`). The integrand takes |x - c|^r only where the pdf is
     positive, except at r = 2 with every piece within _SQUARE_BELOW of its c:
     there it is (x - c) (x - c) pdf, the same bits.
     """
@@ -330,65 +325,41 @@ def _batch_distortions(
     if len(blocks) > 1:
         return np.concatenate([_batch_distortions(d, r, lo[b], hi[b], c[b]) for b in blocks])
     iqr, unit = d.quartile_scale
-    floor = _PIECE_ABS_TOL * unit**r
+    core = d.mass_window if d.support.bounded else REAL_LINE
     lo = np.maximum(lo, d.support.lo)
     hi = np.maximum(np.minimum(hi, d.support.hi), lo)  # hi = lo: nothing inside the support
     if r % 2.0 != 0.0:  # both sides of c; a side the entry does not reach is empty
         lo, hi = np.concatenate((lo, np.maximum(lo, c))), np.concatenate((np.minimum(hi, c), hi))
     entry = np.arange(lo.size) % size
-    for k in d.kinks:  # a piece keeps its part left of a kink inside it; the rest goes last
+    # a piece keeps its part left of a cut inside it; the rest goes last
+    for k in (*d.kinks, *((core.lo, core.hi) if d.support.bounded else ())):
         inside = np.flatnonzero((lo < k) & (k < hi))
         lo, entry = np.append(lo, np.full(inside.size, k)), np.append(entry, entry[inside])
         hi = np.append(hi, hi[inside])
         hi[inside] = k
     live = np.flatnonzero(lo < hi)
-    a, b, entry = lo[live], hi[live], entry[live]
-    tail = np.flatnonzero(np.isinf(a) | np.isinf(b))
-    first_window = a.size - tail.size
-    if tail.size:  # each unbounded piece's windows, nearest first, after the finite pieces
-        left = np.isinf(a[tail])
-        e = np.where(left, b[tail], a[tail])
-        width = np.abs(c[entry[tail]] - e)  # 0 for a tail from c: start on d's own scale
-        width[width == 0.0] = iqr
-        step = np.where(left, -1.0, 1.0) * width
-        ends = e[:, None] + step[:, None] * (2.0 ** np.arange(_TAIL_WINDOWS + 1) - 1.0)
-        a = np.concatenate((np.delete(a, tail), np.minimum(ends[:, :-1], ends[:, 1:]).ravel()))
-        b = np.concatenate((np.delete(b, tail), np.maximum(ends[:, :-1], ends[:, 1:]).ravel()))
-        entry = np.concatenate((np.delete(entry, tail), np.repeat(entry[tail], _TAIL_WINDOWS)))
 
-    # at r = 2, t * t is |t|^2 correctly rounded, as pow gives it, and finite
-    # while every piece keeps |x - c| below _SQUARE_BELOW
-    square = r == 2.0 and np.max(b - a + np.abs(c[entry] - a), initial=0.0) < _SQUARE_BELOW
-
-    def integrand(x, from_lo):
-        # x - c from the node's offset from the piece's left end
-        pdf = d.pdf_array(x)
-        dist = from_lo - offset
-        if square:
-            dist *= dist
-        else:
-            np.abs(dist, out=dist)
-            np.power(dist, r, out=dist, where=pdf > 0.0)  # far out it overflows where the pdf is 0
-        dist *= pdf
-        return dist
-
-    total = np.zeros(size)
-    for halvings in range(_MAX_HALVINGS + 1):
+    def integrand(a, b, entry):
+        # x - c from the node's offset from the piece's left end; at r = 2, t * t is |t|^2
+        # correctly rounded, as pow gives it, and finite while every |x - c| < _SQUARE_BELOW
         offset = c[entry] - a
-        values, bounds = quadrature.kronrod_panels(integrand, a, b)
-        if not np.isfinite(bounds).all():  # such a piece never settles: |x - c|^r overflowed
-            raise NonConvergenceError(f"cell piece integrand is not finite at r = {r}")
-        last = values[first_window + _TAIL_WINDOWS - 1::_TAIL_WINDOWS]
-        if halvings == 0 and np.any(last > floor):
-            raise InfiniteIntegralError(f"distortion tail does not converge: {last.max():.3e}")
-        settled = bounds <= np.maximum(quadrature.DEFAULT_REL_TOL * values, floor)
-        total += np.bincount(entry[settled], weights=values[settled], minlength=size)
-        if settled.all():
-            return total
-        a, b, entry = a[~settled], b[~settled], np.repeat(entry[~settled], 2)
-        mid = 0.5 * (a + b)
-        a, b = np.column_stack((a, mid)).ravel(), np.column_stack((mid, b)).ravel()
-    raise NonConvergenceError(f"cell pieces did not settle within {_MAX_HALVINGS} halvings")
+        square = r == 2.0 and np.max(b - a + np.abs(offset), initial=0.0) < _SQUARE_BELOW
+
+        def f(x, from_lo):
+            pdf = d.pdf_array(x)
+            dist = from_lo - offset
+            if square:
+                dist *= dist
+            else:
+                np.abs(dist, out=dist)
+                np.power(dist, r, out=dist, where=pdf > 0.0)  # far out it overflows where the pdf is 0
+            dist *= pdf
+            return dist
+
+        return f
+
+    return quadrature.settle(integrand, lo[live], hi[live], entry[live], size,
+                             _PIECE_ABS_TOL * unit**r, iqr, c, core=core)[0]
 
 
 def cell_distortions(q: Quantizer, d: Density, r: float) -> np.ndarray:

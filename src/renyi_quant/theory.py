@@ -9,7 +9,8 @@ closed-form tilt by gamma (same family, same location), is closed:
 P_u(a + gamma b) / P_u(gamma)^b with P_u = u.power_integral. Every other pair
 (mixed families, shifted locations, different uniform supports, piecewise
 densities and their tilts, a + gamma b <= 0) and the KL integral run
-through density.integrate_over, with integrands in log space.
+through quadrature.integrate, once per integral, with array integrands in log
+space.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .compander import optimal_point_density
-from .density import Density, TAIL_MASS, integrate_over
+from .density import Density
 from .errors import DomainError, InfiniteIntegralError, RenyiQuantError
 from .intervals import Interval
 from . import quadrature
@@ -67,9 +68,18 @@ def rate_params(alpha: float, r: float) -> RateParams:
 # --- shared integration helpers ---------------------------------------------
 
 
-def _joint_integral(fn: Callable[[float], float], densities: Sequence[Density]) -> float:
-    """Integrate fn over the densities' common support at the predictor tolerances."""
-    return integrate_over(fn, densities, rel_tol=1e-10, abs_tol=1e-14, tail_tol=1e-14)
+def _joint_integral(fn: Callable[[np.ndarray], np.ndarray], densities: Sequence[Density]) -> float:
+    """Integrate fn, an array function, over the densities' common support at
+    the predictor tolerances: split at the ends of every density's mass
+    window, tails past the widest. An empty common support integrates to 0."""
+    lo, hi = max(d.support.lo for d in densities), min(d.support.hi for d in densities)
+    if not lo < hi:
+        return 0.0
+    windows = [d.mass_window for d in densities]
+    core = Interval(min(w.lo for w in windows), max(w.hi for w in windows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return quadrature.integrate(fn, Interval(lo, hi), [x for w in windows for x in (w.lo, w.hi)],
+                                    rel_tol=1e-10, abs_tol=1e-14, core=core).value
 
 
 def _support_within(inner: Interval, outer: Interval, rel_tol: float = 1e-12) -> bool:
@@ -79,29 +89,25 @@ def _support_within(inner: Interval, outer: Interval, rel_tol: float = 1e-12) ->
     return inner.lo >= outer.lo - tol and inner.hi <= outer.hi + tol
 
 
-def _product(u: Density, a: float, v: Density, b: float) -> Callable[[float], float]:
-    """x -> u(x)^a v(x)^b in log space, so deep-tail pdf underflow is safe.
+def _product(u: Density, a: float, v: Density, b: float) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> u(x)^a v(x)^b on arrays in log space, so deep-tail pdf underflow is safe.
 
     The product is 0 off u's support, and off v's support when b >= 0 (the
     0**0 := 0 convention); with b < 0 a point where v vanishes inside u's
     support makes the integral diverge, and so does an overflow.
     """
 
-    def fn(x: float) -> float:
-        lu = u.logpdf(x)
-        if lu == -math.inf:
-            return 0.0
-        lv = v.logpdf(x)
-        if lv == -math.inf:
-            if b >= 0.0:
-                return 0.0
+    def fn(x: np.ndarray) -> np.ndarray:
+        lu, lv = u.logpdf_array(x), v.logpdf_array(x)
+        inside, vanish = lu > -np.inf, lv == -np.inf
+        if b < 0.0 and (inside & vanish).any():
             raise InfiniteIntegralError(
-                f"{v!r} vanishes at {x:.6g} inside the support of {u!r}"
+                f"{v!r} vanishes at {x[inside & vanish].flat[0]:.6g} inside the support of {u!r}"
             )
-        try:
-            return math.exp(a * lu + b * lv)
-        except OverflowError:
-            raise InfiniteIntegralError(f"integrand overflows at x = {x:.6g}") from None
+        out = np.exp(a * lu + b * lv, out=np.zeros(x.shape), where=inside & ~vanish)
+        if np.isinf(out).any():
+            raise InfiniteIntegralError(f"integrand overflows at x = {x[np.isinf(out)].flat[0]:.6g}")
+        return out
 
     return fn
 
@@ -225,14 +231,12 @@ def _kl_divergence(u: Density, v: Density) -> float:
     if not _support_within(u.support, v.support):
         return math.inf
 
-    def fn(x: float) -> float:
-        lu = u.logpdf(x)
-        if lu == -math.inf:
-            return 0.0
-        lv = v.logpdf(x)
-        if lv == -math.inf:
-            raise InfiniteIntegralError(f"second density vanishes at {x}")
-        return math.exp(lu) * (lu - lv)
+    def fn(x: np.ndarray) -> np.ndarray:
+        lu, lv = u.logpdf_array(x), v.logpdf_array(x)
+        inside = lu > -np.inf
+        if (inside & (lv == -np.inf)).any():
+            raise InfiniteIntegralError(f"second density vanishes at {x[inside & (lv == -np.inf)].flat[0]}")
+        return np.where(inside, np.exp(lu) * (lu - lv), 0.0)
 
     try:
         return _joint_integral(fn, (u,))
@@ -254,11 +258,11 @@ class RatioBoundReport:
 def check_density_ratio_bound(f: Density, g: Density) -> RatioBoundReport:
     """Grid check that f/g stays bounded on the support of f.
 
-    Reports the maximum over RATIO_GRID_SIZE points of f's TAIL_MASS quantile
-    window, inflated by a 10% safety factor. Unbounded means g vanishes (or
+    Reports the maximum over RATIO_GRID_SIZE points of f's mass window
+    (`Density.mass_window`), inflated by a 10% safety factor. Unbounded means g vanishes (or
     the ratio exceeds RATIO_CAP) somewhere f has mass.
     """
-    window = quadrature.truncate_support(f, TAIL_MASS)
+    window = f.mass_window
     xs = np.linspace(window.lo, window.hi, RATIO_GRID_SIZE + 2)[1:-1]
     fx = f.pdf_array(xs)
     gx = g.pdf_array(xs)

@@ -264,11 +264,13 @@ CHECKED_IN_SWEEPS = [
 def test_checked_in_sweeps_pay_per_group(monkeypatch, tmp_path):
     """The 8 checked-in sweeps run in 9 groups of rate points, each sweep one
     but mismatch_uniform, whose cells do not mirror under the mismatched source
-    and so fill two: 9 compander builds, 9 distortion passes, and no quadrature
-    for the moment checks, as every source sits at location 0 or is uniform."""
-    from renyi_quant import density, experiments, quantizer
+    and so fill two: 9 compander builds, 9 distortion passes, and 5 quadratures,
+    the predictor integrals of mismatch_uniform's uniforms on different
+    supports; none for the moment checks, as every source sits at location 0
+    or is uniform."""
+    from renyi_quant import experiments, quadrature, quantizer
 
-    counts = {"builds": 0, "distortion_passes": 0, "moment_quadratures": 0}
+    counts = {"builds": 0, "distortion_passes": 0, "quadratures": 0}
     depth = [0]
 
     def counting(key, fn, outermost=False):
@@ -286,12 +288,12 @@ def test_checked_in_sweeps_pay_per_group(monkeypatch, tmp_path):
                         counting("builds", experiments.build_companders))
     monkeypatch.setattr(quantizer, "_batch_distortions",
                         counting("distortion_passes", quantizer._batch_distortions, True))
-    monkeypatch.setattr(density, "integrate_over",
-                        counting("moment_quadratures", density.integrate_over))
+    monkeypatch.setattr(quadrature, "integrate",
+                        counting("quadratures", quadrature.integrate))
     for command, name in CHECKED_IN_SWEEPS:
         path = CONFIG_DIR / f"{name}.json"
         assert main([command, "--config", str(path), "--output-dir", str(tmp_path)]) == 0
-    assert counts == {"builds": 9, "distortion_passes": 9, "moment_quadratures": 0}
+    assert counts == {"builds": 9, "distortion_passes": 9, "quadratures": 5}
 
 
 def test_sanity_subcommand(tmp_path):

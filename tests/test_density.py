@@ -1,4 +1,5 @@
 import math
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -21,13 +22,13 @@ from renyi_quant.density import (
     UNIMODALITY_GRID,
     UNIMODALITY_LEVELS,
     Density,
+    UnimodalityReport,
     TiltedDensity,
     decreasing_roots,
-    integrate_over,
 )
-from renyi_quant.errors import ConfigError, DomainError, EmptyConditioningError
+from renyi_quant.errors import ConfigError, DomainError, EmptyConditioningError, RenyiQuantError
 from renyi_quant.intervals import REAL_LINE
-from renyi_quant.quadrature import _tail_sum, integrate, truncate_support
+from renyi_quant.quadrature import integrate, truncate_support
 
 ALL_FAMILIES = [
     Uniform(0.0, 1.0),
@@ -150,9 +151,7 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("d", ARRAY_FAMILIES, ids=lambda d: repr(d))
 def test_scalar_surface_is_the_array_form_at_one_entry(d):
     xs = _probe_points(d)
-    # a piecewise-linear pdf stays a float expression (test_piecewise_pdf_array_is_the_scalar_pdf)
-    methods = ("cdf", "sf") if isinstance(d, PiecewiseLinear) else ("pdf", "cdf", "sf")
-    for method in methods:
+    for method in ("pdf", "logpdf", "cdf", "sf"):
         want = getattr(d, method + "_array")(xs)
         assert _same_bits(np.array([getattr(d, method)(float(x)) for x in xs]), want), method
     for method in ("quantile", "isf"):
@@ -374,7 +373,7 @@ def test_power_integral_at_one_is_unity(d):
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: repr(d))
 def test_pdf_normalization_by_quadrature(d):
     window = truncate_support(d, 1e-12)
-    total = integrate(d.pdf, window).value
+    total = integrate(d.pdf_array, window).value
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -398,8 +397,14 @@ def test_power_integral_scaling_law(d, s):
 
 
 def _quad_power_integral(d, beta, interval=REAL_LINE):
-    """The integral of pdf**beta over the interval by adaptive quadrature."""
-    return integrate_over(lambda x: d.pdf(x) ** beta, (d,), interval)
+    """The integral of pdf**beta over the interval by adaptive quadrature,
+    split at the ends of d's mass window, tails past it."""
+    domain = d.support.intersect(interval)
+    if domain is None:
+        return 0.0
+    window = d.mass_window
+    return integrate(lambda x: d.pdf_array(x) ** beta, domain, (window.lo, window.hi),
+                     core=window).value
 
 
 def test_closed_form_power_integrals_match_quadrature():
@@ -468,7 +473,7 @@ def test_closed_absolute_moments_match_mpmath(monkeypatch, r, s):
     """At location 0, and for a uniform on any interval, E|X|^r is closed:
     within 1e-15 of 40 digits, and no quadrature runs."""
     mpmath = pytest.importorskip("mpmath")
-    monkeypatch.setattr(density, "integrate_over", None)  # a call would raise
+    monkeypatch.setattr(quadrature, "integrate", None)  # a call would raise
     sources = [Gaussian(0.0, s), Laplacian(0.0, s), Exponential(1.0 / s, 0.0)]
     sources += [Uniform(a * s, b * s) for a, b in ((0.0, 1.0), (-1.0, 2.0), (-3.0, -0.5),
                                                     (0.5, 0.5000001), (-0.7, 0.0))]
@@ -516,13 +521,13 @@ def test_a_closed_moment_past_the_largest_double_names_its_order(d, r):
 )
 def test_absolute_moment_off_location_zero_integrates(monkeypatch, d):
     calls = []
-    original = density.integrate_over
+    original = quadrature.integrate
 
     def recording(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(density, "integrate_over", recording)
+    monkeypatch.setattr(quadrature, "integrate", recording)
     assert d._absolute_moment(3.0) is None
     assert d.absolute_moment(3.0) > 0.0
     assert len(calls) == 1
@@ -534,6 +539,75 @@ def test_an_integrated_moment_survives_nodes_where_its_power_overflows():
     want = Gaussian(0.0, 1.0).absolute_moment(201.0)
     got = Gaussian(0.0, 1.0).restrict(Interval(0.0, math.inf)).absolute_moment(201.0)
     assert abs(got - want) <= 1e-12 * want and want > 1e187
+
+
+def test_logpdf_array_stays_finite_where_the_pdf_underflows():
+    d = Gaussian(0.0, 1.0)
+    assert d.pdf_array(np.array([40.0]))[0] == 0.0
+    assert d.logpdf_array(np.array([40.0]))[0] == pytest.approx(-800.9189385332047, rel=1e-15)
+    assert d.restrict(Interval(0.0, math.inf)).logpdf(40.0) == pytest.approx(
+        -800.9189385332047 + math.log(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("hi", [1e6, 1e308])
+def test_a_bounded_support_far_wider_than_its_mass_integrates_over_its_mass(hi):
+    """A half-normal on (0, hi] is the one on (0, inf) to a double: its moments
+    integrate over its mass window, tails out to hi, and its grid check runs
+    on that window."""
+    wide, half = (Gaussian(0.0, 1.0).restrict(Interval(0.0, end)) for end in (hi, math.inf))
+    assert truncate_support(wide, TAIL_MASS) == truncate_support(half, TAIL_MASS)
+    for r in (3.0, 201.0):
+        want = half.absolute_moment(r)
+        assert abs(wide.absolute_moment(r) - want) <= 1e-12 * want
+    assert abs(half.absolute_moment(3.0) - 1.5957691216057308) <= 1e-12 * 1.6
+    assert check_weak_unimodality(wide) == check_weak_unimodality(half) == UnimodalityReport(True, None)
+
+
+def test_truncate_support_keeps_a_bounded_support_near_its_window():
+    # a uniform's and a piecewise source's windows are their supports to 1e-12
+    for d in (Uniform(-1.0, 3.0), PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]),
+              Gaussian(0.0, 1.0).restrict(Interval(-1.0, 2.0))):
+        assert truncate_support(d, TAIL_MASS) == d.support == d.mass_window
+    # a bounded support narrows to its window from 16 times the window's width:
+    # the half-normal's is (1.25e-12, 7.03]
+    assert truncate_support(Gaussian(0.0, 1.0).restrict(Interval(0.0, 100.0)), TAIL_MASS).hi == 100.0
+    assert truncate_support(Gaussian(0.0, 1.0).restrict(Interval(0.0, 120.0)), TAIL_MASS).hi < 7.2
+
+
+@pytest.mark.parametrize("u", ARRAY_FAMILIES, ids=repr)
+def test_predictors_and_moments_call_no_float_pdf(monkeypatch, u):
+    """Every theory predictor over u and each array family, and u's moment of
+    order 3 (integrated off location 0), run on the array forms alone."""
+    from renyi_quant import theory
+
+    def refuse(self, x):
+        raise AssertionError(f"{type(self).__name__} float pdf called")
+
+    for cls in {Density, *(type(d) for d in ARRAY_FAMILIES)}:
+        monkeypatch.setattr(cls, "pdf", refuse)
+        monkeypatch.setattr(cls, "logpdf", refuse)
+    u.absolute_moment(3.0)
+    Gaussian(0.5, 2.0).absolute_moment(3.0)
+    iv = Interval(u.quantile(0.2), u.quantile(0.7))
+    theory.quantization_coefficient(u, 0.5, 2.0), theory.tilted_measure(u, 0.5, 2.0)
+    theory.entropy_density_limit(u, iv, 0.5, 2.0), theory.limit_distortion_measure(u, iv, 0.5, 2.0)
+    for v in ARRAY_FAMILIES:
+        for predictor in (
+            lambda: theory.compander_performance(u, v, 0.5, 2.0),
+            lambda: theory.renyi_divergence(u, v, 0.5),
+            lambda: theory.renyi_divergence(u, v, 1.0),
+            lambda: theory.check_density_ratio_bound(u, v),
+            lambda: theory.mismatch_entropy_shift(v, u, 0.5, 2.0),
+            lambda: theory.mismatch_loss(v, u, 0.5, 2.0),
+            lambda: theory.mismatch_loss_fixed_rate(v, u, 2.0),
+            lambda: theory.mismatch_loss_variable_rate(v, u, 2.0),
+        ):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # an unbounded ratio
+                    predictor()
+            except (DomainError, RenyiQuantError, OverflowError):
+                pass  # a support v does not cover, or a divergent integral
 
 
 def test_absolute_moment_requires_r_at_least_one():
@@ -560,7 +634,7 @@ def test_restrict_normalizes(d):
     iv = Interval(d.quantile(0.2), d.quantile(0.7))
     restricted = d.restrict(iv)
     window = truncate_support(restricted, 1e-12)
-    assert integrate(restricted.pdf, window).value == pytest.approx(1.0, abs=1e-9)
+    assert integrate(restricted.pdf_array, window).value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_restrict_quantile_deep_in_the_right_tail():
@@ -635,21 +709,26 @@ def test_partial_power_integral_matches_quadrature():
 
 # --- support integrals --------------------------------------------------------
 #
-# Each functional computed with its own TAIL_MASS window (finite ends clipped to
-# it) and its own tail flags: density.integrate_over must match these bit for
-# bit wherever the finite ends of the range lie inside the window, and a
-# half-line that starts past the window is its geometric tail from that start.
+# Each functional computed as one quadrature.settle over its TAIL_MASS window
+# (finite ends clipped to it) and the half-lines its tail flags extend it by:
+# quadrature.integrate must match these bit for bit wherever the finite ends of
+# the range lie inside the window, and a half-line that starts past the window
+# is its geometric tail from that start.
 
 
-def _with_tails(f, core, extend_left, extend_right):
-    """f over the core, then its right tail, then its left tail, added in the
-    order density.integrate_over adds them."""
-    value = integrate(f, core).value
-    if extend_right:
-        value += _tail_sum(f, core.hi, +1, 1e-13)
-    if extend_left:
-        value += _tail_sum(f, core.lo, -1, 1e-13)
-    return value
+def _settled(f, edges, core):
+    """f over the pieces between consecutive edges, in order, as one settle
+    at integrate's default tolerances."""
+    edges = np.array(edges)
+    totals, _, _ = quadrature.settle(lambda *_: lambda x, _: f(x), edges[:-1], edges[1:],
+                                     np.zeros(edges.size - 1, dtype=int), 1, 1e-12, 1.0, core=core)
+    return totals[0]
+
+
+def _with_tails(f, core, extend_left, extend_right, split=()):
+    """f over the core, split at split, and the half-line past each end it extends."""
+    edges = [core.lo, *split, core.hi]
+    return _settled(f, [-math.inf] * extend_left + edges + [math.inf] * extend_right, core)
 
 
 def _window_power_integral(d, beta, interval):
@@ -660,13 +739,10 @@ def _window_power_integral(d, beta, interval):
     window = core.intersect(domain)
 
     def f(x):
-        g = d.pdf(x)
-        return g**beta if g > 0.0 else 0.0
+        return d.pdf_array(x) ** beta
 
     if window is None:
-        if math.isfinite(domain.lo):
-            return _tail_sum(f, domain.lo, +1, 1e-13)
-        return _tail_sum(f, domain.hi, -1, 1e-13)
+        return _settled(f, [domain.lo, domain.hi], core)
     return _with_tails(
         f,
         window,
@@ -677,18 +753,13 @@ def _window_power_integral(d, beta, interval):
 
 def _window_absolute_moment(d, r):
     core = truncate_support(d, TAIL_MASS)
-    pieces = [core]
-    if core.lo < 0.0 < core.hi:
-        pieces = [Interval(core.lo, 0.0), Interval(0.0, core.hi)]
-    total = 0.0
-    for piece in pieces:
-        total += _with_tails(
-            lambda x: abs(x) ** r * d.pdf(x),
-            piece,
-            extend_left=piece.lo == core.lo and not math.isfinite(d.support.lo),
-            extend_right=piece.hi == core.hi and not math.isfinite(d.support.hi),
-        )
-    return total
+    return _with_tails(
+        lambda x: np.abs(x) ** r * d.pdf_array(x),
+        core,
+        extend_left=not math.isfinite(d.support.lo),
+        extend_right=not math.isfinite(d.support.hi),
+        split=(0.0,) if core.lo < 0.0 < core.hi else (),
+    )
 
 
 _PIECEWISE = PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)])
@@ -832,7 +903,9 @@ NORMALIZED = [
 @pytest.mark.parametrize("d", NORMALIZED, ids=repr)
 def test_every_library_density_integrates_to_one(d):
     # no density checks this when it is built: every normalizer is closed
-    assert abs(integrate_over(d.pdf, (d,), cuts=d.kinks) - 1.0) <= 1e-12
+    window = d.mass_window
+    total = integrate(d.pdf_array, d.support, (*d.kinks, window.lo, window.hi), core=window)
+    assert abs(total.value - 1.0) <= 1e-12
 
 
 class _SlowTails(Density):
@@ -897,8 +970,7 @@ def test_every_spec_family_is_closed(monkeypatch, spec):
 
         return recorded
 
-    for module, name in ((density, "decreasing_roots"), (density, "integrate_over"),
-                         (quadrature, "integrate")):
+    for module, name in ((density, "decreasing_roots"), (quadrature, "integrate")):
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
     d = density_from_spec(spec)
     q = d.quantile
@@ -911,7 +983,7 @@ def test_every_spec_family_is_closed(monkeypatch, spec):
     assert calls == []
     # the wrappers do see the quadrature where it still runs: a moment off location 0
     Gaussian(0.5, 2.0).absolute_moment(2.0)
-    assert set(calls) == {"integrate_over", "integrate"}
+    assert calls == ["integrate"]
 
 
 # --- weak unimodality ---------------------------------------------------------------

@@ -28,7 +28,7 @@ from renyi_quant import (
 )
 from renyi_quant import compander, quadrature
 from renyi_quant.intervals import REAL_LINE
-from renyi_quant.density import TAIL_MASS, Density, integrate_over
+from renyi_quant.density import TAIL_MASS, Density
 from renyi_quant.errors import (
     DomainError,
     EmptyConditioningError,
@@ -816,23 +816,30 @@ def _integrate_piece(d, r, c, lo, hi):
     else:
         gap, start, sign = c - hi, hi, -1.0
     return quadrature.integrate(
-        lambda t: (gap + t) ** r * d.pdf(start + sign * t), Interval(0.0, hi - lo), abs_tol=1e-16
+        lambda t: (gap + t) ** r * d.pdf_array(start + sign * t), Interval(0.0, hi - lo),
+        abs_tol=1e-16,
     )
 
 
 def _adaptive_piece(d, r, c, lo, hi):
-    """The adaptive rule over one piece, cut at c and at the pdf's kinks, an
-    unbounded end out to the tail."""
-    return integrate_over(
-        lambda x: abs(x - c) ** r * d.pdf(x), (d,), Interval(lo, hi), cuts=(c, *d.kinks),
-        abs_tol=1e-16, tail_tol=1e-30,
-    )
+    """The adaptive rule over one piece within the support, cut at c, at the
+    pdf's kinks and at the ends of its mass window, an unbounded end out to
+    the tail."""
+    piece = Interval(lo, hi).intersect(d.support)
+    if piece is None:
+        return 0.0
+    window = d.mass_window
+    return quadrature.integrate(
+        lambda x: np.abs(x - c) ** r * d.pdf_array(x), piece,
+        (c, *d.kinks, window.lo, window.hi), abs_tol=1e-16, core=window,
+    ).value
 
 
 def _oracle_cell_distortions(q, d, r, region):
     """The per-cell adaptive loop, one call per piece between the codepoint and
-    the pdf's kinks: quadrature.integrate over a finite piece, integrate_over
-    out to the tail for an unbounded one.
+    the pdf's kinks: quadrature.integrate over a finite piece, in the offset
+    from its end nearer c, and over the support out to the tail for an
+    unbounded one.
 
     An unbounded cell part that the support clips to a finite one takes the
     cell layer's own value. On the tilted piecewise-linear source, whose pdf
@@ -1015,7 +1022,7 @@ def test_cell_distortions_cut_at_kinks_and_run_the_tails_as_windows(
     calls = _record_panels(monkeypatch)
     got = cell_distortions(q, d, r)
     first = list(zip(calls[0][0].tolist(), calls[0][1].tolist()))
-    windows = quantizer._TAIL_WINDOWS
+    windows = quadrature.TAIL_WINDOWS
     assert len(first) == len(pieces) + 2 * windows
     assert sorted(first[:len(pieces)]) == pieces
     np.testing.assert_allclose(first[len(pieces):][:3], left, rtol=1e-15, atol=0.0)
@@ -1083,7 +1090,7 @@ def test_cell_distortions_raise_where_halving_does_not_settle(monkeypatch):
     calls = _record_panels(monkeypatch)
     cell_distortions(q, d, 2.0)
     assert len(calls) > 2
-    monkeypatch.setattr(quantizer, "_MAX_HALVINGS", 1)
+    monkeypatch.setattr(quadrature, "MAX_HALVINGS", 1)
     with pytest.raises(NonConvergenceError, match="within 1 halvings"):
         cell_distortions(q, d, 2.0)
 
@@ -1493,3 +1500,22 @@ def test_fsum_array_levels_add_up_exactly(monkeypatch, m):
         levels = _levels(monkeypatch, x)
         assert len(levels) >= 2
         assert sum(map(Fraction, levels)) == sum(map(Fraction, x.tolist()))
+
+
+@pytest.mark.parametrize("hi", [1e6, 1e308])
+@pytest.mark.parametrize("r", [2.0, 3.0])
+def test_a_support_far_wider_than_its_mass_keeps_its_tail_cell(r, hi):
+    """On a half-normal cut at hi, past its mass window, the last cell runs as
+    the tail of the one on (0, inf), its windows clipped at hi: the n = 64
+    compander's distortion is that source's to 1e-12, not short of its last
+    cell, whose panel placed by the support would miss the mass."""
+    wide, half = (Gaussian(0.0, 1.0).restrict(Interval(0.0, end)) for end in (hi, math.inf))
+    q = build_compander(optimal_point_density(half, 0.5, 2.0), 64)
+    assert q == build_compander(optimal_point_density(wide, 0.5, 2.0), 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = cell_distortions(q, wide, r), cell_distortions(q, half, r)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert abs(distortion(q, wide, r) - distortion(q, half, r)) <= 1e-12 * distortion(q, half, r)
+    if r == 2.0:
+        assert distortion(q, half, r) == pytest.approx(2.0631251410216313e-4, rel=1e-12)

@@ -182,14 +182,23 @@ def test_mismatch_distortion_limit_divergence_propagates():
 
 
 def _count_joint_integrals(monkeypatch):
-    """The densities count of each theory._joint_integral call, as they happen."""
-    calls = []
-    original = theory._joint_integral
+    """The densities count of each theory._joint_integral call, as they happen;
+    each must run quadrature.integrate exactly once."""
+    calls, integrals = [], []
+    original, original_integrate = theory._joint_integral, quadrature.integrate
+
+    def integrating(*args, **kwargs):
+        integrals.append(args[1])
+        return original_integrate(*args, **kwargs)
 
     def counting(fn, densities):
         calls.append(len(densities))
-        return original(fn, densities)
+        before = len(integrals)
+        value = original(fn, densities)
+        assert len(integrals) == before + 1
+        return value
 
+    monkeypatch.setattr(quadrature, "integrate", integrating)
     monkeypatch.setattr(theory, "_joint_integral", counting)
     return calls
 
