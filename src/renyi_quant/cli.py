@@ -155,6 +155,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:  # no random case would run, and the check would pass vacuously
+        raise RenyiQuantError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     failures = 0
 

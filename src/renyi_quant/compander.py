@@ -7,8 +7,9 @@ the cell constant 1/(2^r (1+r)) exactly at every n. Where h is symmetric
 about its center c, only the quantiles below 1/2 are evaluated: c is the
 middle one and the rest are their mirrors 2c - x. `build_companders` builds a
 group of rate points from one `quantile_array` call, each quantizer bit-equal
-to its own `build_compander`, checks the group once and decides once whether
-each compander mirrors. Every library density has a closed-form
+to its own `build_compander`, and checks the group once; the one TwoSum that
+finds which companders' mirrors are exact gives each its `Quantizer.center`.
+Every library density has a closed-form
 quantile, so no build calls the root solver. `refine_codepoints`
 can then move each codepoint to its cell's minimizer of the rth-power error,
 the root of the error's derivative, for all cells in one `decreasing_roots`
@@ -23,7 +24,7 @@ import numpy as np
 
 from .density import Density, decreasing_roots
 from .errors import DegenerateCellError, DomainError
-from .quantizer import Quantizer, _batch_distortions, _exact_reflections, cell_probabilities
+from .quantizer import Quantizer, _UNDECIDED, _batch_distortions, _exact_reflections, cell_probabilities
 
 
 def optimal_point_density(d: Density, alpha: float, r: float) -> Density:
@@ -52,7 +53,9 @@ def build_companders(h: Density, ns: Sequence[int]) -> list[Quantizer]:
     through `Quantizer`, which raises with its own message. Where h has a
     center c, one TwoSum over the group's leading quantiles finds where
     2c - x is exact, so whether each compander mirrors about c (all of its
-    differences exact), and seeds the verdict `quantizer._evaluated` keeps.
+    differences exact): its center is c then, and None otherwise, as c is the
+    middle value of its breakpoints or codepoints. Where h has none, each
+    compander decides its own center when a pass asks for it.
     """
     if min(ns) < 2:
         raise DomainError(f"compander needs n >= 2 cells, got {min(ns)}")
@@ -63,12 +66,13 @@ def build_companders(h: Density, ns: Sequence[int]) -> list[Quantizer]:
     quantiles = h.quantile_array(np.concatenate(probs))
     starts = np.cumsum([0] + [p.size for p in probs])
     if c is None:
-        joined, offsets = quantiles, starts
+        joined, offsets, centers = quantiles, starts, [_UNDECIDED] * len(ns)
     else:
         # the verdicts first, so the TwoSum's temporaries are gone before joined
         # is built; a quantile that is not finite fails the group check below
         with np.errstate(invalid="ignore"):
             mirrored = np.logical_and.reduceat(_exact_reflections(quantiles, c), starts[:-1])
+        centers = [c if exact else None for exact in mirrored]
         mirrors = 2.0 * c - quantiles
         joined = np.concatenate([part for i, j in zip(starts, starts[1:])
                                  for part in (quantiles[i:j], [c], mirrors[i:j][::-1])])
@@ -77,13 +81,10 @@ def build_companders(h: Density, ns: Sequence[int]) -> list[Quantizer]:
     increasing[offsets[1:-1] - 1] = True  # one compander's last and the next one's first
     checked = bool(increasing.all() and np.isfinite(joined).all())
     qs = []
-    for i, j in zip(offsets, offsets[1:]):
+    for i, j, center in zip(offsets, offsets[1:], centers):
         x = joined[i:j]
-        qs.append(Quantizer._from_checked(x[1::2], x[0::2]) if checked
+        qs.append(Quantizer._from_checked(x[1::2], x[0::2], center) if checked
                   else Quantizer(x[1::2], x[0::2]))
-    if c is not None:
-        for q, n, exact in zip(qs, ns, mirrored):
-            q._mirror = (c, (n + 1) // 2 if exact else n)
     return qs
 
 

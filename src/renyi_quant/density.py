@@ -311,6 +311,14 @@ class Density:
         for the families that are; None for every other."""
         return None
 
+    def vanishing_order(self, x: float) -> float:
+        """The gamma >= 0 with pdf(t) of order |t - x|^gamma as t -> x, on a side
+        where the pdf is not identically 0: 0 where it is positive, inf where
+        it is 0 on both sides, as off the closed support. Only a piecewise-linear
+        source has a finite gamma > 0, its power p at a zero knot, and every
+        such x is a kink or a support end."""
+        return 0.0 if self.support.lo <= x <= self.support.hi else math.inf
+
     @cached_property
     def quartile_scale(self) -> tuple[float, float]:
         """The interquartile range and the power of 2 at or below it, the scale
@@ -747,6 +755,17 @@ class PiecewiseLinear(Density):
     def kinks(self) -> tuple[float, ...]:
         return tuple(self._xs[1:-1].tolist())
 
+    def vanishing_order(self, x: float) -> float:
+        xs, ys = self._xs, self._ys
+        if not xs[0] <= x <= xs[-1]:
+            return math.inf
+        i = int(np.searchsorted(xs, x))  # xs[i - 1] < x <= xs[i]
+        if xs[i] != x:  # inside a segment: positive unless both its knots are 0
+            return 0.0 if max(ys[i - 1], ys[i]) > 0.0 else math.inf
+        if ys[i] > 0.0:
+            return 0.0
+        return self._p if ys[max(i - 1, 0):i + 2].max() > 0.0 else math.inf
+
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         inside = (self._xs[0] < x) & (x <= self._xs[-1])
@@ -839,6 +858,15 @@ class RestrictedDensity(Density):
     @property
     def kinks(self) -> tuple[float, ...]:
         return tuple(k for k in self.base.kinks if self._window.lo < k < self._window.hi)
+
+    def vanishing_order(self, x: float) -> float:
+        # the base's, inside the window and at its ends, unless the base is 0
+        # on both sides of the next double inside: then the pdf is 0 around x
+        lo, hi = self._window.lo, self._window.hi
+        inner = np.nextafter(x, hi) if x == lo else np.nextafter(x, lo) if x == hi else x
+        if not lo <= x <= hi or self.base.vanishing_order(inner) == math.inf:
+            return math.inf
+        return self.base.vanishing_order(x)
 
     def pdf_array(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -308,28 +308,23 @@ def _group_sweep(cfg: ExperimentConfig, design: Density, interval: Interval | No
     h = optimal_point_density(design, cfg.alpha, cfg.r)
     evaluate = design if evaluate is None else evaluate
     regions = () if interval is None else ((interval,), interval.complement())
-    mirrored = not cfg.refine_codepoints and h.center is not None and h.center == evaluate.center
-    for group in _groups(cfg.n_grid, mirrored):
+    for group in _groups(cfg.n_grid):
         qs = build_companders(h, group)
         if cfg.refine_codepoints:
             qs = [refine_codepoints(q, design, cfg.r) for q in qs]
         yield group, qs, cell_tables(qs, evaluate, cfg.r, regions)
 
 
-def _groups(n_grid: Sequence[int], mirrored: bool) -> list[list[int]]:
-    """The grid in runs of consecutive n whose evaluated cells stay within
-    quantizer._BLOCK: ceil(n / 2) each where the companders should mirror (the
-    point density and the evaluating one share a center, with no refinement),
-    else n. A miss only makes a batch the cell passes split into blocks."""
+def _groups(n_grid: Sequence[int]) -> list[list[int]]:
+    """The grid in runs of consecutive n of at most 2 quantizer._BLOCK cells:
+    about _BLOCK evaluated cells where the companders mirror under the
+    evaluating source, else as many as the cell passes split into blocks."""
     groups: list[list[int]] = []
     for n in n_grid:
-        k = (n + 1) // 2 if mirrored else n
-        if groups and cells + k <= quantizer._BLOCK:
+        if groups and sum(groups[-1]) + n <= 2 * quantizer._BLOCK:
             groups[-1].append(n)
-            cells += k
         else:
             groups.append([n])
-            cells = k
     return groups
 
 

@@ -14,12 +14,12 @@ as doubling windows, and every piece whose panel does not settle halved, all
 in one batch, until it does. A piece settles at the adaptive rule's relative
 tolerance or at an absolute floor on the source's own scale.
 
-Where the source is symmetric about its center c (`Density.center`) and the
-quantizer's breakpoints and codepoints mirror about c exactly, as a compander
-for that source does, cell m - 1 - k is the mirror image of cell k: the mass
-and distortion passes evaluate the leading ceil(m / 2) cells and fill in the
-rest by reversal. Any other quantizer, a refined one among them, and every
-asymmetric source take all m cells.
+A quantizer whose breakpoints and codepoints mirror exactly about a point c
+(`Quantizer.center`), as a compander for a source symmetric about c does, has
+cell m - 1 - k the mirror image of cell k. Under a source symmetric about the
+same c (`Density.center`) the mass and distortion passes evaluate the leading
+ceil(m / 2) cells and fill in the rest by reversal (`_evaluated`); any other
+pair takes all m cells.
 
 A rate point's `CellTable` holds one mass pass, its distortions and the
 columns inside each region, which evaluate again only the cell parts a region
@@ -57,17 +57,15 @@ _PIECE_ABS_TOL = 1e-16   # absolute tolerance of a cell distortion integral, in 
 _BLOCK = 4096
 _SQUARE_BELOW = 2.0**511  # |x - c| under which the r = 2 integrand squares by a product
 _FSUM_MIN_SIZE = 512  # below this many values math.fsum itself is faster than fsum_array
+_UNDECIDED = object()  # a Quantizer's center before it is decided
 
 
 class Quantizer:
     """Cells (-inf, b1], ..., (b_{m-1}, +inf), a codepoint inside each. The state
-    is the edges and codepoints as read-only arrays, copied at construction;
-    the tuple fields, ==, hash and repr are built from them."""
+    is the edges and codepoints as read-only arrays, copied at construction,
+    and their `center`; the tuple fields, ==, hash and repr are built from them."""
 
-    # _mirror memoizes _evaluated's verdict as (center, count), seeded by
-    # build_companders; __reduce__ goes through __init__, so a copy or an
-    # unpickled quantizer starts without it
-    __slots__ = ("_edges", "_codepoint_array", "_mirror")
+    __slots__ = ("_edges", "_codepoint_array", "_center")
 
     def __init__(self, breakpoints: Sequence[float], codepoints: Sequence[float]):
         bps = np.asarray(breakpoints, dtype=float)
@@ -78,10 +76,7 @@ class Quantizer:
             raise DomainError(
                 f"need m >= 2 codepoints and m-1 breakpoints, got {cps.size} and {bps.size}"
             )
-        if np.any(bps[:-1] >= bps[1:]):
-            raise DomainError("breakpoints must be strictly increasing")
-        if np.any(cps[:-1] >= cps[1:]):
-            raise DomainError("codepoints must be strictly increasing")
+        # each codepoint strictly inside its cell: both arrays strictly increasing, all finite
         edges = np.concatenate(([-math.inf], bps, [math.inf]))
         outside = np.flatnonzero(~((edges[:-1] < cps) & (cps < edges[1:])))
         if outside.size:
@@ -90,21 +85,35 @@ class Quantizer:
                 f"codepoint {float(cps[k])} is not interior to cell "
                 f"({float(edges[k])}, {float(edges[k + 1])}]"
             )
-        self._store(edges, cps)
+        self._store(edges, cps, _UNDECIDED)
 
     @classmethod
-    def _from_checked(cls, breakpoints: np.ndarray, codepoints: np.ndarray) -> "Quantizer":
+    def _from_checked(cls, breakpoints: np.ndarray, codepoints: np.ndarray,
+                      center: object = _UNDECIDED) -> "Quantizer":
         """The quantizer of 1-d float arrays that pass __init__'s checks, which
         its caller has made: codepoints interleaving strictly increasing with
-        breakpoints, all finite. They are copied as __init__ copies them."""
+        breakpoints, all finite. They are copied as __init__ copies them, and
+        `center` is the caller's verdict on them where it passes one."""
         q = cls.__new__(cls)
-        q._store(np.concatenate(([-math.inf], breakpoints, [math.inf])), codepoints.copy())
+        q._store(np.concatenate(([-math.inf], breakpoints, [math.inf])), codepoints.copy(), center)
         return q
 
-    def _store(self, edges: np.ndarray, cps: np.ndarray) -> None:
+    def _store(self, edges: np.ndarray, cps: np.ndarray, center: object) -> None:
         edges.flags.writeable = cps.flags.writeable = False
-        self._edges, self._codepoint_array = edges, cps
-        self._mirror: tuple[float, int] | None = None
+        self._edges, self._codepoint_array, self._center = edges, cps, center
+
+    @property
+    def center(self) -> float | None:
+        """The c about which the breakpoints and codepoints mirror exactly, each
+        trailing value 2c less its leading mirror, no difference rounded; None
+        where there is none. Only the midpoint of the outer codepoints can be
+        c: every value lies between them, so no 2c - x overflows. Decided once."""
+        if self._center is _UNDECIDED:
+            cps = self._codepoint_array
+            c = 0.5 * (float(cps[0]) + float(cps[-1]))
+            mirrors = math.isfinite(c) and _mirrors(self._edges[1:-1], c) and _mirrors(cps, c)
+            self._center = c if mirrors else None
+        return self._center
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -240,24 +249,11 @@ def _mirrors(x: np.ndarray, c: float) -> bool:
 
 
 def _evaluated(q: Quantizer, d: Density) -> int:
-    """How many leading cells a pass over q evaluates under d. Where d is
-    symmetric about its center c and q's breakpoints and codepoints mirror
-    about c exactly, cell m - 1 - k is cell k's mirror image, with its mass and
-    distortion: ceil(m / 2) then, all m cells otherwise. The verdict is kept
-    per quantizer and center: `build_companders` seeds it for its companders,
-    and any other quantizer (refined, hand-built, copied or unpickled) takes
-    `_mirrors` on its first pass. A strictly increasing quantizer mirrors about
-    one center at most, so one known to mirror about another takes all m
-    cells without a call."""
+    """How many leading cells a pass over q evaluates under d: ceil(m / 2) where
+    d is symmetric about q's center, as cell m - 1 - k is then cell k's mirror
+    image, with its mass and distortion; all m cells otherwise."""
     c = d.center
-    if c is None:
-        return q.size
-    if q._mirror is None or q._mirror[0] != c:  # -0.0 and 0.0 give one verdict
-        if q._mirror is not None and q._mirror[1] < q.size:
-            return q.size
-        mirrors = _mirrors(q._edges[1:-1], c) and _mirrors(q._codepoint_array, c)
-        q._mirror = (c, (q.size + 1) // 2 if mirrors else q.size)
-    return q._mirror[1]
+    return (q.size + 1) // 2 if c is not None and c == q.center else q.size
 
 
 def _mirrored(values: np.ndarray, size: int) -> np.ndarray:
@@ -363,13 +359,9 @@ def _batch_distortions(
 
 
 def cell_distortions(q: Quantizer, d: Density, r: float) -> np.ndarray:
-    """Per-cell distortion contributions, each over the whole cell: the cells
-    `_evaluated` names, the rest their mirrors."""
-    if r < 1.0:
-        raise DomainError(f"distortion requires r >= 1, got {r}")
-    k = _evaluated(q, d)
-    values = _batch_distortions(d, r, q._edges[:k], q._edges[1:k + 1], q._codepoint_array[:k])
-    return _mirrored(values, q.size)
+    """Per-cell distortion contributions, each over the whole cell: the
+    distortion column of `cell_table`."""
+    return cell_table(q, d, r).distortions
 
 
 def distortion(q: Quantizer, d: Density, r: float) -> float:

@@ -119,7 +119,10 @@ def _power_product(
 
     Closed when v = u.tilt(gamma) and a + gamma b > 0: then u^a v^b is
     u^(a + gamma b) / P_u(gamma)^b. Otherwise, or when a power integral leaves
-    the float range, `_product` by quadrature.
+    the float range, `_product` by quadrature, once no zero of a pdf makes it
+    diverge: at a kink or support end e where u and v vanish like |x - e| to
+    the powers g_u and g_v (`Density.vanishing_order`), u^a v^b is of order
+    |x - e|^(a g_u + b g_v), which diverges iff that power is at most -1.
     """
     gamma = u.tilt_exponent(v)
     if gamma is not None and a + gamma * b > 0.0:
@@ -127,6 +130,12 @@ def _power_product(
             return u.power_integral(a + gamma * b) / u.power_integral(gamma) ** b
         except (OverflowError, ZeroDivisionError):
             pass
+    for e in sorted({*u.kinks, *v.kinks, u.support.lo, u.support.hi, v.support.lo, v.support.hi}):
+        # a NaN passes: a pdf 0 around e to the power 0, or a u that is 0 around e
+        if a * u.vanishing_order(e) + b * v.vanishing_order(e) <= -1.0:
+            raise InfiniteIntegralError(
+                f"{u!r}^{a:g} {v!r}^{b:g} is of order |x - e|^-1 or below at e = {e:.6g}"
+            )
     return _joint_integral(_product(u, a, v, b), densities)
 
 

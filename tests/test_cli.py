@@ -262,9 +262,8 @@ CHECKED_IN_SWEEPS = [
 
 
 def test_checked_in_sweeps_pay_per_group(monkeypatch, tmp_path):
-    """The 8 checked-in sweeps run in 9 groups of rate points, each sweep one
-    but mismatch_uniform, whose cells do not mirror under the mismatched source
-    and so fill two: 9 compander builds, 9 distortion passes, and 5 quadratures,
+    """The 8 checked-in sweeps run in one group of rate points each, mirrored or
+    not: 8 compander builds, 8 distortion passes, and 5 quadratures,
     the predictor integrals of mismatch_uniform's uniforms on different
     supports; none for the moment checks, as every source sits at location 0
     or is uniform."""
@@ -293,7 +292,7 @@ def test_checked_in_sweeps_pay_per_group(monkeypatch, tmp_path):
     for command, name in CHECKED_IN_SWEEPS:
         path = CONFIG_DIR / f"{name}.json"
         assert main([command, "--config", str(path), "--output-dir", str(tmp_path)]) == 0
-    assert counts == {"builds": 9, "distortion_passes": 9, "quadratures": 5}
+    assert counts == {"builds": 8, "distortion_passes": 8, "quadratures": 5}
 
 
 def test_sanity_subcommand(tmp_path):
@@ -320,6 +319,14 @@ def test_lemma_check_passes(capsys):
     assert code == 0
     assert "split-bound-strict-minimizer: PASS" in out
     assert "point-density-minimizer: PASS" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_lemma_check_refuses_fewer_than_one_trial(capsys, trials):
+    """A count below 1 would run no random case and pass vacuously."""
+    assert main(["lemma-check", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials" in captured.err
 
 
 def test_checked_in_predict_config(capsys):

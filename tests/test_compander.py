@@ -174,32 +174,32 @@ TRIANGLE = PiecewiseLinear([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
         (Laplacian(-0.5, 0.8), "all"),
         (Uniform(0.0, 1.0), "some"),  # center 0.5: at odd n, 1 - x rounds
         (Gaussian(0.3, 1.7), "none"),  # 2c - x rounds
-        (TRIANGLE, "none"),  # no center: nothing seeded
+        (TRIANGLE, "none"),  # no center: left for the quantizer to decide
     ],
     ids=repr,
 )
 def test_the_seeded_mirror_verdict_is_the_quantizers_own(monkeypatch, h, mirrored):
-    """build_companders decides every compander's mirror from one TwoSum over
-    the group's leading quantiles: the verdict it seeds is what `_mirrors`
-    finds on the compander's own arrays, and a pass under h makes no call."""
-    qs = compander.build_companders(h, GROUP_NS)
-    c = h.center
-    verdicts = []
-    for n, q in zip(GROUP_NS, qs, strict=True):
-        if c is None:
-            assert q._mirror is None
-            continue
-        own = quantizer._mirrors(q._edges[1:-1], c) and quantizer._mirrors(q._codepoint_array, c)
-        assert q._mirror == (c, (n + 1) // 2 if own else n)
-        verdicts.append(own)
-    assert {"all": all(verdicts) and verdicts, "some": any(verdicts) and not all(verdicts),
-            "none": not any(verdicts)}[mirrored]
+    """build_companders decides every compander's center from one TwoSum over
+    the group's leading quantiles, and a pass under h makes no `_mirrors`
+    call: the center is the one a copy decides from its own arrays, and the
+    pass evaluates ceil(n / 2) cells where it is h's, n otherwise."""
     calls = []
-    monkeypatch.setattr(quantizer, "_mirrors", lambda x, c: calls.append(c))
+    original = quantizer._mirrors
+    monkeypatch.setattr(quantizer, "_mirrors", lambda x, c: calls.append(c) or original(x, c))
+    qs = compander.build_companders(h, GROUP_NS)
     evaluated = [quantizer._evaluated(q, h) for q in qs]
     quantizer.group_probabilities(qs, h)
     assert calls == []
-    assert evaluated == [n if c is None else q._mirror[1] for n, q in zip(GROUP_NS, qs)]
+    c = h.center
+    if c is None:
+        assert all(q._center is quantizer._UNDECIDED for q in qs)
+    centers = [q.center for q in qs]
+    assert centers == [copy.copy(q).center for q in qs]
+    assert set(centers) <= {c, None}
+    verdicts = [center is not None for center in centers]
+    assert {"all": all(verdicts), "some": any(verdicts) and not all(verdicts),
+            "none": not any(verdicts)}[mirrored]
+    assert evaluated == [(n + 1) // 2 if own else n for n, own in zip(GROUP_NS, verdicts)]
 
 
 def _spoiled(h, index, value):

@@ -396,9 +396,10 @@ def test_one_build_and_cell_pass_each_per_group(monkeypatch, runner, mass_passes
     loads = _count_calls(monkeypatch, experiments, ("density_from_spec", "optimal_point_density"))
     report = runner(ExperimentConfig(**EVERY_RUN))
     assert len(report.rows) == len(SMALL_GRID)
-    # evaluated cells 2 + 4 + 8 and 16 where the companders mirror under the
-    # evaluating source; the mismatched source is centered elsewhere: 4 + 8, 16, 32
-    groups = 3 if runner is run_mismatch else 2
+    # 4 + 8 + 16 cells and 32, at most 2 _BLOCK each, whether or not the
+    # companders mirror under the evaluating source (the mismatched one is
+    # centered elsewhere)
+    groups = 2
     assert builds == {"build_companders": groups}
     assert masses[0] == mass_passes * groups
     assert distortions[0] == groups
@@ -462,23 +463,22 @@ def test_interval_runners_compute_only_what_they_report(monkeypatch, runner, per
 
 
 @pytest.mark.parametrize(
-    "runner, changes, want",
+    "runner, changes",
     [
         # evaluated cells 2, 4, 8, 16: the companders mirror under N(0, 1)
-        (run_entropy_density, {}, [[4, 8, 16], [32]]),
-        # the mirrors round about 0.3, so each group evaluates all 28 cells, past
-        # the block: a wrong prediction makes a larger batch, not other values
-        (run_entropy_density, {"source": {"family": "gaussian", "mean": 0.3, "sigma": 1.7}},
-         [[4, 8, 16], [32]]),
+        (run_entropy_density, {}),
+        # the mirrors round about 0.3, so each group evaluates all 28 cells,
+        # which the cell passes split into blocks
+        (run_entropy_density, {"source": {"family": "gaussian", "mean": 0.3, "sigma": 1.7}}),
         # refined codepoints do not mirror, nor do cells under another center
-        (run_entropy_density, {"refine_codepoints": True}, [[4, 8], [16], [32]]),
-        (run_mismatch, {}, [[4, 8], [16], [32]]),
+        (run_entropy_density, {"refine_codepoints": True}),
+        (run_mismatch, {}),
     ],
     ids=["mirrored", "mirror_rounds", "refined", "mismatch"],
 )
-def test_sweep_groups_rate_points_while_their_evaluated_cells_fit_one_block(
-    monkeypatch, runner, changes, want
-):
+def test_sweep_groups_rate_points_while_their_cells_fit_two_blocks(monkeypatch, runner, changes):
+    """A group holds consecutive n of at most 2 _BLOCK cells, mirrored or not,
+    and its rows are those of one group for the whole grid."""
     cfg = ExperimentConfig(**{**EVERY_RUN, **changes})
     rows = runner(cfg).rows
     groups = []
@@ -491,9 +491,9 @@ def test_sweep_groups_rate_points_while_their_evaluated_cells_fit_one_block(
     monkeypatch.setattr(experiments, "cell_tables", recording)
     monkeypatch.setattr(quantizer, "_BLOCK", 16)
     assert runner(cfg).rows == rows
-    assert groups == want
-    assert experiments._groups((2, 3, 20, 5, 6, 5), False) == [[2, 3], [20], [5, 6, 5]]
-    assert experiments._groups((2, 3, 20, 5, 6, 5), True) == [[2, 3, 20, 5], [6, 5]]
+    assert groups == [[4, 8, 16], [32]]
+    assert experiments._groups((2, 3, 20, 5, 6, 5)) == [[2, 3, 20, 5], [6, 5]]
+    assert experiments._groups((40, 2, 31, 1)) == [[40], [2], [31, 1]]
 
 
 # --- shared setup ---------------------------------------------------------------------------

@@ -1418,34 +1418,51 @@ def test_huge_scales_keep_the_masked_power(monkeypatch, d):
 
 
 def test_the_mirror_is_decided_once_per_quantizer_and_center(monkeypatch):
-    """A compander carries its builder's verdict and makes no _mirrors call. A
-    quantizer built by hand, copied or unpickled decides once per center, and
-    one known to mirror about a center takes all its cells under any other
-    without a call: it mirrors about one center at most."""
+    """A compander carries its builder's center and makes no _mirrors call. A
+    quantizer built by hand, copied or unpickled decides its center once, from
+    its own arrays, under any number of source centers; only a source
+    symmetric about that center halves a pass."""
     q = build_compander(optimal_point_density(Gaussian(0.0, 1.0), 0.5, 2.0), 64)
     calls = []
     original = quantizer._mirrors
     monkeypatch.setattr(quantizer, "_mirrors", lambda x, c: calls.append(c) or original(x, c))
     fresh = Quantizer(q._edges[1:-1], q._codepoint_array)
-    assert q._mirror == (0.0, 32) and fresh._mirror is None
+    assert fresh._center is quantizer._UNDECIDED and calls == []
     for quant, decided in ((q, []), (fresh, [0.0, 0.0])):
         cell_table(quant, Gaussian(0.0, 1.0), 2.0)
         cell_probabilities(quant, Laplacian(0.0, 2.0))  # the same center
         assert calls == decided  # the breakpoints and the codepoints, once
         assert quantizer._evaluated(quant, Laplacian(0.5, 1.0)) == 64  # mirrors about 0 only
-        assert quantizer._evaluated(quant, Exponential(1.0)) == 64  # no center, no memo
-        assert quantizer._evaluated(quant, Gaussian(-0.0, 3.0)) == 32
-        assert calls == decided and quant._mirror == (0.0, 32)
+        assert quantizer._evaluated(quant, Exponential(1.0)) == 64  # no center
+        assert quantizer._evaluated(quant, Gaussian(-0.0, 3.0)) == 32  # -0.0 == 0.0
+        assert calls == decided and quant.center == 0.0
         calls.clear()
     lopsided = Quantizer((0.0, 1.0, 3.0), (-1.0, 0.5, 2.0, 4.0))  # mirrors about no center
-    assert quantizer._evaluated(lopsided, Laplacian(0.5, 1.0)) == 4
-    assert quantizer._evaluated(lopsided, Gaussian(0.0, 1.0)) == 4  # another center decides again
-    assert quantizer._evaluated(lopsided, Laplacian(0.0, 2.0)) == 4
-    assert calls == [0.5, 0.0] and lopsided._mirror == (0.0, 4)  # the breakpoints decide
+    assert calls == []
+    for d in (Laplacian(0.5, 1.0), Gaussian(0.0, 1.0), Laplacian(1.5, 2.0), Exponential(1.0)):
+        assert quantizer._evaluated(lopsided, d) == 4
+    assert calls == [1.5] and lopsided.center is None  # the midpoint, refused by the breakpoints
     assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
     for again in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
-        assert again == q and again._mirror is None
+        assert again == q and again._center is quantizer._UNDECIDED
     assert pickle.dumps(q) == pickle.dumps(fresh)
+
+
+@pytest.mark.parametrize("cps", [(-1.7e308, -1.0, 1.0, 1.7e308), (-1.7e308, 0.0, 1e308),
+                                 (1e308, 1.5e308, 1.7e308), (-1.7e308, -1.6e308, -1e308)])
+def test_a_quantizer_at_the_float_range_decides_without_overflow(cps):
+    """Outer codepoints near +-1.7e308 decide with no RuntimeWarning, which the
+    suite raises: the midpoint sum overflows only where no center can be, and
+    every 2c - x lies between the outer codepoints."""
+    bps = [np.nextafter(a, math.inf) for a in cps[:-1]]
+    q = Quantizer(bps, cps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        center = q.center
+    mirrored = Quantizer([-b for b in bps[::-1]], [-a for a in cps[::-1]])
+    assert center is None and mirrored.center is None
+    symmetric = Quantizer((-1e308, 0.0, 1e308), (-1.7e308, -1.0, 1.0, 1.7e308))
+    assert symmetric.center == 0.0
 
 
 def _companders(d, ns):
@@ -1457,16 +1474,16 @@ def _companders(d, ns):
 @pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Laplacian(-0.5, 0.8), Gaussian(0.3, 1.7)],
                          ids=repr)
 def test_a_copied_or_unpickled_compander_gives_the_same_cell_table(d, r):
-    """A copy decides its mirror itself, from its own arrays, and agrees with
-    the verdict its original was built with: its table is the same bits."""
+    """A copy decides its center itself, from its own arrays, and agrees with
+    the center its original was built with: its table is the same bits."""
     interval = Interval(d.quantile(0.3), d.quantile(0.8))
     regions = ((interval,), interval.complement())
     for q in _companders(d, (16, 37, 64)):
         want = cell_table(q, d, r, regions)
         for again in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q), copy.copy(q)):
-            assert again._mirror is None
+            assert again._center is quantizer._UNDECIDED
             got = cell_table(again, d, r, regions)
-            assert again._mirror == q._mirror
+            assert again.center == q.center
             for a, b in ((got.masses, want.masses), (got.distortions, want.distortions)):
                 assert np.array_equal(_bits(a), _bits(b))
             for a, b in zip(got.regions, want.regions, strict=True):

@@ -606,6 +606,53 @@ def test_divergent_tilt_pair_divergence_is_infinite():
     assert renyi_divergence(Gaussian(0.0, 1.0), Gaussian(0.0, 0.5), 2.0) == math.inf
 
 
+# the pdf vanishes like (3 - x) at the right end, and like |x - 2| at an interior knot
+END_ZERO = PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)])
+INTERIOR_ZERO = PiecewiseLinear([(0.0, 0.5), (1.0, 1.0), (2.0, 0.0), (3.0, 1.0), (4.0, 0.5)])
+FLAT_ZERO = PiecewiseLinear([(0, 1), (1, 0), (2, 0), (3, 1)])  # 0 on all of [1, 2]
+
+
+@pytest.mark.parametrize(
+    "v", [END_ZERO, INTERIOR_ZERO, END_ZERO.restrict(Interval(0.5, 3.0))], ids=repr
+)
+def test_a_power_singularity_at_a_zero_knot_is_infinite_without_quadrature(monkeypatch, v):
+    """u = v.tilt(0.3) at alpha = 3 integrates u^3 v^-2, of order |x - e|^(0.9 - 2)
+    at the zero knot e: +inf, from the orders alone (the end panels once
+    settled on a finite value, the interior ones not at all)."""
+    calls = _count_joint_integrals(monkeypatch)
+    assert renyi_divergence(v.tilt(0.3), v, 3.0) == math.inf
+    assert calls == []
+
+
+def test_a_bennett_integral_singular_at_a_zero_end_is_infinite(monkeypatch):
+    """d h^-2 with d = h.tilt(0.6) is of order (3 - x)^(0.6 - 2) at h's zero
+    end: InfiniteIntegralError naming x = 3, not a quadrature that runs out
+    of pieces."""
+    calls = _count_joint_integrals(monkeypatch)
+    with pytest.raises(InfiniteIntegralError, match="e = 3$"):
+        compander_performance(END_ZERO.tilt(0.6), END_ZERO, 0.5, 2.0)
+    assert calls == [2]  # a_int over both supports; b_int refused before it integrates
+
+
+@pytest.mark.parametrize(
+    "u, v, alpha, want",
+    [
+        # order 0.6 - 1 > -1 at the zero end: integrable, and integrated as before
+        (END_ZERO.tilt(0.3), END_ZERO, 2.0, 0.26582435401305365),
+        # v's zero end lies outside u's support
+        (Uniform(0.0, 2.0), END_ZERO, 3.0, 0.40323793293347426),
+        # v's zero at 1.5 lies where u is 0 on both sides
+        (FLAT_ZERO, PiecewiseLinear([(0, 1), (1.5, 0), (3, 1)]), 3.0, 0.2326798900855999),
+        # v's zero at a window end of u, whose base is 0 on the window's side of it
+        (FLAT_ZERO.tilt(0.1).restrict(Interval(1.0, 3.0)),
+         PiecewiseLinear([(0, 0.5), (1, 0), (3, 1)]), 3.0, 0.5308996430027714),
+    ],
+    ids=["integrable", "outside_support", "flat_zero", "flat_zero_window_end"],
+)
+def test_a_zero_knot_that_leaves_the_integral_finite_changes_nothing(u, v, alpha, want):
+    assert renyi_divergence(u, v, alpha) == want
+
+
 @pytest.mark.parametrize(
     "u, v",
     [
