@@ -222,10 +222,11 @@ class Density:
     `sf`, `quantile`, `isf` and `interval_mass` are the array forms at one
     entry, bit for bit, as is `logpdf` of `logpdf_array`, so each functional
     is written once; `quantile_array` and `isf_array` check p in (0, 1). The
-    public `power_integral`, `partial_power_integral` and `tilt` check the
-    domain (a finite beta > 0) and then call the hooks `_power_integral`,
-    `_partial_power_integral` and `_tilt_closed`; a hook may assume its
-    argument is in the domain.
+    public `power_integral` and `tilt` check the domain (a finite beta > 0)
+    and then call the hooks `_power_integral` and `_tilt_closed`; a hook may
+    assume its argument is in the domain. Over an interval, pdf**beta
+    integrates to `power_integral(beta) * tilt(beta).interval_mass(interval)`,
+    the product a restriction reads through the hook `_partial_power_integral`.
     """
 
     support: Interval
@@ -340,12 +341,6 @@ class Density:
         if not 0.0 < beta < math.inf:
             raise DomainError(f"power_integral requires a finite beta > 0, got {beta}")
         return self._power_integral(beta)
-
-    def partial_power_integral(self, beta: float, interval: Interval) -> float:
-        """Integral of pdf**beta over an interval."""
-        if not 0.0 < beta < math.inf:
-            raise DomainError(f"partial_power_integral requires a finite beta > 0, got {beta}")
-        return self._partial_power_integral(beta, interval)
 
     def _power_integral(self, beta: float) -> float:
         raise NotImplementedError
@@ -907,13 +902,13 @@ class RestrictedDensity(Density):
         return self.base.isf_array(_open_unit(s_hi + p * self._mass))
 
     def _power_integral(self, beta: float) -> float:
-        return self._mass ** (-beta) * self.base.partial_power_integral(beta, self._window)
+        return self._mass ** (-beta) * self.base._partial_power_integral(beta, self._window)
 
     def _partial_power_integral(self, beta: float, interval: Interval) -> float:
         window = self._window.intersect(interval)
         if window is None:
             return 0.0
-        return self._mass ** (-beta) * self.base.partial_power_integral(beta, window)
+        return self._mass ** (-beta) * self.base._partial_power_integral(beta, window)
 
     def _tilt_closed(self, beta: float) -> Density:
         return RestrictedDensity(self.base.tilt(beta), self._window)

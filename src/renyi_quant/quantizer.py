@@ -456,7 +456,8 @@ def cell_tables(
     cells = sum(counts)
     cut_masses = d.interval_mass_array(lows[-1], highs[-1]).tolist() if cuts else []
     cut_values = iter(zip(cut_masses, values[cells:].tolist()))
-    region_masses = [math.fsum(d.interval_mass(iv) for iv in region) for region in regions]
+    bounds = [([iv.lo for iv in region], [iv.hi for iv in region]) for region in regions]
+    region_masses = [math.fsum(d.interval_mass_array(lo, hi).tolist()) for lo, hi in bounds]
     tables, start = [], 0
     # each table's region columns, in the parts' order
     for q, k, (runs, q_cuts), masses in zip(qs, counts, parts, group_probabilities(qs, d)):

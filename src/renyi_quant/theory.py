@@ -3,14 +3,15 @@ divergences, density limits, mismatch formulas, and the split-bound minimizer.
 
 Conventions: alpha in [0, 1) is the entropy order, r > 1 the distortion power,
 beta1 = (1 - alpha + alpha r) / (1 - alpha + r), beta2 = (1 - alpha + r) / (1 - alpha),
-and the cell constant is 1 / (2^r (1 + r)). Everything here is a pure function
-of immutable densities. A predictor integral of u^a v^b, where v is u's
-closed-form tilt by gamma (same family, same location), is closed:
-P_u(a + gamma b) / P_u(gamma)^b with P_u = u.power_integral. Every other pair
-(mixed families, shifted locations, different uniform supports, piecewise
-densities and their tilts, a + gamma b <= 0) and the KL integral run
-through quadrature.integrate, once per integral, with array integrands in log
-space.
+and the cell constant is 1 / (2^r (1 + r)). Both interval limits read the
+`interval_mass` of `tilted_measure`, as the experiments and `predict` do.
+Everything here is a pure function of immutable densities. A predictor
+integral of u^a v^b, where v is u's closed-form tilt by gamma (same family,
+same location), is closed: P_u(a + gamma b) / P_u(gamma)^b with
+P_u = u.power_integral. Every other pair (mixed families, shifted locations,
+different uniform supports, piecewise densities and their tilts,
+a + gamma b <= 0) and the KL integral run through quadrature.integrate, once
+per integral, with array integrands in log space.
 """
 
 from __future__ import annotations
@@ -155,32 +156,22 @@ def tilted_measure(d: Density, alpha: float, r: float) -> Density:
 
 
 def entropy_density_limit(d: Density, interval: Interval, alpha: float, r: float) -> float:
-    """Limit of an interval's relative Renyi-entropy contribution.
-
-    Equals the tilted measure of the interval times mu(interval)**(-alpha).
-    """
-    p = rate_params(alpha, r)
+    """Limit of an interval's relative Renyi-entropy contribution: the tilted
+    measure of the interval times mu(interval)**(-alpha)."""
+    tilted = tilted_measure(d, alpha, r)
     mass = d.interval_mass(interval)
     if not 0.0 < mass < 1.0:
         raise DomainError(
             f"entropy density limit needs interval probability in (0,1), got {mass}"
         )
-    tilted_mass = d.partial_power_integral(p.beta1, interval) / d.power_integral(p.beta1)
-    return tilted_mass * mass ** (-alpha)
+    return tilted.interval_mass(interval) * mass ** (-alpha)
 
 
 def limit_distortion_measure(d: Density, interval: Interval, alpha: float, r: float) -> float:
-    """The limit distortion measure of an interval.
-
-    Totals the quantization coefficient over the real line since
-    beta2 = 1 + r / (1 - alpha).
-    """
-    p = rate_params(alpha, r)
-    return (
-        p.c_r
-        * d.partial_power_integral(p.beta1, interval)
-        * d.power_integral(p.beta1) ** (r / (1.0 - alpha))
-    )
+    """The limit distortion measure of an interval: the quantization coefficient
+    times the tilted measure of the interval, which totals the coefficient over
+    the real line since beta2 = 1 + r / (1 - alpha)."""
+    return quantization_coefficient(d, alpha, r) * tilted_measure(d, alpha, r).interval_mass(interval)
 
 
 def compander_performance(d: Density, h: Density, alpha: float, r: float) -> float:

@@ -78,8 +78,7 @@ def test_quantile_examples():
         ("quantile", [(p,) for p in (0.0, 1.0, -0.3, 1.7)]),
         ("isf", [(p,) for p in (0.0, 1.0, -0.3, 1.7)]),
         ("power_integral", [(beta,) for beta in (0.0, -1.0)]),
-        # (5, 6) misses the restricted window: the check comes before that shortcut
-        ("partial_power_integral", [(beta, Interval(5.0, 6.0)) for beta in (0.0, -1.0)]),
+        ("tilt", [(beta,) for beta in (0.0, -1.0)]),
     ],
 )
 def test_quantile_domain_error(d, method, bad_args):
@@ -268,7 +267,8 @@ def test_piecewise_power_matches_mpmath_oracle(p):
             for iv in (Interval(-math.inf, 1.5), Interval(0.5, 3.2), Interval(1.2, 1.8),
                        Interval(3.9, math.inf), Interval(-1.0, 1e-3), Interval(5.0, 6.0)):
                 want = (below_b(min(iv.hi, 4.0)) - below_b(max(iv.lo, 0.0))) / scale
-                assert _rel(d.partial_power_integral(beta, iv), want) <= 2e-15, iv
+                got = d.power_integral(beta) * d.tilt(beta).interval_mass(iv)
+                assert _rel(got, want) <= 2e-15, iv
     # the scalar masses and quantiles are the array forms on one entry, bit for bit
     for method in ("cdf", "sf"):
         want = np.array([getattr(d, method)(float(x)) for x in xs])
@@ -432,7 +432,8 @@ def test_closed_form_power_integrals_match_quadrature():
         lambda: Gaussian(0.0, 1.0).power_integral(math.nan),
         lambda: Gaussian(0.0, 1.0).power_integral(math.inf),
         lambda: PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (3.0, 0.0)]).power_integral(math.nan),
-        lambda: Laplacian(0.0, 1.0).partial_power_integral(math.nan, Interval(0.0, 1.0)),
+        lambda: Laplacian(0.0, 1.0).power_integral(math.nan)
+        * Laplacian(0.0, 1.0).tilt(math.nan).interval_mass(Interval(0.0, 1.0)),
     ],
 )
 def test_non_finite_parameters_and_exponents_are_refused(build):
@@ -689,20 +690,21 @@ def test_restrict_empty_interval_errors():
 
 
 def test_restrict_power_integral_identity():
-    # restricted beta power integral equals mass^-beta * partial integral
+    # restricted beta power integral equals mass^-beta * the power integral
+    # over the interval, which is the full one times the tilted mass of it
     beta = 0.6
     for d in (Gaussian(0.0, 1.0), Laplacian(0.0, 1.0), Uniform(0.0, 2.0)):
         iv = Interval(-0.3, 0.9)
         mass = d.interval_mass(iv)
         lhs = d.restrict(iv).power_integral(beta)
-        rhs = mass ** (-beta) * d.partial_power_integral(beta, iv)
+        rhs = mass ** (-beta) * d.power_integral(beta) * d.tilt(beta).interval_mass(iv)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
-def test_partial_power_integral_matches_quadrature():
+def test_power_integral_times_tilted_mass_matches_quadrature():
     d = Gaussian(0.0, 1.0)
     iv = Interval(-0.5, 1.25)
-    closed = d.partial_power_integral(0.6, iv)
+    closed = d.power_integral(0.6) * d.tilt(0.6).interval_mass(iv)
     quad = _quad_power_integral(d, 0.6, iv)
     assert closed == pytest.approx(quad, rel=1e-9)
 
@@ -979,7 +981,7 @@ def test_every_spec_family_is_closed(monkeypatch, spec):
         q(p), d.isf(p)
     d.quantile_array(np.array([1e-9, 0.3, 0.5, 0.9]))
     for beta in (0.6, 1.7):
-        d.power_integral(beta), d.partial_power_integral(beta, iv), d.tilt(beta)
+        d.power_integral(beta), d.tilt(beta).interval_mass(iv)
     assert calls == []
     # the wrappers do see the quadrature where it still runs: a moment off location 0
     Gaussian(0.5, 2.0).absolute_moment(2.0)

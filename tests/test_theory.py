@@ -303,6 +303,67 @@ def test_limit_distortion_measure_additive():
     assert total == pytest.approx(quantization_coefficient(g, alpha, r), rel=1e-9)
 
 
+_LIMIT_KNOTS = [(0.0, 0.0), (1.0, 2.0), (3.0, 0.5), (4.0, 0.0)]
+
+
+def _mp_knots(mp, x):
+    """The piecewise-linear pdf of _LIMIT_KNOTS, unnormalized, at x in mpmath."""
+    for (x0, y0), (x1, y1) in zip(_LIMIT_KNOTS, _LIMIT_KNOTS[1:]):
+        if x0 < x <= x1:
+            return (y0 * (x1 - x) + y1 * (x - x0)) / mp.mpf(x1 - x0)
+    return mp.mpf(0)
+
+
+# each source with an unnormalized mpmath pdf, the points its integrals split
+# at (support ends, mode, kinks), and intervals that take in a tail of it
+LIMIT_SOURCES = [
+    (Gaussian(0.3, 1.4), lambda mp, x: mp.exp(-(((x - mp.mpf(0.3)) / mp.mpf(1.4)) ** 2) / 2),
+     (-math.inf, 0.3, math.inf), [(-math.inf, -1.5), (0.3, 1.7), (2.5, math.inf)]),
+    (Laplacian(-0.5, 2.0), lambda mp, x: mp.exp(-abs(x + mp.mpf(0.5)) / 2),
+     (-math.inf, -0.5, math.inf), [(-math.inf, -3.0), (-1.0, 1.0), (4.0, math.inf)]),
+    (Exponential(1.5, 0.5), lambda mp, x: mp.exp(-mp.mpf(1.5) * x) if x > 0.5 else mp.mpf(0),
+     (0.5, math.inf), [(-math.inf, 0.9), (1.0, 2.0), (3.0, math.inf)]),
+    (Uniform(-1.0, 2.0), lambda mp, x: mp.mpf(1) if -1.0 < x <= 2.0 else mp.mpf(0),
+     (-1.0, 2.0), [(-math.inf, 0.25), (0.5, 1.25), (1.5, 5.0)]),
+    (PiecewiseLinear(_LIMIT_KNOTS).tilt(0.6), lambda mp, x: _mp_knots(mp, x) ** mp.mpf(0.6),
+     (0.0, 1.0, 3.0, 4.0), [(-math.inf, 1.0), (1.0, 2.0), (2.5, math.inf)]),
+    (Gaussian(0.0, 1.0).restrict(Interval(-1.0, 2.0)),
+     lambda mp, x: mp.exp(-x * x / 2) if -1.0 < x <= 2.0 else mp.mpf(0),
+     (-1.0, 0.0, 2.0), [(-math.inf, 0.0), (0.5, 1.5), (1.2, math.inf)]),
+]
+
+
+@pytest.mark.parametrize("d, pdf, points, intervals", LIMIT_SOURCES, ids=[repr(s[0]) for s in LIMIT_SOURCES])
+def test_interval_limits_match_mpmath_oracle(d, pdf, points, intervals):
+    """Both interval limits against 30-digit mpmath: the tilted mass T of the
+    interval times mu**(-alpha), and C(r) P**beta2 T with P the beta1 power
+    integral, every integral by mpmath.quad over the split points inside it."""
+    mp = pytest.importorskip("mpmath")
+
+    def quad(fn, lo, hi):
+        lo, hi = max(lo, points[0]), min(hi, points[-1])
+        return mp.quad(fn, [lo, *(x for x in points if lo < x < hi), hi])
+
+    with mp.workdps(30):
+        for alpha, r in ((0.0, 2.0), (0.3, 2.0), (0.5, 3.0), (0.9, 1.5)):
+            a, rr = mp.mpf(alpha), mp.mpf(r)
+            beta1, beta2 = (1 - a + a * rr) / (1 - a + rr), (1 - a + rr) / (1 - a)
+            total = quad(lambda x: pdf(mp, x), -math.inf, math.inf)
+            tilted_total = quad(lambda x: pdf(mp, x) ** beta1, -math.inf, math.inf)
+            coefficient = (tilted_total / total**beta1) ** beta2 / (2**rr * (1 + rr))
+            for lo, hi in intervals:
+                iv = Interval(lo, hi)
+                tilted = quad(lambda x: pdf(mp, x) ** beta1, lo, hi) / tilted_total
+                mass = quad(lambda x: pdf(mp, x), lo, hi) / total
+                want = float(tilted * mass**-a)
+                got = entropy_density_limit(d, iv, alpha, r)
+                assert math.isclose(got, want, rel_tol=1e-15), (alpha, r, iv)
+                # the coefficient raises P to beta2, and with it P's rounding
+                want = float(coefficient * tilted)
+                got = limit_distortion_measure(d, iv, alpha, r)
+                assert math.isclose(got, want, rel_tol=1e-15 + float(beta2) * 2.0**-52), (alpha, r, iv)
+
+
 # --- compander performance -----------------------------------------------------------------------
 
 
@@ -758,8 +819,8 @@ def test_split_bound_matches_tilted_mass():
     # the minimizer location reproduces the tilted measure of the interval
     u = Uniform(0.0, 1.0)
     p = rate_params(0.5, 2.0)
-    a = u.partial_power_integral(p.beta1, Interval(0.0, 0.5)) ** p.beta2
-    b = u.partial_power_integral(p.beta1, Interval(0.5, 1.0)) ** p.beta2
+    a = (u.power_integral(p.beta1) * u.tilt(p.beta1).interval_mass(Interval(0.0, 0.5))) ** p.beta2
+    b = (u.power_integral(p.beta1) * u.tilt(p.beta1).interval_mass(Interval(0.5, 1.0))) ** p.beta2
     res = split_bound(a, b, p.beta2 - 1.0, 0.3)
     assert res.f_min == pytest.approx(u.power_integral(p.beta1) ** p.beta2, rel=1e-12)
     assert res.z0 == pytest.approx(0.5, abs=1e-12)
