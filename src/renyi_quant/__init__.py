@@ -43,7 +43,6 @@ from .compander import build_compander, optimal_point_density, refine_codepoints
 from .theory import (
     RateParams,
     SplitBoundResult,
-    cell_constant,
     compander_performance,
     entropy_density_limit,
     limit_distortion_measure,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .compander import optimal_point_density
-from .errors import DomainError, RenyiQuantError
+from .errors import RenyiQuantError
 from .experiments import EXPERIMENTS, RUNNERS, ExperimentConfig, bounded_ratio, read_config
 from . import theory
 
@@ -144,9 +144,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         values["kl_divergence"] = theory.renyi_divergence(f, d, 1.0)
         if alpha > 0.0:
             values["renyi_divergence"] = theory.renyi_divergence(f, d, alpha)
-        tilt = 1.0 / (1.0 + r)
         values["fixed_rate_divergence"] = theory.renyi_divergence(
-            f.tilt(tilt), d.tilt(tilt), 1.0 + r
+            optimal_point_density(f, 0.0, r), optimal_point_density(d, 0.0, r), 1.0 + r
         )
     # printed only once every value is computed, so an error prints no partial table
     for name, value in values.items():
@@ -222,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "lemma-check":
             return _cmd_lemma_check(args)
         return _run_experiment(args.command, args)
-    except (RenyiQuantError, DomainError) as exc:
+    except RenyiQuantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

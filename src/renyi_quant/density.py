@@ -1020,11 +1020,6 @@ def density_from_spec(spec: dict) -> Density:
             return density_from_spec(spec["base"]).tilt(float(spec["beta"]))
         if family == "point_density_of":
             alpha, r = float(spec["alpha"]), float(spec["r"])
-            if not (0.0 <= alpha < 1.0 and r > 1.0):
-                raise ConfigError(
-                    f"point_density_of requires alpha in [0,1) and r > 1, "
-                    f"got alpha={alpha}, r={r}"
-                )
             from .compander import optimal_point_density  # compander imports this module
 
             return optimal_point_density(density_from_spec(spec["base"]), alpha, r)

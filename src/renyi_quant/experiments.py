@@ -102,8 +102,13 @@ class ExperimentConfig:
             raise ConfigError(f"field 'interval' must be a pair, got {interval!r}")
         if points is not None and not isinstance(points, (list, tuple)):
             raise ConfigError(f"field 'sanity_points' must list numbers, got {points!r}")
-        if not isinstance(obj.get("name", ""), str):
-            raise ConfigError(f"field 'name' must be a string, got {obj['name']!r}")
+        name = obj.get("name", "experiment")  # the output files' stem, in --output-dir
+        if not isinstance(name, str) or not name or "\0" in name or Path(name).name != name:
+            raise ConfigError(f"field 'name' must be a file name, got {name!r}")
+        for key in ("source", "mismatch_source", "tolerances"):
+            value = obj.get(key, {})
+            if not isinstance(value, dict) and not (key == "mismatch_source" and value is None):
+                raise ConfigError(f"field '{key}' must be a JSON object, got {value!r}")
         refine = obj.get("refine_codepoints", False)
         if not isinstance(refine, bool):
             raise ConfigError(f"field 'refine_codepoints' must be true or false, got {refine!r}")
@@ -118,12 +123,9 @@ class ExperimentConfig:
                 source=dict(obj["source"]),
                 alpha=_number("alpha", obj["alpha"]),
                 r=_number("r", obj["r"]),
-                name=obj.get("name", "experiment"),
-                mismatch_source=(
-                    dict(obj["mismatch_source"])
-                    if obj.get("mismatch_source") is not None
-                    else None
-                ),
+                name=name,
+                mismatch_source=None if obj.get("mismatch_source") is None
+                else dict(obj["mismatch_source"]),
                 moment_slack=_number("moment_slack", obj.get("moment_slack", 1.0)),
                 interval=None if interval is None else Interval.from_json(
                     [None if end is None else _number("interval", end) for end in interval]
@@ -135,7 +137,7 @@ class ExperimentConfig:
                 ),
                 tolerances={
                     str(k): _number(f"tolerances.{k}", v)
-                    for k, v in dict(obj.get("tolerances", {})).items()
+                    for k, v in obj.get("tolerances", {}).items()
                 },
             )
         except (TypeError, ValueError) as exc:
@@ -290,12 +292,12 @@ def bounded_ratio(f: Density, g: Density) -> float:
     return ratio.max_ratio
 
 
-def _sweep(cfg: ExperimentConfig, design: Density, interval: Interval | None = None,
-           evaluate: Density | None = None) -> Iterator[tuple[int, Quantizer, CellTable]]:
+def _sweep(cfg: ExperimentConfig, design: Density, interval: Interval | None = None
+           ) -> Iterator[tuple[int, Quantizer, CellTable]]:
     """Each rate point's n, the compander designed for `design` (refined if the
-    config asks) and its cell table under `evaluate`, by default `design`, with
-    columns inside `interval` and its complement when one is given."""
-    for group in _group_sweep(cfg, design, interval, evaluate):
+    config asks) and its cell table under `design`, with columns inside
+    `interval` and its complement when one is given."""
+    for group in _group_sweep(cfg, design, interval):
         yield from zip(*group)
 
 
@@ -304,7 +306,8 @@ def _group_sweep(cfg: ExperimentConfig, design: Density, interval: Interval | No
                  ) -> Iterator[tuple[list[int], list[Quantizer], list[CellTable]]]:
     """_sweep by groups of rate points (`_groups`), each built once the one
     before it is done: its n, its companders from one `build_companders` call
-    and their tables from one `cell_tables` call, the same as one by one."""
+    and their tables under `evaluate`, by default `design`, from one
+    `cell_tables` call, the same as one by one."""
     h = optimal_point_density(design, cfg.alpha, cfg.r)
     evaluate = design if evaluate is None else evaluate
     regions = () if interval is None else ((interval,), interval.complement())

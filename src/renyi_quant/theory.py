@@ -3,21 +3,21 @@ divergences, density limits, mismatch formulas, and the split-bound minimizer.
 
 Conventions: alpha in [0, 1) is the entropy order, r > 1 the distortion power,
 beta1 = (1 - alpha + alpha r) / (1 - alpha + r), beta2 = (1 - alpha + r) / (1 - alpha),
-and the cell constant is 1 / (2^r (1 + r)). Both interval limits read the
-`interval_mass` of `tilted_measure`, as the experiments and `predict` do.
-Everything here is a pure function of immutable densities. A predictor
-integral of u^a v^b, where v is u's closed-form tilt by gamma (same family,
-same location), is closed: P_u(a + gamma b) / P_u(gamma)^b with
-P_u = u.power_integral. Every other pair (mixed families, shifted locations,
-different uniform supports, piecewise densities and their tilts,
-a + gamma b <= 0) and the KL integral run through quadrature.integrate, once
-per integral, with array integrands in log space.
+and the cell constant C_r = 1 / (2^r (1 + r)), all from `rate_params`, the one
+gate for (alpha, r). No predictor checks a density hypothesis: a run's setup
+does, and `predict` checks the f/g bound. Both interval limits read
+`tilted_measure`'s `interval_mass`. Everything here is a pure function of
+immutable densities. A predictor integral of u^a v^b, where v is u's
+closed-form tilt by gamma (same family, same location), is closed:
+P_u(a + gamma b) / P_u(gamma)^b with P_u = u.power_integral. Every other pair
+(mixed families, shifted locations, different uniform supports, piecewise
+densities and their tilts, a + gamma b <= 0) and the KL integral run through
+quadrature.integrate, once per integral, with array integrands in log space.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,13 +33,7 @@ from . import quadrature
 ALPHA_VARIABLE_RATE_SWITCH = 1e-3
 RATIO_CAP = 1e12
 RATIO_GRID_SIZE = 10_000  # interior grid points of check_density_ratio_bound
-
-
-def cell_constant(r: float) -> float:
-    """The midpoint-cell constant 1 / (2^r (1 + r))."""
-    if r <= 1.0:
-        raise DomainError(f"r must exceed 1, got {r}")
-    return 1.0 / (2.0**r * (1.0 + r))
+SUPPORT_REL_TOL = 1e-12  # support ends this close, relative to the width, count as inside
 
 
 @dataclass(frozen=True)
@@ -52,14 +46,14 @@ class RateParams:
 
 
 def rate_params(alpha: float, r: float) -> RateParams:
-    """Validated (alpha, r, beta1, beta2, C(r)) tuple."""
+    """Validated (alpha, r, beta1, beta2, C(r)) tuple, the one gate for (alpha, r)."""
     if not 0.0 <= alpha < 1.0:
         raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
     if r <= 1.0:
         raise DomainError(f"r must exceed 1, got {r}")
     beta1 = (1.0 - alpha + alpha * r) / (1.0 - alpha + r)
     beta2 = (1.0 - alpha + r) / (1.0 - alpha)
-    params = RateParams(alpha, r, beta1, beta2, cell_constant(r))
+    params = RateParams(alpha, r, beta1, beta2, 1.0 / (2.0**r * (1.0 + r)))
     # exponent identities the mismatch algebra relies on
     assert abs((beta1 - alpha) - (1.0 - alpha) / beta2) <= 1e-12
     assert abs((beta1 - 1.0) + r / beta2) <= 1e-12
@@ -83,10 +77,10 @@ def _joint_integral(fn: Callable[[np.ndarray], np.ndarray], densities: Sequence[
                                     rel_tol=1e-10, abs_tol=1e-14, core=core).value
 
 
-def _support_within(inner: Interval, outer: Interval, rel_tol: float = 1e-12) -> bool:
-    """inner lies in outer, up to rel_tol times the narrower finite width."""
+def _support_within(inner: Interval, outer: Interval) -> bool:
+    """inner lies in outer, up to SUPPORT_REL_TOL times the narrower finite width."""
     width = min(inner.hi - inner.lo, outer.hi - outer.lo)
-    tol = rel_tol * width if math.isfinite(width) else 0.0
+    tol = SUPPORT_REL_TOL * width if math.isfinite(width) else 0.0
     return inner.lo >= outer.lo - tol and inner.hi <= outer.hi + tol
 
 
@@ -275,15 +269,9 @@ def check_density_ratio_bound(f: Density, g: Density) -> RatioBoundReport:
 
 
 def mismatch_entropy_shift(g: Density, f: Density, alpha: float, r: float) -> float:
-    """Limit of exp((1-alpha)(H_nu - H_mu)) when g-optimal quantizers meet f."""
+    """Limit of exp((1-alpha)(H_nu - H_mu)) when g-optimal quantizers meet f, for
+    f/g bounded, which is the caller's to check (`experiments.bounded_ratio`)."""
     p = rate_params(alpha, r)
-    report = check_density_ratio_bound(f, g)
-    if not report.bounded:
-        warnings.warn(
-            f"density ratio f/g appears unbounded near x={report.argmax:.6g}; "
-            "the mismatch hypothesis fails and the limit formula may not apply",
-            stacklevel=2,
-        )
     num = _power_product(f, alpha, g, p.beta1 - alpha, (f,))
     return num / g.power_integral(p.beta1)
 
@@ -303,19 +291,16 @@ def mismatch_loss(g: Density, f: Density, alpha: float, r: float) -> float:
     its own limit expression. alpha = 0 needs no dispatch; there the generic
     ratio coincides with the fixed-rate formula for equal supports.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+    rate_params(alpha, r)
     if alpha >= 1.0 - ALPHA_VARIABLE_RATE_SWITCH:
         return mismatch_loss_variable_rate(g, f, r)
     return mismatch_distortion_limit(g, f, alpha, r) / quantization_coefficient(f, alpha, r)
 
 
 def mismatch_loss_fixed_rate(g: Density, f: Density, r: float) -> float:
-    """Fixed-rate (alpha = 0) mismatch loss: exp(r D_{1+r}(f*||g*))."""
-    if r <= 1.0:
-        raise DomainError(f"r must exceed 1, got {r}")
-    f_star = f.tilt(1.0 / (1.0 + r))
-    g_star = g.tilt(1.0 / (1.0 + r))
+    """Fixed-rate (alpha = 0) mismatch loss: exp(r D_{1+r}(f*||g*)), with f* and
+    g* the alpha = 0 optimal point densities."""
+    f_star, g_star = optimal_point_density(f, 0.0, r), optimal_point_density(g, 0.0, r)
     return math.exp(r * renyi_divergence(f_star, g_star, 1.0 + r))
 
 

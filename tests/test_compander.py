@@ -22,7 +22,7 @@ from renyi_quant import compander, density, quadrature, quantizer, theory
 from renyi_quant.density import QUANTILE_WIDTH
 from renyi_quant.errors import DomainError
 from renyi_quant.quantizer import Quantizer, cell_distortions
-from renyi_quant.theory import cell_constant
+from renyi_quant.theory import rate_params
 
 
 def test_optimal_point_density_uniform_is_itself():
@@ -281,7 +281,7 @@ def test_uniform_normalized_distortion_is_cell_constant(alpha, n):
         u = Uniform(0.0, span)
         q = build_compander(optimal_point_density(u, alpha, 2.0), n)
         value = math.exp(2.0 * quantizer_entropy(q, u, alpha)) * distortion(q, u, 2.0)
-        assert value == pytest.approx(cell_constant(2.0) * span**2, rel=1e-10)
+        assert value == pytest.approx(rate_params(alpha, 2.0).c_r * span**2, rel=1e-10)
 
 
 def test_refine_codepoints_uniform_midpoints_unchanged():

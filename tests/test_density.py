@@ -1121,6 +1121,11 @@ def test_density_from_spec_errors_name_field():
         density_from_spec({"family": "gaussian", "mean": 0.0})
     with pytest.raises(ConfigError, match="nonsense"):
         density_from_spec({"family": "nonsense"})
+    # theory.rate_params refuses a point density's (alpha, r), named with the family
+    for alpha, r, message in ((1.0, 2.0, "alpha must lie in"), (0.5, 1.0, "r must exceed 1")):
+        with pytest.raises(ConfigError, match=f"family 'point_density_of': {message}"):
+            density_from_spec({"family": "point_density_of", "alpha": alpha, "r": r,
+                               "base": {"family": "gaussian", "sigma": 1.0}})
 
 
 # --- modes and medians -------------------------------------------------------------------

@@ -86,6 +86,22 @@ def test_config_from_dict_takes_only_integral_n_grid_entries():
         ("tolerances.ratio", {"tolerances": {"ratio": True}}),
         ("tolerances.ratio", {"tolerances": {"ratio": "1e-3"}}),
         ("name", {"name": 5}),
+        # it names <name>.csv and <name>_summary.json inside the output directory
+        ("name", {"name": ""}),
+        ("name", {"name": "a/b"}),
+        ("name", {"name": "../escaped"}),
+        ("name", {"name": "/tmp/abs"}),
+        ("name", {"name": "."}),
+        ("name", {"name": "a\0b"}),
+        # object fields: no list of pairs, string or number in place of an object
+        ("source", {"source": [["family", "uniform"], ["a", 0.0], ["b", 1.0]]}),
+        ("source", {"source": "gaussian"}),
+        ("source", {"source": 1}),
+        ("mismatch_source", {"mismatch_source": [["family", "uniform"]]}),
+        ("mismatch_source", {"mismatch_source": "gaussian"}),
+        ("tolerances", {"tolerances": [["ratio", 0.5]]}),
+        ("tolerances", {"tolerances": 5}),
+        ("tolerances", {"tolerances": None}),
         ("sanity_points", {"sanity_points": ["0.1"]}),
         ("sanity_points", {"sanity_points": 0.1}),
         ("interval", {"interval": ["0.2", 0.8]}),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from renyi_quant import (
     tilted_measure,
 )
 from renyi_quant import quadrature, theory
-from renyi_quant.errors import DomainError, InfiniteIntegralError
+from renyi_quant.errors import DomainError, HypothesisError, InfiniteIntegralError
+from renyi_quant.experiments import bounded_ratio
 from renyi_quant.density import TAIL_MASS
 from renyi_quant.quadrature import truncate_support
 from renyi_quant.theory import RATIO_CAP, check_density_ratio_bound
@@ -82,6 +84,38 @@ def test_rate_params_domain():
     for alpha, r in ((1.0, 2.0), (-0.1, 2.0), (0.5, 1.0), (0.5, 0.5)):
         with pytest.raises(DomainError):
             rate_params(alpha, r)
+
+
+_G, _F = Gaussian(0.0, 2.0), Gaussian(0.0, 1.0)
+# every public predictor that takes alpha and r, at (alpha, r)
+_GATED = {
+    "quantization_coefficient": lambda a, r: quantization_coefficient(_F, a, r),
+    "tilted_measure": lambda a, r: tilted_measure(_F, a, r),
+    "optimal_point_density": lambda a, r: optimal_point_density(_F, a, r),
+    "entropy_density_limit": lambda a, r: entropy_density_limit(_F, Interval(0.0, 1.0), a, r),
+    "limit_distortion_measure": lambda a, r: limit_distortion_measure(_F, Interval(0.0, 1.0), a, r),
+    "compander_performance": lambda a, r: compander_performance(_F, _G, a, r),
+    "mismatch_entropy_shift": lambda a, r: mismatch_entropy_shift(_G, _F, a, r),
+    "mismatch_distortion_limit": lambda a, r: mismatch_distortion_limit(_G, _F, a, r),
+    "mismatch_loss": lambda a, r: mismatch_loss(_G, _F, a, r),
+    "mismatch_loss_fixed_rate": lambda a, r: mismatch_loss_fixed_rate(_G, _F, r),
+}
+
+
+@pytest.mark.parametrize(
+    "name, alpha, r",
+    [(name, alpha, r) for name in _GATED
+     for alpha, r in ((1.0, 2.0), (-0.1, 2.0), (0.5, 1.0))
+     # it takes no alpha, so only r reaches its gate
+     if name != "mismatch_loss_fixed_rate" or r == 1.0],
+)
+def test_every_predictor_admits_alpha_and_r_through_rate_params(name, alpha, r):
+    """Each predictor refuses (alpha, r) outside the domain with rate_params' message."""
+    with pytest.raises(DomainError) as expected:
+        rate_params(alpha, r)
+    with pytest.raises(DomainError) as raised:
+        _GATED[name](alpha, r)
+    assert str(raised.value) == str(expected.value)
 
 
 # --- quantization coefficient ---------------------------------------------------------
@@ -432,10 +466,15 @@ def test_mismatch_entropy_shift_gaussian_pair():
     ) == pytest.approx(SHIFT_GAUSS_PAIR, rel=1e-9)
 
 
-def test_mismatch_entropy_shift_warns_on_unbounded_ratio():
-    # sigma_f > sigma_g violates the bounded-ratio hypothesis
-    with pytest.warns(UserWarning, match="unbounded"):
-        mismatch_entropy_shift(Gaussian(0.0, 1.0), Gaussian(0.0, 2.0), 0.5, 2.0)
+def test_mismatch_entropy_shift_leaves_the_ratio_bound_to_the_caller():
+    # sigma_f > sigma_g violates the bounded-ratio hypothesis: the predictor
+    # computes without a warning, and the run's check refuses the pair
+    g, f = Gaussian(0.0, 1.0), Gaussian(0.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mismatch_entropy_shift(g, f, 0.5, 2.0) == 1.1547005383792515
+    with pytest.raises(HypothesisError, match="unbounded"):
+        bounded_ratio(f, g)
 
 
 def test_mismatch_distortion_limit_examples():
