@@ -26,9 +26,7 @@ from .density import (
     RestrictedDensity,
     TiltedDensity,
     Uniform,
-    UnimodalityReport,
     check_weak_unimodality,
-    density_from_spec,
 )
 from .quadrature import IntegrationResult, integrate, truncate_support
 from .quantizer import (
@@ -60,6 +58,7 @@ from .theory import (
 from .experiments import (
     ConvergenceReport,
     ExperimentConfig,
+    density_from_spec,
     run_asymptotics,
     run_distortion_density,
     run_entropy_density,

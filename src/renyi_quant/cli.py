@@ -3,12 +3,14 @@
 Subcommands mirror the experiment runners plus two sweep-free utilities:
 `predict` prints the closed-form limits for a config, and `lemma-check` runs
 the split-bound and point-density property suites. Exit codes: 0 on pass,
-2 on a tolerance failure, 1 on configuration or hypothesis errors.
+2 on a tolerance failure, 1 on configuration or hypothesis errors and on an
+output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -18,7 +20,7 @@ import numpy as np
 
 from .compander import optimal_point_density
 from .errors import RenyiQuantError
-from .experiments import EXPERIMENTS, RUNNERS, ExperimentConfig, bounded_ratio, read_config
+from .experiments import EXPERIMENTS, RUNNERS, ExperimentConfig, read_config
 from . import theory
 
 EXIT_OK = 0
@@ -106,12 +108,21 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 def _run_experiment(command: str, args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RenyiQuantError(f"cannot write {out_dir}: {exc.strerror or exc}") from None
     report = RUNNERS[command](cfg)
     csv_path = out_dir / f"{cfg.name}.csv"
     summary_path = out_dir / f"{cfg.name}_summary.json"
-    report.write_csv(csv_path)
-    report.write_summary(summary_path)
+    for path, write in ((csv_path, report.write_csv), (summary_path, report.write_summary)):
+        try:
+            write(path)
+        except OSError as exc:
+            for stale in (csv_path, summary_path):  # no empty, half or earlier output is left
+                with contextlib.suppress(OSError):
+                    stale.unlink()
+            raise RenyiQuantError(f"cannot write {path}: {exc.strerror or exc}") from None
     status = "PASS" if report.passed else "FAIL"
     print(f"{command} {cfg.name}: {status}")
     for key, ok in report.flags.items():
@@ -136,7 +147,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         values["Q_conditional"] = theory.quantization_coefficient(d.restrict(interval), alpha, r)
     if cfg.mismatch_source is not None:
         f = cfg.mismatch_density()
-        bounded_ratio(f, d)  # the hypothesis a mismatch run checks, named when it fails
+        theory.check_density_ratio_bound(f, d)  # the hypothesis a mismatch run checks
         values["mismatch_entropy_shift"] = theory.mismatch_entropy_shift(d, f, alpha, r)
         values["mismatch_distortion_limit"] = theory.mismatch_distortion_limit(d, f, alpha, r)
         values["mismatch_loss"] = theory.mismatch_loss(d, f, alpha, r)

@@ -13,8 +13,10 @@ a restriction, closed through its base's array forms. `decreasing_roots` is
 the batched root solver of the codepoint refinement, and `absolute_moment`
 integrates the moments off a family's location 0. The weak-unimodality grid
 check runs in one array pass over its grid, not one per level, and only on a
-source that is not log-concave. Densities are immutable after construction and
-every operation is a pure function, so instances can be shared across threads.
+source that is not log-concave; a source that fails it raises the run's
+HypothesisError, naming the level. Densities are immutable after construction
+and every operation is a pure function, so instances can be shared across
+threads. The JSON density specs are read beside the config, in `experiments`.
 """
 
 from __future__ import annotations
@@ -26,11 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    EmptyConditioningError,
-)
+from .errors import DomainError, EmptyConditioningError, HypothesisError
 from .intervals import Interval, REAL_LINE
 from . import quadrature
 
@@ -946,87 +944,37 @@ class TiltedDensity(PiecewiseLinear):
 # --- weak unimodality -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnimodalityReport:
-    passed: bool
-    failing_level: float | None
+def check_weak_unimodality(d: Density) -> None:
+    """Grid check that sampled level sets {pdf >= l} are single intervals; a
+    HypothesisError names the lowest level whose set splits.
 
-
-def check_weak_unimodality(d: Density) -> UnimodalityReport:
-    """Grid check that sampled level sets {pdf >= l} are single intervals.
-
-    Diagnostic only: UNIMODALITY_LEVELS level sets are sampled on a log grid
-    below the maximum pdf value seen on UNIMODALITY_GRID interior points of
-    the support, truncated to its 1e-9 quantile window. It reports the
-    lowest level whose set splits, the same as testing the levels one by one,
-    from one pass over the grid: its prefix and suffix maxima, and each
-    point's lowest level above it (`np.searchsorted`). A log-concave family
-    (uniform, Gaussian, Laplacian, exponential) has only intervals for level
-    sets, so it passes without the grid.
+    UNIMODALITY_LEVELS level sets are sampled on a log grid below the maximum
+    pdf value seen on UNIMODALITY_GRID interior points of the support,
+    truncated to its 1e-9 quantile window; with no positive value there the
+    check fails at level None. The lowest splitting level is the one a test of
+    the levels one by one finds, from one pass over the grid: its prefix and
+    suffix maxima, and each point's lowest level above it (`np.searchsorted`).
+    A log-concave family (uniform, Gaussian, Laplacian, exponential) has only
+    intervals for level sets, so it passes without the grid.
     """
     if isinstance(d, (Uniform, Gaussian, Laplacian, Exponential)):
-        return UnimodalityReport(True, None)
+        return
     window = quadrature.truncate_support(d, 1e-9)
     xs = np.linspace(window.lo, window.hi, UNIMODALITY_GRID + 2)[1:-1]
     vals = d.pdf_array(xs)
     vmax = float(vals.max())
-    if vmax <= 0.0:
-        return UnimodalityReport(False, None)
-    levels = np.geomspace(vmax * 1e-6, vmax * (1.0 - 1e-9), UNIMODALITY_LEVELS)
-    # {vals >= l} splits exactly where a point below l has values >= l on both
-    # sides (the lower side maximum, its wall); if any level splits at a point,
-    # the lowest level above the point does
-    walls = np.minimum(np.maximum.accumulate(vals)[:-2],
-                       np.maximum.accumulate(vals[::-1])[-3::-1])
-    dips = vals[1:-1] < walls
-    lowest = np.append(levels, np.inf)[np.searchsorted(levels, vals[1:-1][dips], side="right")]
-    splits = lowest[lowest <= walls[dips]]
-    if splits.size:
-        return UnimodalityReport(False, float(splits.min()))
-    return UnimodalityReport(True, None)
-
-
-# --- JSON specs -------------------------------------------------------------
-
-
-def density_from_spec(spec: dict) -> Density:
-    """Build a density from its JSON object form.
-
-    Examples: {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
-    {"family": "uniform", "a": 0.0, "b": 1.0},
-    {"family": "restricted", "base": {...}, "interval": [0.0, 0.5]}.
-    """
-    if not isinstance(spec, dict):
-        raise ConfigError(f"density spec must be an object, got {type(spec).__name__}")
-    try:
-        family = str(spec["family"]).lower()
-    except KeyError:
-        raise ConfigError("density spec is missing the 'family' field") from None
-    try:
-        if family == "uniform":
-            return Uniform(float(spec["a"]), float(spec["b"]))
-        if family in ("gaussian", "normal"):
-            return Gaussian(float(spec.get("mean", 0.0)), float(spec["sigma"]))
-        if family == "laplacian":
-            return Laplacian(float(spec.get("mean", 0.0)), float(spec["scale"]))
-        if family == "exponential":
-            return Exponential(float(spec["rate"]), float(spec.get("shift", 0.0)))
-        if family == "piecewise_linear":
-            return PiecewiseLinear(spec["knots"])
-        if family == "restricted":
-            base = density_from_spec(spec["base"])
-            return base.restrict(Interval.from_json(spec["interval"]))
-        if family == "tilted":
-            return density_from_spec(spec["base"]).tilt(float(spec["beta"]))
-        if family == "point_density_of":
-            alpha, r = float(spec["alpha"]), float(spec["r"])
-            from .compander import optimal_point_density  # compander imports this module
-
-            return optimal_point_density(density_from_spec(spec["base"]), alpha, r)
-    except KeyError as exc:
-        raise ConfigError(
-            f"density family '{family}' is missing required field {exc.args[0]!r}"
-        ) from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid density spec for family '{family}': {exc}") from None
-    raise ConfigError(f"unknown density family '{spec['family']}'")
+    level = None
+    if vmax > 0.0:
+        levels = np.geomspace(vmax * 1e-6, vmax * (1.0 - 1e-9), UNIMODALITY_LEVELS)
+        # {vals >= l} splits exactly where a point below l has values >= l on
+        # both sides (the lower side maximum, its wall); if any level splits at
+        # a point, the lowest level above the point does
+        walls = np.minimum(np.maximum.accumulate(vals)[:-2],
+                           np.maximum.accumulate(vals[::-1])[-3::-1])
+        dips = vals[1:-1] < walls
+        lowest = np.append(levels, np.inf)[np.searchsorted(levels, vals[1:-1][dips], side="right")]
+        splits = lowest[lowest <= walls[dips]]
+        if not splits.size:
+            return
+        level = float(splits.min())
+    raise HypothesisError(f"source density failed the weak-unimodality grid check (level {level})")

@@ -1,6 +1,6 @@
-"""Rate-sweep harness: builds compander sequences, measures empirical entropy
-and distortion quantities, compares them with the closed-form limits, and
-emits deterministic CSV + JSON reports.
+"""Rate-sweep harness: reads a config and its density specs, builds compander
+sequences, measures empirical entropy and distortion quantities, compares
+them with the closed-form limits, and emits deterministic CSV + JSON reports.
 
 The limit theorems only assert behavior as the rate grows, so convergence is
 operationalized as a last-point tolerance plus a trend check: smooth
@@ -20,7 +20,15 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .compander import build_companders, optimal_point_density, refine_codepoints
-from .density import Density, check_weak_unimodality, density_from_spec
+from .density import (
+    Density,
+    Exponential,
+    Gaussian,
+    Laplacian,
+    PiecewiseLinear,
+    Uniform,
+    check_weak_unimodality,
+)
 from .errors import ConfigError, HypothesisError, InfiniteIntegralError, RenyiQuantError
 from .intervals import Interval
 from .quantizer import (
@@ -51,6 +59,15 @@ TOLERANCES: dict[str, dict[str, float | None]] = {
     "mismatch": {"shift_abs": None, "shift_rel": 0.05, "distortion_rel": 0.05},
     "sanity": {"single_cell": 0.05, "restricted_entropy_min": 3.0},
 }
+
+# the fields each density family's spec takes besides its 'family'
+_SPEC_FIELDS: dict[str, tuple[str, ...]] = {
+    "uniform": ("a", "b"), "gaussian": ("mean", "sigma"), "normal": ("mean", "sigma"),
+    "laplacian": ("mean", "scale"), "exponential": ("rate", "shift"),
+    "piecewise_linear": ("knots",), "restricted": ("base", "interval"), "tilted": ("base", "beta"),
+    "point_density_of": ("base", "alpha", "r"),
+}
+_SPEC_NON_NUMBERS = ("family", "base", "knots", "interval")  # the spec fields not one number
 
 
 @dataclass(frozen=True)
@@ -98,8 +115,7 @@ class ExperimentConfig:
             if f.default is MISSING and f.default_factory is MISSING and f.name not in obj:
                 raise ConfigError(f"field '{f.name}' is required")
         interval, points = obj.get("interval"), obj.get("sanity_points")
-        if not (interval is None or isinstance(interval, (list, tuple)) and len(interval) == 2):
-            raise ConfigError(f"field 'interval' must be a pair, got {interval!r}")
+        interval = None if interval is None else _interval("interval", interval)
         if points is not None and not isinstance(points, (list, tuple)):
             raise ConfigError(f"field 'sanity_points' must list numbers, got {points!r}")
         name = obj.get("name", "experiment")  # the output files' stem, in --output-dir
@@ -118,30 +134,25 @@ class ExperimentConfig:
             type(n) is int or type(n) is float and n.is_integer() for n in n_grid
         ):
             raise ConfigError(f"field 'n_grid' must list integers, got {n_grid!r}")
-        try:
-            return cls(
-                source=dict(obj["source"]),
-                alpha=_number("alpha", obj["alpha"]),
-                r=_number("r", obj["r"]),
-                name=name,
-                mismatch_source=None if obj.get("mismatch_source") is None
-                else dict(obj["mismatch_source"]),
-                moment_slack=_number("moment_slack", obj.get("moment_slack", 1.0)),
-                interval=None if interval is None else Interval.from_json(
-                    [None if end is None else _number("interval", end) for end in interval]
-                ),
-                n_grid=tuple(int(n) for n in n_grid),
-                refine_codepoints=refine,
-                sanity_points=None if points is None else tuple(
-                    _number("sanity_points", p) for p in points
-                ),
-                tolerances={
-                    str(k): _number(f"tolerances.{k}", v)
-                    for k, v in obj.get("tolerances", {}).items()
-                },
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config value: {exc}") from None
+        return cls(
+            source=dict(obj["source"]),
+            alpha=_number("alpha", obj["alpha"]),
+            r=_number("r", obj["r"]),
+            name=name,
+            mismatch_source=None if obj.get("mismatch_source") is None
+            else dict(obj["mismatch_source"]),
+            moment_slack=_number("moment_slack", obj.get("moment_slack", 1.0)),
+            interval=interval,
+            n_grid=tuple(int(n) for n in n_grid),
+            refine_codepoints=refine,
+            sanity_points=None if points is None else tuple(
+                _number("sanity_points", p) for p in points
+            ),
+            tolerances={
+                str(k): _number(f"tolerances.{k}", v)
+                for k, v in obj.get("tolerances", {}).items()
+            },
+        )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -157,6 +168,63 @@ def _number(field_name: str, value) -> float:
     if not abs(value) <= sys.float_info.max:  # exact for an int; false for NaN
         raise ConfigError(f"field {field_name!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _interval(field_name: str, pair) -> Interval:
+    """A JSON pair [lo, hi] of numbers, null for an infinite end, as an Interval."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ConfigError(f"field {field_name!r} must be a pair, got {pair!r}")
+    lo, hi = (None if end is None else _number(field_name, end) for end in pair)
+    lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
+    if not lo < hi:
+        raise ConfigError(f"field {field_name!r} requires lo < hi, got {pair!r}")
+    return Interval(lo, hi)
+
+
+def density_from_spec(spec: dict) -> Density:
+    """Build a density from its JSON object form, its numbers read as a
+    config's (`_number`) and a field its family does not take refused.
+
+    Examples: {"family": "gaussian", "mean": 0.0, "sigma": 1.0},
+    {"family": "uniform", "a": 0.0, "b": 1.0},
+    {"family": "restricted", "base": {...}, "interval": [0.0, 0.5]}.
+    """
+    if not isinstance(spec, dict):
+        raise ConfigError(f"density spec must be an object, got {type(spec).__name__}")
+    try:
+        family = str(spec["family"]).lower()
+    except KeyError:
+        raise ConfigError("density spec is missing the 'family' field") from None
+    if family not in _SPEC_FIELDS:
+        raise ConfigError(f"unknown density family '{spec['family']}'")
+    unknown = sorted(set(spec) - {"family", *_SPEC_FIELDS[family]})
+    if unknown:
+        raise ConfigError(f"density family '{family}' takes no field {unknown[0]!r}")
+    numbers = {k: _number(k, v) for k, v in spec.items() if k not in _SPEC_NON_NUMBERS}
+    try:
+        if family == "uniform":
+            return Uniform(numbers["a"], numbers["b"])
+        if family in ("gaussian", "normal"):
+            return Gaussian(numbers.get("mean", 0.0), numbers["sigma"])
+        if family == "laplacian":
+            return Laplacian(numbers.get("mean", 0.0), numbers["scale"])
+        if family == "exponential":
+            return Exponential(numbers["rate"], numbers.get("shift", 0.0))
+        if family == "piecewise_linear":
+            return PiecewiseLinear([(_number("knots", x), _number("knots", y))
+                                    for x, y in spec["knots"]])
+        if family == "restricted":
+            return density_from_spec(spec["base"]).restrict(_interval("interval", spec["interval"]))
+        if family == "tilted":
+            return density_from_spec(spec["base"]).tilt(numbers["beta"])
+        base = density_from_spec(spec["base"])  # point_density_of
+        return optimal_point_density(base, numbers["alpha"], numbers["r"])
+    except KeyError as exc:
+        raise ConfigError(
+            f"density family '{family}' is missing required field {exc.args[0]!r}"
+        ) from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid density spec for family '{family}': {exc}") from None
 
 
 def read_config(path: str | Path) -> dict:
@@ -264,12 +332,7 @@ def _setup(cfg: ExperimentConfig, experiment: str) -> tuple[Density, Density | N
     if experiment != "asymptotics" and cfg.alpha <= 0.0:
         raise ConfigError(f"{experiment} runs need alpha strictly inside (0, 1)")
     d = cfg.source_density()
-    report = check_weak_unimodality(d)
-    if not report.passed:
-        raise HypothesisError(
-            f"source density failed the weak-unimodality grid check "
-            f"(level {report.failing_level})"
-        )
+    check_weak_unimodality(d)
     checks: dict = {"weakly_unimodal": True}
     try:
         checks["moment_r_plus_delta"] = d.absolute_moment(cfg.r + cfg.moment_slack)
@@ -279,17 +342,8 @@ def _setup(cfg: ExperimentConfig, experiment: str) -> tuple[Density, Density | N
     f = None
     if experiment == "mismatch":
         f = cfg.mismatch_density()
-        checks["ratio_bound"] = bounded_ratio(f, d)
+        checks["ratio_bound"] = theory.check_density_ratio_bound(f, d)
     return d, f, checks, {**defaults, **cfg.tolerances}
-
-
-def bounded_ratio(f: Density, g: Density) -> float:
-    """The grid bound on f/g that mismatch limits assume, or a HypothesisError
-    naming where the ratio is unbounded."""
-    ratio = theory.check_density_ratio_bound(f, g)
-    if not ratio.bounded:
-        raise HypothesisError(f"density ratio f/g is unbounded near x = {ratio.argmax:.6g}")
-    return ratio.max_ratio
 
 
 def _sweep(cfg: ExperimentConfig, design: Density, interval: Interval | None = None

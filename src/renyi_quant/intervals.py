@@ -48,12 +48,5 @@ class Interval:
         return [None if math.isinf(self.lo) else self.lo,
                 None if math.isinf(self.hi) else self.hi]
 
-    @classmethod
-    def from_json(cls, pair) -> Interval:
-        lo, hi = pair
-        lo = -math.inf if lo is None else float(lo)
-        hi = math.inf if hi is None else float(hi)
-        return cls(lo, hi)
-
 
 REAL_LINE = Interval(-math.inf, math.inf)

@@ -5,11 +5,12 @@ Conventions: alpha in [0, 1) is the entropy order, r > 1 the distortion power,
 beta1 = (1 - alpha + alpha r) / (1 - alpha + r), beta2 = (1 - alpha + r) / (1 - alpha),
 and the cell constant C_r = 1 / (2^r (1 + r)), all from `rate_params`, the one
 gate for (alpha, r). No predictor checks a density hypothesis: a run's setup
-does, and `predict` checks the f/g bound. Both interval limits read
-`tilted_measure`'s `interval_mass`. Everything here is a pure function of
-immutable densities. A predictor integral of u^a v^b, where v is u's
-closed-form tilt by gamma (same family, same location), is closed:
-P_u(a + gamma b) / P_u(gamma)^b with P_u = u.power_integral. Every other pair
+does, and `predict` checks the f/g bound with `check_density_ratio_bound`,
+which raises the HypothesisError naming where the ratio is unbounded. Both
+interval limits read `tilted_measure`'s `interval_mass`. Everything here is
+a pure function of immutable densities. A predictor integral of u^a v^b,
+where v is u's closed-form tilt by gamma (same family, same location), is
+closed: P_u(a + gamma b) / P_u(gamma)^b with P_u = u.power_integral. Every other pair
 (mixed families, shifted locations, different uniform supports, piecewise
 densities and their tilts, a + gamma b <= 0) and the KL integral run through
 quadrature.integrate, once per integral, with array integrands in log space.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .compander import optimal_point_density
 from .density import Density
-from .errors import DomainError, InfiniteIntegralError, RenyiQuantError
+from .errors import DomainError, HypothesisError, InfiniteIntegralError, RenyiQuantError
 from .intervals import Interval
 from . import quadrature
 
@@ -241,20 +242,11 @@ def _kl_divergence(u: Density, v: Density) -> float:
 # --- mismatch -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RatioBoundReport:
-    bounded: bool
-    max_ratio: float
-    argmax: float
-    grid_size: int
-
-
-def check_density_ratio_bound(f: Density, g: Density) -> RatioBoundReport:
-    """Grid check that f/g stays bounded on the support of f.
-
-    Reports the maximum over RATIO_GRID_SIZE points of f's mass window
-    (`Density.mass_window`), inflated by a 10% safety factor. Unbounded means g vanishes (or
-    the ratio exceeds RATIO_CAP) somewhere f has mass.
+def check_density_ratio_bound(f: Density, g: Density) -> float:
+    """Grid check that f/g stays bounded on the support of f: the maximum over
+    RATIO_GRID_SIZE points of f's mass window (`Density.mass_window`), inflated
+    by a 10% safety factor. Where g vanishes, or the ratio exceeds RATIO_CAP,
+    somewhere f has mass, a HypothesisError names the first such maximum.
     """
     window = f.mass_window
     xs = np.linspace(window.lo, window.hi, RATIO_GRID_SIZE + 2)[1:-1]
@@ -264,13 +256,14 @@ def check_density_ratio_bound(f: Density, g: Density) -> RatioBoundReport:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(fx > 0.0, fx / gx, 0.0)
     k = int(np.argmax(ratio))  # the first maximum
-    worst = float(ratio[k])
-    return RatioBoundReport(worst <= RATIO_CAP, 1.1 * worst, float(xs[k]), RATIO_GRID_SIZE)
+    if not ratio[k] <= RATIO_CAP:
+        raise HypothesisError(f"density ratio f/g is unbounded near x = {xs[k]:.6g}")
+    return 1.1 * float(ratio[k])
 
 
 def mismatch_entropy_shift(g: Density, f: Density, alpha: float, r: float) -> float:
     """Limit of exp((1-alpha)(H_nu - H_mu)) when g-optimal quantizers meet f, for
-    f/g bounded, which is the caller's to check (`experiments.bounded_ratio`)."""
+    f/g bounded, which is the caller's to check (`check_density_ratio_bound`)."""
     p = rate_params(alpha, r)
     num = _power_product(f, alpha, g, p.beta1 - alpha, (f,))
     return num / g.power_integral(p.beta1)

@@ -396,6 +396,56 @@ def test_unbounded_density_ratio_names_the_hypothesis(tmp_path, capsys, command)
     assert err == "error: density ratio f/g is unbounded near x = -14.0662\n"
 
 
+# the hypothesis failures CI runs, each named in one stderr line
+BIMODAL = '{"family": "piecewise_linear", "knots": [[0,0],[1,1],[2,0.1],[3,1],[4,0]]}'
+LAPLACIAN = '{"family": "laplacian", "scale": 1.0}'
+
+
+@pytest.mark.parametrize(
+    "command, config, override, cause",
+    [
+        ("asymptotics", "gaussian_asymptotics.json", f"source={BIMODAL}",
+         "source density failed the weak-unimodality grid check (level 0.05127819781984933)"),
+        ("mismatch", "mismatch_gaussian.json", f"mismatch_source={LAPLACIAN}",
+         "density ratio f/g is unbounded near x = -26.9325"),
+        ("predict", "mismatch_gaussian.json", f"mismatch_source={LAPLACIAN}",
+         "density ratio f/g is unbounded near x = -26.9325"),
+    ],
+)
+def test_failing_hypotheses_exit_1_naming_their_cause(tmp_path, capsys, command, config,
+                                                       override, cause):
+    argv = [command, "--config", str(CONFIG_DIR / config), "--set", override]
+    if command != "predict":
+        argv += ["--output-dir", str(tmp_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {cause}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "name, unwritable",
+    [
+        ("x" * 300, "{name}.csv"),  # too long a file name, after the sweep
+        ("x" * 250, "{name}_summary.json"),  # the CSV fits and is removed again
+        ("uniform", "."),  # --output-dir names a file, before the sweep
+    ],
+    ids=["csv", "summary", "output-dir"],
+)
+def test_an_output_that_cannot_be_written_exits_1_naming_its_path(tmp_path, capsys, name,
+                                                                  unwritable):
+    out_dir = tmp_path / "out"
+    if unwritable == ".":
+        out_dir.write_text("not a directory")
+    argv = ["asymptotics", "--config", str(CONFIG_DIR / "uniform_asymptotics.json"),
+            "--set", f"name={name}", "--set", "n_grid=[4, 8, 16, 32]", "--output-dir", str(out_dir)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {out_dir / unwritable.format(name=name)}: ")
+    assert out_dir.is_file() if unwritable == "." else list(out_dir.iterdir()) == []
+
+
 def test_predict_at_alpha_zero_drops_the_renyi_divergence(capsys):
     path = str(CONFIG_DIR / "mismatch_gaussian.json")
     assert main(["predict", "--config", path, "--set", "alpha=0"]) == 0

@@ -22,11 +22,16 @@ from renyi_quant.density import (
     UNIMODALITY_GRID,
     UNIMODALITY_LEVELS,
     Density,
-    UnimodalityReport,
     TiltedDensity,
     decreasing_roots,
 )
-from renyi_quant.errors import ConfigError, DomainError, EmptyConditioningError, RenyiQuantError
+from renyi_quant.errors import (
+    ConfigError,
+    DomainError,
+    EmptyConditioningError,
+    HypothesisError,
+    RenyiQuantError,
+)
 from renyi_quant.intervals import REAL_LINE
 from renyi_quant.quadrature import integrate, truncate_support
 
@@ -561,7 +566,7 @@ def test_a_bounded_support_far_wider_than_its_mass_integrates_over_its_mass(hi):
         want = half.absolute_moment(r)
         assert abs(wide.absolute_moment(r) - want) <= 1e-12 * want
     assert abs(half.absolute_moment(3.0) - 1.5957691216057308) <= 1e-12 * 1.6
-    assert check_weak_unimodality(wide) == check_weak_unimodality(half) == UnimodalityReport(True, None)
+    assert check_weak_unimodality(wide) is check_weak_unimodality(half) is None
 
 
 def test_truncate_support_keeps_a_bounded_support_near_its_window():
@@ -992,9 +997,9 @@ def test_every_spec_family_is_closed(monkeypatch, spec):
 
 
 def test_weak_unimodality_pass_cases():
-    assert check_weak_unimodality(Gaussian(0.0, 1.0)).passed
-    assert check_weak_unimodality(Uniform(0.0, 1.0)).passed
-    assert check_weak_unimodality(Exponential(1.0, 0.0)).passed
+    assert check_weak_unimodality(Gaussian(0.0, 1.0)) is None
+    assert check_weak_unimodality(Uniform(0.0, 1.0)) is None
+    assert check_weak_unimodality(Exponential(1.0, 0.0)) is None
 
 
 def test_weak_unimodality_detects_two_bumps():
@@ -1003,9 +1008,9 @@ def test_weak_unimodality_detects_two_bumps():
     mixture = PiecewiseLinear(
         [(0.0, 0.5), (1.0, 0.5), (1.0 + eps, 0.0), (2.0 - eps, 0.0), (2.0, 0.5), (3.0, 0.5)]
     )
-    report = check_weak_unimodality(mixture)
-    assert not report.passed
-    assert report.failing_level is not None
+    with pytest.raises(HypothesisError, match="weak-unimodality grid check") as err:
+        check_weak_unimodality(mixture)
+    assert "(level None)" not in str(err.value)
 
 
 def _unimodality_by_level(d):
@@ -1023,6 +1028,20 @@ def _unimodality_by_level(d):
     return (True, None)
 
 
+def _check_against_loop(d):
+    """The loop's verdict, once the check has passed where the loop does, or
+    raised the run's message at the loop's level where it fails."""
+    passed, level = _unimodality_by_level(d)
+    if passed:
+        assert check_weak_unimodality(d) is None
+    else:
+        with pytest.raises(HypothesisError) as err:
+            check_weak_unimodality(d)
+        message = f"source density failed the weak-unimodality grid check (level {level})"
+        assert str(err.value) == message
+    return passed, level
+
+
 def test_weak_unimodality_matches_the_loop_over_levels():
     """300 random piecewise-linear sources, zeros and plateaus among their
     knots, a third or more of them failing, and the bimodal example."""
@@ -1036,9 +1055,7 @@ def test_weak_unimodality_matches_the_loop_over_levels():
         sources.append(PiecewiseLinear(list(zip(xs.tolist(), ys.tolist()))))
     verdicts = []
     for d in sources:
-        report = check_weak_unimodality(d)
-        verdicts.append((report.passed, report.failing_level))
-        assert verdicts[-1] == _unimodality_by_level(d)
+        verdicts.append(_check_against_loop(d))
     assert verdicts[0] == (False, pytest.approx(0.0513, abs=5e-5))
     assert 100 <= sum(not passed for passed, _ in verdicts) <= 250
 
@@ -1052,9 +1069,9 @@ def test_weak_unimodality_matches_the_loop_over_levels():
 def test_log_concave_verdict_matches_the_loop_over_levels(monkeypatch, d):
     """A log-concave family passes without the grid, the verdict the grid gives."""
     monkeypatch.setattr(type(d), "pdf_array", None)  # the grid would call it
-    report = check_weak_unimodality(d)
+    assert check_weak_unimodality(d) is None
     monkeypatch.undo()
-    assert (report.passed, report.failing_level) == _unimodality_by_level(d) == (True, None)
+    assert _unimodality_by_level(d) == (True, None)
 
 
 def test_weak_unimodality_matches_the_loop_where_values_tie_with_levels(monkeypatch):
@@ -1072,9 +1089,8 @@ def test_weak_unimodality_matches_the_loop_where_values_tie_with_levels(monkeypa
         vals = np.repeat(run_values, UNIMODALITY_GRID // runs + 1)[:UNIMODALITY_GRID]
         vals[int(rng.integers(UNIMODALITY_GRID))] = 1.0  # the levels above are vmax's
         monkeypatch.setattr(PiecewiseLinear, "pdf_array", lambda self, x: vals.copy())
-        report = check_weak_unimodality(plateau)
-        assert (report.passed, report.failing_level) == _unimodality_by_level(plateau)
-        failing += report.failing_level in levels
+        _, level = _check_against_loop(plateau)
+        failing += level in levels
     assert failing >= 100
 
 
@@ -1126,6 +1142,36 @@ def test_density_from_spec_errors_name_field():
         with pytest.raises(ConfigError, match=f"family 'point_density_of': {message}"):
             density_from_spec({"family": "point_density_of", "alpha": alpha, "r": r,
                                "base": {"family": "gaussian", "sigma": 1.0}})
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # a field the family does not take, at the top and inside a base
+        ({"family": "gaussian", "sigma": 1.0, "mena": 3},
+         "family 'gaussian' takes no field 'mena'"),
+        ({"family": "tilted", "beta": 0.5,
+          "base": {"family": "laplacian", "scale": 1.0, "rate": 2}},
+         "family 'laplacian' takes no field 'rate'"),
+        # numbers are JSON numbers, finite, as in a config
+        ({"family": "gaussian", "sigma": True}, "field 'sigma' must be a number, got True"),
+        ({"family": "uniform", "a": 0, "b": "1"}, "field 'b' must be a number, got '1'"),
+        ({"family": "restricted", "base": {"family": "gaussian", "sigma": 1.0},
+          "interval": ["0", 1]}, "field 'interval' must be a number, got '0'"),
+        ({"family": "piecewise_linear", "knots": [[0, 1], [1, False]]},
+         "field 'knots' must be a number, got False"),
+        ({"family": "exponential", "rate": 1.0, "shift": -math.inf},
+         "field 'shift' must be a finite number, got -inf"),
+        ({"family": "point_density_of", "base": {"family": "gaussian", "sigma": 1.0},
+          "alpha": 0.5, "r": math.nan}, "field 'r' must be a finite number, got nan"),
+        ({"family": "restricted", "base": {"family": "gaussian", "sigma": 1.0},
+          "interval": [1, 0]}, "field 'interval' requires lo < hi, got [1, 0]"),
+    ],
+)
+def test_density_from_spec_reads_its_fields_as_strictly_as_a_config(spec, message):
+    with pytest.raises(ConfigError) as err:
+        density_from_spec(spec)
+    assert str(err.value).endswith(message)
 
 
 # --- modes and medians -------------------------------------------------------------------

@@ -107,6 +107,7 @@ def test_config_from_dict_takes_only_integral_n_grid_entries():
         ("interval", {"interval": ["0.2", 0.8]}),
         ("interval", {"interval": [0.2, False]}),
         ("interval", {"interval": [0.2]}),
+        ("interval", {"interval": [0.8, 0.2]}),  # lo < hi, named like every other refusal
         # finite ones only: Python's json reads NaN and Infinity, and null
         # is the way to write an infinite interval end
         ("alpha", {"alpha": math.nan}),

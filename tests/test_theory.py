@@ -28,10 +28,9 @@ from renyi_quant import (
 )
 from renyi_quant import quadrature, theory
 from renyi_quant.errors import DomainError, HypothesisError, InfiniteIntegralError
-from renyi_quant.experiments import bounded_ratio
 from renyi_quant.density import TAIL_MASS
 from renyi_quant.quadrature import truncate_support
-from renyi_quant.theory import RATIO_CAP, check_density_ratio_bound
+from renyi_quant.theory import RATIO_CAP, RATIO_GRID_SIZE, check_density_ratio_bound
 
 # frozen oracle values (high-precision evaluation of the closed forms)
 GAUSS_POWER_06 = 1.8644912453132446          # integral of phi^0.6
@@ -474,7 +473,7 @@ def test_mismatch_entropy_shift_leaves_the_ratio_bound_to_the_caller():
         warnings.simplefilter("error")
         assert mismatch_entropy_shift(g, f, 0.5, 2.0) == 1.1547005383792515
     with pytest.raises(HypothesisError, match="unbounded"):
-        bounded_ratio(f, g)
+        check_density_ratio_bound(f, g)
 
 
 def test_mismatch_distortion_limit_examples():
@@ -558,7 +557,7 @@ def test_mismatch_loss_at_least_one_on_grid(alpha):
     }
     for g, fs in grid.items():
         for f in fs:
-            assert check_density_ratio_bound(f, g).bounded
+            check_density_ratio_bound(f, g)  # a HypothesisError where f/g is unbounded
             loss = mismatch_loss(g, f, alpha, 2.0)
             assert loss >= 1.0 - 1e-9
 
@@ -789,10 +788,9 @@ def test_power_product_out_of_float_range_integrates(monkeypatch):
 
 def test_ratio_bound_report():
     ok = check_density_ratio_bound(Gaussian(0.0, 1.0), Gaussian(0.0, 2.0))
-    assert ok.bounded
-    assert ok.max_ratio == pytest.approx(1.1 * 2.0, rel=1e-3)  # ratio peaks at 2 at x=0
-    bad = check_density_ratio_bound(Gaussian(0.0, 2.0), Gaussian(0.0, 1.0))
-    assert not bad.bounded
+    assert ok == pytest.approx(1.1 * 2.0, rel=1e-3)  # ratio peaks at 2 at x=0
+    with pytest.raises(HypothesisError, match="unbounded"):
+        check_density_ratio_bound(Gaussian(0.0, 2.0), Gaussian(0.0, 1.0))
 
 
 def _ratio_bound_loop(f, g, grid_size=10_000):
@@ -832,10 +830,14 @@ def _ratio_bound_loop(f, g, grid_size=10_000):
     ids=repr,
 )
 def test_ratio_bound_matches_scalar_loop(f, g):
-    got = check_density_ratio_bound(f, g)
     bounded, max_ratio, argmax, grid_size = _ratio_bound_loop(f, g)
-    assert (got.bounded, got.argmax, got.grid_size) == (bounded, argmax, grid_size)
-    assert got.max_ratio == pytest.approx(max_ratio, rel=1e-15)
+    assert grid_size == RATIO_GRID_SIZE
+    if bounded:
+        assert check_density_ratio_bound(f, g) == pytest.approx(max_ratio, rel=1e-15)
+    else:  # named at the loop's first maximum
+        with pytest.raises(HypothesisError) as err:
+            check_density_ratio_bound(f, g)
+        assert str(err.value) == f"density ratio f/g is unbounded near x = {argmax:.6g}"
 
 
 # --- split bound --------------------------------------------------------------------------------------
